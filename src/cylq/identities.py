@@ -15,9 +15,6 @@ Contents:
   `sum_alternating_mod4`, `sum_signed_distinct_mod2`, `sum_goellnitz`,
   `sum_mod12`, `sum_schmidt_distinct_odd`, `sum_schmidt_distinct_even`),
   each summing exactly as many terms as can touch the window;
-* direct enumerators for marked partitions, partition diamonds, signed
-  distinct partitions, and the two largest-part/hook-length count
-  tables;
 * the registry (`registry`, `get_case`) of `IdentityCase` entries and
   the `verify` report builder with a versioned JSON shape and a
   human-readable rendering (`report_text`).
@@ -30,7 +27,15 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
-from .lattice import full_profile, genfun_by_enumeration, scp_weights
+from .lattice import (
+    count_distinct_by_marked_sum,
+    count_partitions_by_hook,
+    full_profile,
+    genfun_by_enumeration,
+    schmidt_genfun,
+    scp_weights,
+    signed_distinct_genfun,
+)
 from .products import (
     ProductSpec,
     cp_product,
@@ -72,14 +77,9 @@ __all__ = [
     "IdentityCase",
     "Side",
     "compare_series",
-    "diamond_partition_series",
-    "distinct_largest_part_table",
     "get_case",
-    "hook_length_table",
-    "marked_partition_series",
     "registry",
     "report_text",
-    "signed_distinct_partition_series",
     "sum_alternating_mod4",
     "sum_double_mod7",
     "sum_euler",
@@ -301,151 +301,20 @@ def sum_schmidt_distinct_even(window: Window) -> TruncatedSeries:
 
 
 # ---------------------------------------------------------------------------
-# direct enumerators: marked partitions, diamonds, count tables
+# count tables as series
 # ---------------------------------------------------------------------------
-
-
-def marked_partition_series(
-    window: Window, *, distinct: bool = False, mark: str = "odd"
-) -> TruncatedSeries:
-    """``sum_lambda z^(lambda_1) q^(marked sum)`` over (distinct) partitions.
-
-    The marked sum adds the parts at odd 1-based positions
-    (``lambda_1 + lambda_3 + ...``) or at even positions; the z-window
-    caps the largest part and the q-window caps the marked sum, which
-    together make the enumeration finite.
-    """
-    if mark not in ("odd", "even"):
-        raise ValueError("mark must be 'odd' or 'even'")
-    n_trunc = _require_q(window)
-    if window.z_truncation is None:
-        raise ValueError("marked enumeration needs a finite z-window")
-    d_cap = window.z_truncation
-    out = {(0, 0): 1}
-
-    def marked(pos: int) -> bool:
-        return (pos % 2 == 1) == (mark == "odd")
-
-    def rec(pos: int, prev: int, w: int, z: int) -> None:
-        hi = prev - 1 if distinct else prev
-        for part in range(1, hi + 1):
-            w2 = w + (part if marked(pos) else 0)
-            if w2 < n_trunc:
-                out[(z, w2)] = out.get((z, w2), 0) + 1
-                rec(pos + 1, part, w2, z)
-
-    for first in range(1, d_cap + 1):
-        w0 = first if marked(1) else 0
-        if w0 < n_trunc:
-            out[(first, w0)] = out.get((first, w0), 0) + 1
-            rec(2, first, w0, first)
-    return TruncatedSeries(out, n_trunc, d_cap, 1)
-
-
-def diamond_partition_series(window: Window) -> TruncatedSeries:
-    """``sum z^(lambda_1) q^(lambda_1 + lambda_4 + lambda_7 + ...)`` over
-    partition diamonds: sequences where each anchor dominates the next
-    unordered pair, which in turn dominates the next anchor."""
-    n_trunc = _require_q(window)
-    if window.z_truncation is None:
-        raise ValueError("diamond enumeration needs a finite z-window")
-    d_cap = window.z_truncation
-    out = {(0, 0): 1}
-
-    def add(z: int, w: int) -> None:
-        out[(z, w)] = out.get((z, w), 0) + 1
-
-    def rec(anchor: int, z: int, w: int) -> None:
-        add(z, w)  # the sequence ends right after this anchor
-        for x in range(anchor + 1):
-            for y in range(anchor + 1):
-                if x == 0 and y == 0:
-                    continue
-                add(z, w)  # ends after (x) when y = 0, or after the pair (x, y)
-                if y > 0:
-                    for nxt in range(1, min(x, y) + 1):
-                        if w + nxt < n_trunc:
-                            rec(nxt, z, w + nxt)
-
-    for first in range(1, d_cap + 1):
-        if first < n_trunc:
-            rec(first, first, first)
-    return TruncatedSeries(out, n_trunc, d_cap, 1)
-
-
-def signed_distinct_partition_series(window: Window) -> TruncatedSeries:
-    """``sum_lambda (-1)^(number of odd parts) q^(|lambda|)`` over
-    partitions into distinct parts."""
-    n_trunc = _require_q(window)
-    out = {(0, 0): 1}
-
-    def rec(prev: int, size: int, sign: int) -> None:
-        for part in range(1, prev):
-            s2 = size + part
-            if s2 < n_trunc:
-                g2 = sign * (-1 if part % 2 else 1)
-                out[(0, s2)] = out.get((0, s2), 0) + g2
-                rec(part, s2, g2)
-
-    rec(n_trunc + 1, 0, 1)
-    return TruncatedSeries(out, n_trunc, None, 1)
-
-
-def distinct_largest_part_table(
-    max_weight: int, *, mark: str = "odd", include_largest: bool = False
-) -> dict:
-    """Counts ``T[(m, n)]`` of distinct-part partitions with largest part
-    ``m`` and marked sum ``n`` (plus ``lambda_1`` when requested).
-
-    Complete for every ``n <= max_weight``.
-    """
-    if mark not in ("odd", "even"):
-        raise ValueError("mark must be 'odd' or 'even'")
-    table: dict = {}
-
-    def marked(pos: int) -> bool:
-        return (pos % 2 == 1) == (mark == "odd")
-
-    def rec(pos: int, prev: int, w: int, m: int) -> None:
-        for part in range(1, prev):
-            w2 = w + (part if marked(pos) else 0)
-            if w2 <= max_weight:
-                table[(m, w2)] = table.get((m, w2), 0) + 1
-                rec(pos + 1, part, w2, m)
-
-    for first in range(1, max_weight + 1):
-        w0 = first if (include_largest or marked(1)) else 0
-        if w0 <= max_weight:
-            table[(first, w0)] = table.get((first, w0), 0) + 1
-            rec(2, first, w0, first)
-    return table
-
-
-def hook_length_table(max_weight: int, *, min_part: int = 1) -> dict:
-    """Counts ``T[(m, n)]`` of partitions of ``n <= max_weight`` with all
-    parts at least ``min_part`` and largest hook length
-    ``lambda_1 + length - 1 = m``."""
-    table: dict = {}
-
-    def rec(nparts: int, first: int, prev: int, size: int) -> None:
-        key = (first + nparts - 1, size)
-        table[key] = table.get(key, 0) + 1
-        for part in range(min_part, prev + 1):
-            if size + part <= max_weight:
-                rec(nparts + 1, first, part, size + part)
-
-    for first in range(min_part, max_weight + 1):
-        rec(1, first, first, first)
-    return table
 
 
 def _table_series(
     table: dict, n_trunc: int, *, shift_m: int = 0, shift_n: int = 0
 ) -> TruncatedSeries:
     """Pack a ``{(m, n): count}`` table as ``sum count z^(m-shift_m)
-    q^(n-shift_n)`` for comparison; entries outside the window drop."""
+    q^(n-shift_n)`` for comparison; the empty-partition corner (0, 0)
+    and entries outside the window drop."""
     coeffs = {}
     for (m, n), c in table.items():
+        if (m, n) == (0, 0):
+            continue
         mm, nn = m - shift_m, n - shift_n
         if c and mm >= 0 and 0 <= nn < n_trunc:
             coeffs[(mm, nn)] = c
@@ -970,7 +839,7 @@ def _run_schmidt_refined(window: Window) -> list:
     wd = Window(min(n_trunc, 15), min(d_cap, 15))  # diamonds grow fastest
     out = []
 
-    strict_odd = marked_partition_series(w, distinct=True, mark="odd")
+    strict_odd = schmidt_genfun("distinct", w, "odd")
     out.append(
         compare_series(
             "distinct, odd marks: enumeration = sum",
@@ -989,7 +858,7 @@ def _run_schmidt_refined(window: Window) -> list:
             _ENUM("strict closed chain (1,-1), weights (0,1)"),
         )
     )
-    strict_even = marked_partition_series(w, distinct=True, mark="even")
+    strict_even = schmidt_genfun("distinct", w, "even")
     out.append(
         compare_series(
             "distinct, even marks: enumeration = sum",
@@ -1009,7 +878,7 @@ def _run_schmidt_refined(window: Window) -> list:
         )
     )
 
-    plain_odd = marked_partition_series(w, mark="odd")
+    plain_odd = schmidt_genfun("unrestricted", w, "odd")
     out.append(
         compare_series(
             "unrestricted, odd marks: enumeration = product",
@@ -1028,7 +897,7 @@ def _run_schmidt_refined(window: Window) -> list:
             _ENUM("closed chain (1,-1), weights (0,1)"),
         )
     )
-    plain_even = marked_partition_series(w, mark="even")
+    plain_even = schmidt_genfun("unrestricted", w, "even")
     inv_one_minus_z = TruncatedSeries(
         {(0, 0): 1, (1, 0): -1}, n_trunc, d_cap, 1
     ).invert()
@@ -1051,7 +920,7 @@ def _run_schmidt_refined(window: Window) -> list:
         )
     )
 
-    diamonds = diamond_partition_series(wd)
+    diamonds = schmidt_genfun("diamond", wd)
     out.append(
         compare_series(
             "diamonds: enumeration = product",
@@ -1087,21 +956,21 @@ def _run_schmidt_marginals(window: Window) -> list:
     return [
         compare_series(
             "distinct, odd marks",
-            marked_partition_series(w, distinct=True, mark="odd").collapse_z(),
+            schmidt_genfun("distinct", w, "odd").collapse_z(),
             _ENUM("distinct partitions, q^(odd-position sum)"),
             poch_product([], [qf(1, 1)], wq),
             _PROD("1/(q;q)_inf"),
         ),
         compare_series(
             "unrestricted, odd marks",
-            marked_partition_series(w, mark="odd").collapse_z(),
+            schmidt_genfun("unrestricted", w, "odd").collapse_z(),
             _ENUM("partitions, q^(odd-position sum)"),
             poch_product([], [qf(1, 1), qf(1, 1)], wq),
             _PROD("1/(q;q)_inf^2"),
         ),
         compare_series(
             "diamond anchors",
-            diamond_partition_series(w).collapse_z(),
+            schmidt_genfun("diamond", w).collapse_z(),
             _ENUM("partition diamonds, q^(anchor sum)"),
             poch_product([qf(1, 1, -1)], [qf(1, 1)] * 3, wq),
             _PROD("(-q;q)_inf / (q;q)_inf^3"),
@@ -1120,12 +989,12 @@ def _run_schmidt_marginals(window: Window) -> list:
 def _run_hook_counts(window: Window) -> list:
     n_trunc = _require_q(window)
     max_weight = n_trunc - 1
-    odd = distinct_largest_part_table(max_weight, mark="odd")
-    hooks = hook_length_table(max_weight)
-    shifted = distinct_largest_part_table(
-        max_weight, mark="even", include_largest=True
+    odd = count_distinct_by_marked_sum(max_weight, "odd")
+    hooks = count_partitions_by_hook(max_weight)
+    shifted = count_distinct_by_marked_sum(
+        max_weight, "even", include_largest=True
     )
-    big_hooks = hook_length_table(max_weight + 1, min_part=2)
+    big_hooks = count_partitions_by_hook(max_weight + 1, min_part=2)
     return [
         compare_series(
             "odd-position sums match hooks",
@@ -1167,7 +1036,7 @@ def _run_signed_distinct(window: Window) -> list:
         ),
         compare_series(
             "signed enumeration = product",
-            signed_distinct_partition_series(w),
+            signed_distinct_genfun(w),
             _ENUM("sum over distinct partitions of (-1)^(odd parts) q^size"),
             product,
             _PROD("(q;q^2)_inf (-q^2;q^2)_inf"),
@@ -1197,12 +1066,14 @@ def _run_signed_distinct(window: Window) -> list:
             even_only = False
             break
         halved_coeffs[(z_deg, num // 2)] = c
-    half_w = Window(n_trunc // 2)
+    # exponents below n_trunc halve to exponents below ceil(n_trunc / 2)
+    half_trunc = (n_trunc + 1) // 2
+    half_w = Window(half_trunc)
     if even_only:
         out.append(
             compare_series(
                 "halved chain = product",
-                TruncatedSeries(halved_coeffs, n_trunc // 2, None, 1),
+                TruncatedSeries(halved_coeffs, half_trunc, None, 1),
                 _CLOSED("the chain with every exponent halved"),
                 poch_product([qf(1, 2), qf(2, 2, -1)], [], half_w),
                 _PROD("(q;q^2)_inf (-q^2;q^2)_inf"),

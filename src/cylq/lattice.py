@@ -112,36 +112,38 @@ def _trim(parts: list) -> tuple:
     return tuple(out)
 
 
+def _box_walk(lows: Sequence[int], his: Sequence[int],
+              size_cap: Optional[int]) -> Iterator[tuple]:
+    """All c with lows[i] <= c[i] <= his[i] (and sum(c) <= size_cap when
+    given), largest first, each trimmed at its first zero."""
+    n = len(lows)
+    sufmin = [0] * (n + 1)
+    for i in range(n - 1, -1, -1):
+        sufmin[i] = sufmin[i + 1] + lows[i]
+
+    def rec(i: int, acc: list, used: int) -> Iterator[tuple]:
+        if i == n:
+            yield _trim(acc)
+            return
+        hi, lo = his[i], lows[i]
+        if size_cap is not None:
+            hi = min(hi, size_cap - used - sufmin[i + 1])
+        for c in range(hi, lo - 1, -1):
+            acc.append(c)
+            yield from rec(i + 1, acc, used + c)
+            acc.pop()
+
+    return rec(0, [], 0)
+
+
 def down_neighbors(
     lam: Sequence[int],
     size_cap: Optional[int] = None,
 ) -> Iterator[tuple]:
     """All mu with lam >= mu (and |mu| <= size_cap when given)."""
     la = tuple(lam)
-    k = len(la)
-    if k == 0:
-        yield ()
-        return
-    lows = [la[i + 1] if i + 1 < k else 0 for i in range(k)]
-    sufmin = [0] * (k + 1)
-    for i in range(k - 1, -1, -1):
-        sufmin[i] = sufmin[i + 1] + lows[i]
-
-    def rec(i: int, acc: list, used: int) -> Iterator[tuple]:
-        if i == k:
-            yield _trim(acc)
-            return
-        hi, lo = la[i], lows[i]
-        if size_cap is not None:
-            hi = min(hi, size_cap - used - sufmin[i + 1])
-            if hi < lo:
-                return
-        for c in range(hi, lo - 1, -1):
-            acc.append(c)
-            yield from rec(i + 1, acc, used + c)
-            acc.pop()
-
-    yield from rec(0, [], 0)
+    lows = la[1:] + (0,) if la else ()
+    return _box_walk(lows, la, size_cap)
 
 
 def up_neighbors(
@@ -151,29 +153,7 @@ def up_neighbors(
 ) -> Iterator[tuple]:
     """All mu with mu >= lam, largest part <= part_cap (|mu| <= size_cap)."""
     la = tuple(lam)
-    k = len(la)
-    lows = [la[0] if k else 0] + [la[i] if i < k else 0 for i in range(1, k + 1)]
-    his = [part_cap] + [la[i - 1] for i in range(1, k + 1)]
-    n = k + 1
-    sufmin = [0] * (n + 1)
-    for i in range(n - 1, -1, -1):
-        sufmin[i] = sufmin[i + 1] + lows[i]
-
-    def rec(i: int, acc: list, used: int) -> Iterator[tuple]:
-        if i == n:
-            yield _trim(acc)
-            return
-        hi, lo = his[i], lows[i]
-        if size_cap is not None:
-            hi = min(hi, size_cap - used - sufmin[i + 1])
-        if hi < lo:
-            return
-        for c in range(hi, lo - 1, -1):
-            acc.append(c)
-            yield from rec(i + 1, acc, used + c)
-            acc.pop()
-
-    yield from rec(0, [], 0)
+    return _box_walk(la + (0,), (part_cap,) + la, size_cap)
 
 
 def down_neighbors_strict(
@@ -182,34 +162,8 @@ def down_neighbors_strict(
 ) -> Iterator[tuple]:
     """All mu strictly interlacing below lam (see is_above_strict)."""
     la = tuple(lam)
-    k = len(la)
-    if k == 0:
-        yield ()
-        return
-    lows, his = [], []
-    for i in range(k):
-        low_weak = la[i + 1] if i + 1 < k else 0
-        lows.append(low_weak + 1 if low_weak > 0 else 0)
-        his.append(la[i] - 1 if la[i] > 0 else 0)
-    sufmin = [0] * (k + 1)
-    for i in range(k - 1, -1, -1):
-        sufmin[i] = sufmin[i + 1] + lows[i]
-
-    def rec(i: int, acc: list, used: int) -> Iterator[tuple]:
-        if i == k:
-            yield _trim(acc)
-            return
-        hi, lo = his[i], lows[i]
-        if size_cap is not None:
-            hi = min(hi, size_cap - used - sufmin[i + 1])
-        for c in range(hi, lo - 1, -1):
-            if acc and c > acc[-1]:
-                continue
-            acc.append(c)
-            yield from rec(i + 1, acc, used + c)
-            acc.pop()
-
-    yield from rec(0, [], 0)
+    lows = [p + 1 if p > 0 else 0 for p in la[1:]] + [0] if la else []
+    return _box_walk(lows, [p - 1 if p > 0 else 0 for p in la], size_cap)
 
 
 def up_neighbors_strict(
@@ -219,35 +173,9 @@ def up_neighbors_strict(
 ) -> Iterator[tuple]:
     """All mu strictly interlacing above lam with parts <= part_cap."""
     la = tuple(lam)
-    k = len(la)
-    n = k + 1
-    lows, his = [], []
-    for i in range(n):
-        low_weak = la[i] if i < k else 0
-        lows.append(low_weak + 1 if low_weak > 0 else 0)
-        if i == 0:
-            his.append(part_cap)
-        else:
-            his.append(la[i - 1] - 1 if la[i - 1] > 0 else 0)
-    sufmin = [0] * (n + 1)
-    for i in range(n - 1, -1, -1):
-        sufmin[i] = sufmin[i + 1] + lows[i]
-
-    def rec(i: int, acc: list, used: int) -> Iterator[tuple]:
-        if i == n:
-            yield _trim(acc)
-            return
-        hi, lo = his[i], lows[i]
-        if size_cap is not None:
-            hi = min(hi, size_cap - used - sufmin[i + 1])
-        for c in range(hi, lo - 1, -1):
-            if acc and c > acc[-1]:
-                continue
-            acc.append(c)
-            yield from rec(i + 1, acc, used + c)
-            acc.pop()
-
-    yield from rec(0, [], 0)
+    lows = [p + 1 if p > 0 else 0 for p in la] + [0]
+    his = [part_cap] + [p - 1 if p > 0 else 0 for p in la]
+    return _box_walk(lows, his, size_cap)
 
 
 def partitions_iter(
@@ -664,9 +592,7 @@ def genfun_by_enumeration(
     counts: dict = {}
     if kind in ("cylindric", "distinct"):
         stream = _closed_chains(d, aw, budget, part_cap, max_rows, kind == "distinct")
-    elif kind == "skew-shifted":
-        stream = _open_chains(d, aw, budget, part_cap, max_rows, False)
-    else:
+    else:  # skew-shifted, and symmetric through its half chains
         stream = _open_chains(d, aw, budget, part_cap, max_rows, False)
     for diags, used in stream:
         z = max((t[0] for t in diags if t), default=0)
@@ -681,33 +607,35 @@ def genfun_by_enumeration(
 
 
 def _marked_partitions_counts(
-    n_cap: int, z_cap: int, distinct: bool, marking: str
+    n_cap: int, z_cap: int, distinct: bool, marking: str, *, count_first: bool = False
 ) -> dict:
     """Counts {(largest part, marked sum): #partitions} with the marked sum
     below n_cap and the largest part at most z_cap.
 
     The marked sum adds the parts in odd positions (marking="odd":
-    lam_1 + lam_3 + ...) or even positions (marking="even": lam_2 + ...).
-    Partitions are generated part by part; positions are 1-based.
+    lam_1 + lam_3 + ...) or even positions (marking="even": lam_2 + ...),
+    and also lam_1 when count_first is set.  Partitions are generated part
+    by part; positions are 1-based.
     """
     if marking not in ("odd", "even"):
         raise ValueError("marking must be 'odd' or 'even'")
+    odd = marking == "odd"
     counts: dict = {(0, 0): 1}
 
     def rec(prev: int, pos: int, first: int, marked: int) -> None:
         # next part at position pos (1-based), value at most prev
+        counted = (pos % 2 == 1) == odd
         hi = prev - 1 if distinct else prev
+        if counted:
+            hi = min(hi, n_cap - 1 - marked)
         for p in range(hi, 0, -1):
-            counted = (pos % 2 == 1) == (marking == "odd")
-            m2 = marked + (p if counted else 0)
-            if m2 >= n_cap:
-                continue
+            m2 = marked + p if counted else marked
             key = (first, m2)
             counts[key] = counts.get(key, 0) + 1
             rec(p, pos + 1, first, m2)
 
     for first in range(1, z_cap + 1):
-        marked0 = first if marking == "odd" else 0
+        marked0 = first if odd or count_first else 0
         if marked0 >= n_cap:
             continue
         counts[(first, marked0)] = counts.get((first, marked0), 0) + 1
@@ -729,10 +657,8 @@ def _diamond_counts(n_cap: int, z_cap: int) -> dict:
                 if x == 0 and y == 0:
                     continue
                 counts[(first, marked)] = counts.get((first, marked), 0) + 1
-                for a2 in range(1, min(x, y) + 1):
+                for a2 in range(1, min(x, y, n_cap - 1 - marked) + 1):
                     m2 = marked + a2
-                    if m2 >= n_cap:
-                        continue
                     counts[(first, m2)] = counts.get((first, m2), 0) + 1
                     rec(first, a2, m2)
 
@@ -781,29 +707,14 @@ def count_distinct_by_marked_sum(
     The statistic must include the largest part (directly or through the
     odd marking) for the table to be finite.
     """
-    if marking not in ("odd", "even"):
-        raise ValueError("marking must be 'odd' or 'even'")
     if marking == "even" and not include_largest:
         raise ValueError(
             "the even-marked sum alone does not bound the largest part; "
             "set include_largest"
         )
-    counts: dict = {(0, 0): 1}
-
-    def rec(prev: int, pos: int, first: int, stat: int) -> None:
-        for p in range(prev - 1, 0, -1):
-            counted = (pos % 2 == 1) == (marking == "odd")
-            s2 = stat + (p if counted else 0)
-            if s2 > max_statistic:
-                continue
-            counts[(first, s2)] = counts.get((first, s2), 0) + 1
-            rec(p, pos + 1, first, s2)
-
-    for first in range(1, max_statistic + 1):
-        stat0 = first  # counted as lam_1 (odd marking) or via include_largest
-        counts[(first, stat0)] = counts.get((first, stat0), 0) + 1
-        rec(first, 2, first, stat0)
-    return counts
+    return _marked_partitions_counts(
+        max_statistic + 1, max_statistic, True, marking, count_first=True
+    )
 
 
 def count_partitions_by_hook(max_size: int, min_part: int = 1) -> dict:

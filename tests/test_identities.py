@@ -6,20 +6,21 @@ import pytest
 
 from cylq.identities import (
     compare_series,
-    diamond_partition_series,
-    distinct_largest_part_table,
     get_case,
-    hook_length_table,
-    marked_partition_series,
     registry,
     report_text,
-    signed_distinct_partition_series,
     sum_euler,
     sum_goellnitz,
     sum_mod12,
     sum_rogers_ramanujan,
     verify,
     Side,
+)
+from cylq.lattice import (
+    count_distinct_by_marked_sum,
+    count_partitions_by_hook,
+    schmidt_genfun,
+    signed_distinct_genfun,
 )
 from cylq.recur import closed_form_width6, width6_min_exponent
 from cylq.series import TruncatedSeries, Window, poch_product, qf, zero
@@ -79,6 +80,15 @@ def test_every_case_at_default_window():
         else:
             assert rep["status"] == "report"
         json.dumps(rep)  # every report is JSON-serializable
+
+
+@pytest.mark.parametrize("window", [Window(1, 0), Window(1)], ids=["q1-z0", "q1"])
+def test_every_case_reports_at_smallest_window(window):
+    """The smallest windows yield a report from every case, never a raise."""
+    for label in registry():
+        rep = verify(label, window)
+        assert rep["case"] == label and rep["comparisons"]
+        json.dumps(rep)
 
 
 def test_report_shape_and_conventions():
@@ -154,7 +164,7 @@ def test_sum_evaluator_spot_values():
 
 
 def test_signed_distinct_enumeration_small_values():
-    s = signed_distinct_partition_series(Window(6))
+    s = signed_distinct_genfun(Window(6))
     # q^3: (3) and (2,1) each carry one odd part
     assert s.coefficient(0, 3) == -2
     assert s.coefficient(0, 2) == 1
@@ -162,19 +172,21 @@ def test_signed_distinct_enumeration_small_values():
 
 
 def test_marked_enumeration_hand_count():
-    s = marked_partition_series(Window(6, 4), distinct=True, mark="odd")
+    s = schmidt_genfun("distinct", Window(6, 4), "odd")
     # largest part 3, odd-position sum 4: only (3, 2, 1)
     assert s.coefficient(3, 4) == 1
-    d = diamond_partition_series(Window(4, 3))
+    d = schmidt_genfun("diamond", Window(4, 3))
     # anchor sum 1: diamonds (1) and (1; x, y) for (x, y) != (0, 0), x, y <= 1
     assert d.coefficient(1, 1) == 4
 
 
 def test_hook_tables_hand_count():
-    t = distinct_largest_part_table(6, mark="odd")
+    t = count_distinct_by_marked_sum(6, "odd")
     assert t[(3, 4)] == 1  # (3,2,1)
-    h = hook_length_table(6)
+    h = count_partitions_by_hook(6)
     assert h[(3, 4)] == 1  # (2,2) is the only partition of 4 with hook 3
+    # both tables record the empty partition at (0, 0)
+    assert t[(0, 0)] == 1 and h[(0, 0)] == 1
 
 
 def test_mod12_stopping_rule_matches_brute_force():
@@ -195,4 +207,4 @@ def test_sum_mod12_rejects_infinite_window():
 
 def test_marked_enumeration_requires_z_cap():
     with pytest.raises(ValueError):
-        marked_partition_series(Window(8))
+        schmidt_genfun("unrestricted", Window(8))

@@ -58,17 +58,32 @@ def test_strict_interlacing_examples():
 
 
 def test_neighbors_match_brute_force():
-    pool = list(partitions_iter(size_cap=7))
-    for lam in [(), (1,), (3, 1), (2, 2), (4, 2, 1), (3, 3, 2)]:
-        assert sorted(set(down_neighbors(lam))) == sorted(
-            mu for mu in pool if is_above(lam, mu)
-        ) or sum(lam) > 7  # down-neighbors of lam never exceed |lam|
-        got = sorted(m for m in up_neighbors(lam, part_cap=7) if sum(m) <= 7)
-        assert got == sorted(mu for mu in pool if is_above(mu, lam))
-        got = sorted(m for m in down_neighbors_strict(lam) if sum(m) <= 7)
-        assert got == sorted(mu for mu in pool if is_above_strict(lam, mu))
-        got = sorted(m for m in up_neighbors_strict(lam, part_cap=7) if sum(m) <= 7)
-        assert got == sorted(mu for mu in pool if is_above_strict(mu, lam))
+    # up-neighbors of lam with parts <= 7 have size <= 7 + |lam| <= 15
+    pool = list(partitions_iter(size_cap=15))
+    for lam in list(partitions_iter(size_cap=6)) + [(4, 2, 1), (3, 3, 2)]:
+        below = [mu for mu in pool if is_above(lam, mu)]
+        above = [mu for mu in pool if is_above(mu, lam)]
+        below_strict = [mu for mu in pool if is_above_strict(lam, mu)]
+        above_strict = [mu for mu in pool if is_above_strict(mu, lam)]
+        for size_cap in (None, 0, 2, 5, 9):
+            def fits(mu, part_cap=None):
+                return (size_cap is None or sum(mu) <= size_cap) and (
+                    part_cap is None or not mu or mu[0] <= part_cap
+                )
+
+            assert sorted(down_neighbors(lam, size_cap)) == sorted(
+                mu for mu in below if fits(mu)
+            )
+            assert sorted(down_neighbors_strict(lam, size_cap)) == sorted(
+                mu for mu in below_strict if fits(mu)
+            )
+            for part_cap in (0, 1, 3, 6, 7):
+                assert sorted(up_neighbors(lam, part_cap, size_cap)) == sorted(
+                    mu for mu in above if fits(mu, part_cap)
+                )
+                assert sorted(up_neighbors_strict(lam, part_cap, size_cap)) == sorted(
+                    mu for mu in above_strict if fits(mu, part_cap)
+                )
 
 
 def test_neighbor_caps_are_pure_filters():
