@@ -830,7 +830,7 @@ def _run_goellnitz(window: Window) -> list:
     "Refined part-position identities: marked enumerations equal their "
     "chain enumerations and closed forms (sums or products).",
     "equal",
-    Window(12, 10),
+    Window(21, 20),
 )
 def _run_schmidt_refined(window: Window) -> list:
     n_trunc = _require_q(window)

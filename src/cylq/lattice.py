@@ -24,6 +24,15 @@ Four object kinds share this machinery:
 
 The q-statistic is the weighted size sum_j a_j * |lam^j| and the
 z-statistic is the largest part.
+
+``enumerate_objects`` lists the objects one by one and is the oracle.
+``genfun_by_enumeration`` counts them instead: it lists every diagonal but
+the free ones (the closing diagonal of a closed chain, the two ends of an
+open chain), and given its neighbors each coordinate of a free diagonal
+ranges over an independent interval, so those diagonals add a product of
+geometric polynomials.  The marked, diamond and signed families are
+counted by DPs over (previous part, marked sum).  Counting uses interlacing
+bounds only, never the solver's corner moves.
 """
 
 from __future__ import annotations
@@ -120,20 +129,31 @@ def _box_walk(lows: Sequence[int], his: Sequence[int],
     sufmin = [0] * (n + 1)
     for i in range(n - 1, -1, -1):
         sufmin[i] = sufmin[i + 1] + lows[i]
-
-    def rec(i: int, acc: list, used: int) -> Iterator[tuple]:
-        if i == n:
-            yield _trim(acc)
-            return
-        hi, lo = his[i], lows[i]
-        if size_cap is not None:
-            hi = min(hi, size_cap - used - sufmin[i + 1])
-        for c in range(hi, lo - 1, -1):
+    acc: list = []
+    used = 0
+    while True:
+        # give every open coordinate its largest value
+        while len(acc) < n:
+            i = len(acc)
+            c = his[i]
+            if size_cap is not None:
+                c = min(c, size_cap - used - sufmin[i + 1])
+            if c < lows[i]:
+                break
             acc.append(c)
-            yield from rec(i + 1, acc, used + c)
-            acc.pop()
-
-    return rec(0, [], 0)
+            used += c
+        else:
+            yield _trim(acc)
+        # then lower the deepest coordinate that can still go down
+        while acc:
+            c = acc.pop()
+            used -= c
+            if c > lows[len(acc)]:
+                acc.append(c - 1)
+                used += c - 1
+                break
+        else:
+            return
 
 
 def down_neighbors(
@@ -193,19 +213,29 @@ def partitions_iter(
             "unbounded enumeration: cap the size, or both parts and rows"
         )
 
-    def rec(first_cap: int, budget: int, rows: int) -> Iterator[tuple]:
-        yield ()
-        if rows == 0:
-            return
-        hi = min(first_cap, budget)
-        for p in range(hi, 0, -1):
-            for rest in rec(p, budget - p, rows - 1):
-                yield (p,) + rest
-
     budget = size_cap if size_cap is not None else (part_cap * rows_cap)
     first = part_cap if part_cap is not None else budget
     rows = rows_cap if rows_cap is not None else budget
-    yield from rec(first, budget, rows)
+    parts: list = []
+    left = budget
+    while True:
+        yield tuple(parts)
+        # extend by the largest part allowed ...
+        nxt = min(parts[-1] if parts else first, left) if len(parts) < rows else 0
+        if nxt > 0:
+            parts.append(nxt)
+            left -= nxt
+            continue
+        # ... or else lower the last part that is above 1
+        while parts:
+            p = parts.pop()
+            left += p
+            if p > 1:
+                parts.append(p - 1)
+                left -= p - 1
+                break
+        else:
+            return
 
 
 # ---------------------------------------------------------------------------
@@ -417,59 +447,63 @@ def _neighbor_stream(direction_down: bool, strict: bool, prev: tuple,
                 yield mu
 
 
-def _closed_chains(delta, aw, budget, part_cap, rows_cap, strict):
-    """Closed chains (cylindric wrap), anchored at the heaviest weight.
+def _closed_prefixes(d, w, budget, part_cap, rows_cap, strict, depth):
+    """The first ``depth`` diagonals of closed chains of profile d, weights w,
+    anchored at lam^0.
 
-    Yields (diagonals lam^0..lam^(h-1) in input orientation, scaled size).
+    Yields (chain, scaled size of chain[:depth]); ``chain`` is one list,
+    overwritten by the next step.
     """
-    h = len(delta)
-    r = max(range(h), key=lambda j: aw[j])
-    d = delta[r:] + delta[:r]
-    w = aw[r:] + aw[:r]
-    above = is_above_strict if strict else is_above
     anchor_size = budget // w[0] if w[0] > 0 else None
-    chain = [None] * h
+    chain = [None] * depth
 
     def rec(j: int, used: int) -> Iterator[tuple]:
-        if j == h:
-            lam0, last = chain[0], chain[h - 1]
-            ok = above(last, lam0) if d[h - 1] == -1 else above(lam0, last)
-            if ok:
-                rotated = tuple(chain[(j2 - r) % h] for j2 in range(h))
-                yield rotated, used
+        if j == depth:
+            yield chain, used
             return
-        prev = chain[j - 1]
-        for mu in _neighbor_stream(d[j - 1] == -1, strict, prev,
+        for mu in _neighbor_stream(d[j - 1] == -1, strict, chain[j - 1],
                                    w[j], budget - used, part_cap, rows_cap):
             chain[j] = mu
             yield from rec(j + 1, used + w[j] * sum(mu))
-        chain[j] = None
 
     for lam0 in partitions_iter(anchor_size, part_cap, rows_cap):
         used0 = w[0] * sum(lam0)
         if used0 > budget:
             continue
         chain[0] = lam0
-        if h == 1:
-            if above(lam0, lam0):
-                yield (lam0,), used0
-        else:
-            yield from rec(1, used0)
-        chain[0] = None
+        yield from rec(1, used0)
 
 
-def _open_chains(delta, aw, budget, part_cap, rows_cap, strict):
-    """Open chains lam^0..lam^h, anchored at the heaviest weight.
+def _heaviest_rotation(delta, aw) -> tuple:
+    """(r, delta and weights rotated to start at the heaviest weight a_r)."""
+    r = max(range(len(delta)), key=lambda j: aw[j])
+    return r, delta[r:] + delta[:r], aw[r:] + aw[:r]
 
-    Yields (diagonals lam^0..lam^h, scaled size).
+
+def _closed_chains(delta, aw, budget, part_cap, rows_cap, strict):
+    """Closed chains (cylindric wrap), anchored at the heaviest weight.
+
+    Yields (diagonals lam^0..lam^(h-1) in input orientation, scaled size).
     """
     h = len(delta)
-    t = max(range(h + 1), key=lambda j: aw[j])
+    r, d, w = _heaviest_rotation(delta, aw)
+    above = is_above_strict if strict else is_above
+    for chain, used in _closed_prefixes(d, w, budget, part_cap, rows_cap, strict, h):
+        lam0, last = chain[0], chain[h - 1]
+        if above(last, lam0) if d[h - 1] == -1 else above(lam0, last):
+            yield tuple(chain[(j - r) % h] for j in range(h)), used
+
+
+def _open_prefixes(delta, aw, t, first, last, budget, part_cap, rows_cap, strict):
+    """Diagonals lam^first..lam^last of open chains, anchored at lam^t.
+
+    Yields (those diagonals, their scaled size).
+    """
     anchor_size = budget // aw[t] if aw[t] > 0 else None
 
     def grow(j: int, chain: list, used: int) -> Iterator[tuple]:
         # extend to the right from position j
-        if j == h:
+        if j == last:
             yield from shrink(t, chain, used)
             return
         prev = chain[-1]
@@ -479,7 +513,7 @@ def _open_chains(delta, aw, budget, part_cap, rows_cap, strict):
 
     def shrink(j: int, chain: list, used: int) -> Iterator[tuple]:
         # extend to the left from position j
-        if j == 0:
+        if j == first:
             yield tuple(chain), used
             return
         prev = chain[0]
@@ -494,6 +528,148 @@ def _open_chains(delta, aw, budget, part_cap, rows_cap, strict):
         if used0 > budget:
             continue
         yield from grow(t, [lam_t], used0)
+
+
+def _open_chains(delta, aw, budget, part_cap, rows_cap, strict):
+    """Open chains lam^0..lam^h, anchored at the heaviest weight.
+
+    Yields (diagonals lam^0..lam^h, scaled size).
+    """
+    h = len(delta)
+    t = max(range(h + 1), key=lambda j: aw[j])
+    return _open_prefixes(delta, aw, t, 0, h, budget, part_cap, rows_cap, strict)
+
+
+# ---------------------------------------------------------------------------
+# chain counting: the free diagonals as interval products
+# ---------------------------------------------------------------------------
+
+
+def _link_bounds(links, strict: bool, part_cap, rows_cap) -> list:
+    """Coordinate intervals [(lo, hi), ...] of a diagonal held by interlacing.
+
+    ``links`` lists (neighbor, above): the diagonal lies above the neighbor
+    when ``above`` is set, below it otherwise.  Every coordinate past the
+    list is 0.  Only the largest part can stay unbounded (hi None), when
+    every link puts the diagonal above its neighbor and part_cap is None.
+    """
+    n = max(len(nbr) for nbr, _ in links) + 1
+    lows = [0] * n
+    his = [part_cap] + [None] * (n - 1)
+    for nbr, above in links:
+        nb = tuple(nbr) + (0,) * (n + 1 - len(nbr))
+        for i in range(n):
+            if above:  # nb_i <= c_i <= nb_(i-1)
+                lo, hi = nb[i], (nb[i - 1] if i else None)
+            else:      # nb_(i+1) <= c_i <= nb_i
+                lo, hi = nb[i + 1], nb[i]
+            if strict:  # strict between positive entries
+                lo = lo + 1 if lo else 0
+                if hi is not None:
+                    hi = hi - 1 if hi else 0
+            if lo > lows[i]:
+                lows[i] = lo
+            if hi is not None and (his[i] is None or hi < his[i]):
+                his[i] = hi
+    if rows_cap is not None:
+        for i in range(rows_cap, n):
+            his[i] = 0
+    return list(zip(lows, his))
+
+
+def _times_geometric(poly: list, w: int, lo: int, hi: int, cap: int) -> list:
+    """poly * sum_(c=lo..hi) q^(w c), dense in q and cut above q^cap."""
+    if lo > hi:
+        return []
+    if hi == 0:
+        return poly
+    if w == 0:
+        return [x * (hi - lo + 1) for x in poly]
+    out = [0] * min(cap + 1, len(poly) + w * hi)
+    top = len(out)
+    for i, x in enumerate(poly):
+        if x:
+            for e in range(i + w * lo, min(top, i + w * hi + 1), w):
+                out[e] += x
+    return out
+
+
+def _add_free_diagonals(counts: dict, z: int, used: int, budget: int, free) -> None:
+    """Add every filling of the free diagonals to counts {(z, size): n}.
+
+    The fixed diagonals have largest part z and scaled size used; ``free``
+    lists (weight, coordinate intervals) of diagonals whose coordinates
+    range independently.  The largest parts decide z, so they are split
+    out; all other coordinates only add to the size, as one product of
+    geometric polynomials.
+    """
+    remaining = budget - used
+    tops = {(z, 0): 1}  # (largest part, size of the largest parts): n
+    rest = [1]          # size distribution of the other coordinates
+    for w, bounds in free:
+        lo, hi = bounds[0]
+        if hi is None:
+            hi = remaining // w
+        grown: dict = {}
+        for (z0, e0), n in tops.items():
+            for c in range(lo, hi + 1):
+                e = e0 + w * c
+                if e > remaining:
+                    break
+                key = (max(z0, c), e)
+                grown[key] = grown.get(key, 0) + n
+        tops = grown
+        for lo, hi in bounds[1:]:
+            rest = _times_geometric(rest, w, lo, hi, remaining)
+    for (z0, e0), n in tops.items():
+        for k, r in enumerate(rest[:remaining - e0 + 1]):
+            if r:
+                key = (z0, used + e0 + k)
+                counts[key] = counts.get(key, 0) + n * r
+
+
+def _largest(diagonals) -> int:
+    return max((t[0] for t in diagonals if t), default=0)
+
+
+def _count_closed(counts, delta, aw, budget, part_cap, rows_cap, strict) -> None:
+    """Closed chains: list lam^0..lam^(h-2), count the closing diagonal."""
+    h = len(delta)
+    if h == 1:  # the only diagonal is the anchor
+        for (lam0,), used in _closed_chains(delta, aw, budget, part_cap, rows_cap, strict):
+            key = (_largest((lam0,)), used)
+            counts[key] = counts.get(key, 0) + 1
+        return
+    _, d, w = _heaviest_rotation(delta, aw)
+    # lam^(h-1) lies below lam^(h-2) when d[h-2] = -1 and above lam^0 when
+    # d[h-1] = -1
+    for chain, used in _closed_prefixes(d, w, budget, part_cap, rows_cap, strict, h - 1):
+        bounds = _link_bounds(((chain[h - 2], d[h - 2] == 1), (chain[0], d[h - 1] == -1)),
+                              strict, part_cap, rows_cap)
+        _add_free_diagonals(counts, _largest(chain), used, budget, ((w[h - 1], bounds),))
+
+
+def _count_open(counts, delta, aw, budget, part_cap, rows_cap) -> None:
+    """Open chains: list the inner diagonals, count each end but the anchor."""
+    h = len(delta)
+    t = max(range(h + 1), key=lambda j: aw[j])
+    first = 0 if t == 0 else 1
+    last = h if t == h else h - 1
+    for diags, used in _open_prefixes(delta, aw, t, first, last, budget,
+                                      part_cap, rows_cap, False):
+        free = []
+        if first == 1:  # lam^0 lies above lam^1 when delta[0] = -1
+            free.append((aw[0], _link_bounds(((diags[0], delta[0] == -1),),
+                                             False, part_cap, rows_cap)))
+        if last == h - 1:  # lam^h lies above lam^(h-1) when delta[h-1] = +1
+            free.append((aw[h], _link_bounds(((diags[-1], delta[h - 1] == 1),),
+                                             False, part_cap, rows_cap)))
+        _add_free_diagonals(counts, _largest(diags), used, budget, free)
+
+
+# ---------------------------------------------------------------------------
+# objects and generating functions
+# ---------------------------------------------------------------------------
 
 
 def _resolve(kind, delta, weights):
@@ -591,13 +767,9 @@ def genfun_by_enumeration(
 
     counts: dict = {}
     if kind in ("cylindric", "distinct"):
-        stream = _closed_chains(d, aw, budget, part_cap, max_rows, kind == "distinct")
+        _count_closed(counts, d, aw, budget, part_cap, max_rows, kind == "distinct")
     else:  # skew-shifted, and symmetric through its half chains
-        stream = _open_chains(d, aw, budget, part_cap, max_rows, False)
-    for diags, used in stream:
-        z = max((t[0] for t in diags if t), default=0)
-        key = (z, used)
-        counts[key] = counts.get(key, 0) + 1
+        _count_open(counts, d, aw, budget, part_cap, max_rows)
     return TruncatedSeries(counts, window.q_truncation, window.z_truncation, scale)
 
 
@@ -614,59 +786,63 @@ def _marked_partitions_counts(
 
     The marked sum adds the parts in odd positions (marking="odd":
     lam_1 + lam_3 + ...) or even positions (marking="even": lam_2 + ...),
-    and also lam_1 when count_first is set.  Partitions are generated part
-    by part; positions are 1-based.
+    and also lam_1 when count_first is set.  Positions are 1-based.
+
+    A DP over (position parity, previous part, marked sum): tails[c][b][m]
+    counts the part sequences, the empty one included, that can follow a
+    part b and add m to the marked sum, their first part sitting in a
+    marked position when c = 1.  Each part is at most the one before it
+    (below it when distinct), and marked and unmarked positions alternate.
     """
     if marking not in ("odd", "even"):
         raise ValueError("marking must be 'odd' or 'even'")
     odd = marking == "odd"
+    drop = 1 if distinct else 0
+    # reach[c][b][m]: sum over first parts p = 1..b of tails[1-c][p][m - c p]
+    tails = [[[0] * n_cap for _ in range(z_cap + 1)] for _ in range(2)]
+    reach = [[[0] * n_cap for _ in range(z_cap + 1)] for _ in range(2)]
+    for m in range(n_cap):
+        for b in range(z_cap + 1):
+            # marked first (it looks back to smaller sums), then unmarked
+            # (it reads the marked entry at the same sum)
+            for c in (1, 0):
+                if b:
+                    before = m - c * b
+                    reach[c][b][m] = reach[c][b - 1][m] + (
+                        tails[1 - c][b][before] if before >= 0 else 0)
+                tails[c][b][m] = (m == 0) + (reach[c][b - drop][m] if b >= drop else 0)
     counts: dict = {(0, 0): 1}
-
-    def rec(prev: int, pos: int, first: int, marked: int) -> None:
-        # next part at position pos (1-based), value at most prev
-        counted = (pos % 2 == 1) == odd
-        hi = prev - 1 if distinct else prev
-        if counted:
-            hi = min(hi, n_cap - 1 - marked)
-        for p in range(hi, 0, -1):
-            m2 = marked + p if counted else marked
-            key = (first, m2)
-            counts[key] = counts.get(key, 0) + 1
-            rec(p, pos + 1, first, m2)
-
+    second = 0 if odd else 1  # is position 2 marked
     for first in range(1, z_cap + 1):
         marked0 = first if odd or count_first else 0
-        if marked0 >= n_cap:
-            continue
-        counts[(first, marked0)] = counts.get((first, marked0), 0) + 1
-        rec(first, 2, first, marked0)
+        for m in range(n_cap - marked0):
+            if tails[second][first][m]:
+                counts[(first, marked0 + m)] = tails[second][first][m]
     return counts
 
 
 def _diamond_counts(n_cap: int, z_cap: int) -> dict:
     """Counts {(first entry, anchor sum): #diamond chains} with anchor sum
-    below n_cap and first entry at most z_cap."""
+    below n_cap and first entry at most z_cap.
+
+    A DP over (anchor, marked sum): tails[a][m] counts the continuations,
+    the empty one included, after an anchor a that add m to the anchor sum.
+    A continuation is an ordered pair (x, y) of entries at most a, not both
+    0, after which the chain stops or goes on from a next anchor
+    1 <= k <= min(x, y); (a - k + 1)^2 pairs admit the anchor k.
+    """
+    tails = [[0] * n_cap for _ in range(z_cap + 1)]
+    for m in range(n_cap):
+        for a in range(1, z_cap + 1):
+            total = (a + 1) ** 2 if m == 0 else 0
+            for k in range(1, min(a, m) + 1):
+                total += (a - k + 1) ** 2 * tails[k][m - k]
+            tails[a][m] = total
     counts: dict = {(0, 0): 1}
-
-    def rec(first: int, anchor: int, marked: int) -> None:
-        # chain continues past this anchor with an ordered pair (x, y)
-        # below it; it may stop there, or continue from a positive anchor
-        # bounded by both pair entries
-        for x in range(anchor, -1, -1):
-            for y in range(anchor, -1, -1):
-                if x == 0 and y == 0:
-                    continue
-                counts[(first, marked)] = counts.get((first, marked), 0) + 1
-                for a2 in range(1, min(x, y, n_cap - 1 - marked) + 1):
-                    m2 = marked + a2
-                    counts[(first, m2)] = counts.get((first, m2), 0) + 1
-                    rec(first, a2, m2)
-
-    for first in range(1, z_cap + 1):
-        if first >= n_cap:
-            continue
-        counts[(first, first)] = counts.get((first, first), 0) + 1
-        rec(first, first, first)
+    for first in range(1, min(z_cap, n_cap - 1) + 1):
+        for m in range(n_cap - first):
+            if tails[first][m]:
+                counts[(first, first + m)] = tails[first][m]
     return counts
 
 
@@ -736,18 +912,18 @@ def count_partitions_by_hook(max_size: int, min_part: int = 1) -> dict:
 
 
 def signed_distinct_genfun(window: Window) -> TruncatedSeries:
-    """sum over distinct-part partitions of (-1)^(#odd parts) q^size."""
+    """sum over distinct-part partitions of (-1)^(#odd parts) q^size.
+
+    A DP over (largest part allowed, size): after the pass for part p,
+    signed[s] sums the partitions of s into distinct parts <= p.
+    """
     if window.q_truncation is None:
         raise ValueError("needs a finite q_truncation")
     n_cap = window.q_truncation
-    coeffs: dict = {(0, 0): 1}
-
-    def rec(prev: int, size: int, sign: int) -> None:
-        for p in range(min(prev - 1, n_cap - 1 - size), 0, -1):
-            s2 = -sign if p % 2 else sign
-            key = (0, (size + p) * window.q_scale)
-            coeffs[key] = coeffs.get(key, 0) + s2
-            rec(p, size + p, s2)
-
-    rec(n_cap + 1, 0, 1)
+    signed = [1] + [0] * (n_cap - 1)
+    for p in range(1, n_cap):
+        sign = -1 if p % 2 else 1
+        for size in range(n_cap - 1, p - 1, -1):
+            signed[size] += sign * signed[size - p]
+    coeffs = {(0, size * window.q_scale): c for size, c in enumerate(signed) if c}
     return TruncatedSeries(coeffs, n_cap, window.z_truncation, window.q_scale)

@@ -1,10 +1,14 @@
 """Tests for lattice objects, interlacing, and enumeration."""
 
+import itertools
+from collections import Counter
 from fractions import Fraction as Fr
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cylq.lattice import (
+    KINDS,
     Diamond,
     GridPartition,
     count_distinct_by_marked_sum,
@@ -14,6 +18,8 @@ from cylq.lattice import (
     enumerate_objects,
     full_profile,
     genfun_by_enumeration,
+    _diamond_counts,
+    _marked_partitions_counts,
     is_above,
     is_above_strict,
     partitions_iter,
@@ -368,3 +374,168 @@ def test_hook_tables():
             assert dt2.get((m, n), 0) == ht2.get((m + 1, n + 1), 0)
     with pytest.raises(ValueError):
         count_distinct_by_marked_sum(5, "even")
+
+
+# ---------------------------------------------------------------------------
+# counting against listing
+# ---------------------------------------------------------------------------
+
+PROFILES_UP_TO_4 = [d for h in range(1, 5) for d in itertools.product((-1, 1), repeat=h)]
+
+
+def _listed(kind, delta, weights, window, max_rows) -> dict:
+    """{(largest part, weighted size): n} of the listed objects in the window."""
+    objs = enumerate_objects(kind, delta, weights, max_weighted_size=window.q_truncation,
+                             max_part=window.z_truncation, max_rows=max_rows)
+    return dict(Counter((o.max_part(), o.weighted_size()) for o in objs
+                        if o.weighted_size() < window.q_truncation))
+
+
+def _counted(kind, delta, weights, window, max_rows) -> dict:
+    g = genfun_by_enumeration(kind, delta, weights, window=window, max_rows=max_rows)
+    return {(z, e): c for z, e, c in g.items()}
+
+
+def _weight_cases(kind, h):
+    if kind == "symmetric":
+        return [(None, Window(6))]
+    n = h if kind in ("cylindric", "distinct") else h + 1
+    return [
+        (None, Window(6)),
+        ((0,) + (1,) * (n - 1), Window(5, 3)),  # a zero weight needs a z-window
+        ((Fr(1, 2),) + (1,) * (n - 1), Window(4, None, 2)),
+    ]
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_counting_equals_listing_every_profile(kind):
+    for delta in PROFILES_UP_TO_4:
+        for weights, window in _weight_cases(kind, len(delta)):
+            for max_rows in (None, 2):
+                if weights and not any(weights) and max_rows is None:
+                    continue  # unbounded: both sides refuse it
+                args = (kind, delta, weights, window, max_rows)
+                assert _counted(*args) == _listed(*args), args
+
+
+@settings(max_examples=120)
+@given(st.data())
+def test_counting_equals_listing_random(data):
+    kind = data.draw(st.sampled_from(KINDS))
+    delta = tuple(data.draw(st.lists(st.sampled_from((-1, 1)), min_size=1, max_size=3)))
+    n = len(delta) if kind in ("cylindric", "distinct") else len(delta) + 1
+    weights = None
+    if kind != "symmetric":
+        weights = tuple(data.draw(st.lists(
+            st.sampled_from((0, Fr(1, 2), 1, Fr(3, 2), 2)), min_size=n, max_size=n)))
+    z_cap = data.draw(st.one_of(st.none(), st.integers(0, 4)))
+    max_rows = data.draw(st.one_of(st.none(), st.integers(0, 3)))
+    if weights and 0 in weights:
+        z_cap = 3 if z_cap is None else z_cap
+        if not any(weights) and max_rows is None:
+            max_rows = 2
+    window = Window(data.draw(st.integers(1, 5)), z_cap, data.draw(st.sampled_from((1, 2))))
+    args = (kind, delta, weights, window, max_rows)
+    assert _counted(*args) == _listed(*args)
+
+
+MARKED_VARIANTS = [(distinct, marking, count_first) for distinct in (False, True)
+                   for marking, count_first in (("odd", False), ("even", False), ("even", True))]
+
+
+def _marked_by_listing(n_cap, z_cap) -> dict:
+    """{variant: {(largest part, marked sum): n}} from partitions_iter.
+
+    Every partition with marked sum below n_cap and parts <= z_cap has size
+    below z_cap + 2 n_cap.
+    """
+    out = {v: Counter() for v in MARKED_VARIANTS}
+    for lam in partitions_iter(size_cap=z_cap + 2 * n_cap, part_cap=z_cap):
+        first = lam[0] if lam else 0
+        odd, even = sum(lam[0::2]), sum(lam[1::2])
+        for distinct, marking, count_first in MARKED_VARIANTS:
+            if distinct and len(set(lam)) < len(lam):
+                continue
+            marked = odd if marking == "odd" else even + (first if count_first else 0)
+            if marked < n_cap:
+                out[(distinct, marking, count_first)][(first, marked)] += 1
+    return out
+
+
+def _diamonds_by_listing(n_cap, z_cap) -> dict:
+    """{(first entry, anchor sum): n} over entry tuples checked by Diamond.validate."""
+    out = Counter({(0, 0): 1})
+
+    def grow(entries, marked):
+        d = Diamond(entries)
+        d.validate()
+        out[(d.max_part(), marked)] += 1
+        anchor = entries[-1] if len(entries) % 3 == 1 else None
+        if anchor is None:
+            return
+        for x in range(anchor + 1):
+            for y in range(anchor + 1):
+                if (x, y) == (0, 0):
+                    continue
+                pair = entries + ((x,) if y == 0 else (x, y))
+                grow(pair, marked)
+                if y:
+                    for a in range(1, min(x, y, n_cap - 1 - marked) + 1):
+                        grow(entries + (x, y, a), marked + a)
+
+    for first in range(1, min(z_cap, n_cap - 1) + 1):
+        grow((first,), first)
+    return dict(out)
+
+
+def test_marked_dp_matches_listing():
+    listed = _marked_by_listing(12, 12)
+    for (distinct, marking, count_first), table in listed.items():
+        for n_cap in range(1, 13):
+            for z_cap in range(0, 13):
+                got = _marked_partitions_counts(n_cap, z_cap, distinct, marking,
+                                                count_first=count_first)
+                assert got == {(z, m): c for (z, m), c in table.items()
+                               if z <= z_cap and m < n_cap}, (marking, n_cap, z_cap)
+
+
+def test_diamond_dp_matches_listing():
+    for n_cap in range(1, 13):
+        for z_cap in range(0, 6):
+            assert _diamond_counts(n_cap, z_cap) == _diamonds_by_listing(n_cap, z_cap)
+
+
+def _signed_distinct_by_recursion(n_cap: int) -> dict:
+    """The recursive enumerator the DP replaced: {size: signed count}."""
+    coeffs = {0: 1}
+
+    def rec(prev, size, sign):
+        for p in range(min(prev - 1, n_cap - 1 - size), 0, -1):
+            s2 = -sign if p % 2 else sign
+            coeffs[size + p] = coeffs.get(size + p, 0) + s2
+            rec(p, size + p, s2)
+
+    rec(n_cap + 1, 0, 1)
+    return coeffs
+
+
+def test_signed_distinct_dp_matches_recursion():
+    oracle = _signed_distinct_by_recursion(60)
+    for n_cap in range(1, 61):
+        got = signed_distinct_genfun(Window(n_cap))
+        assert {qn: c for (_, qn), c in got.coeffs.items()} == {
+            size: c for size, c in oracle.items() if size < n_cap and c
+        }
+
+
+def test_long_parts_do_not_recurse():
+    # one Python frame per part used to overflow the stack here
+    g = schmidt_genfun("unrestricted", Window(600, 1), "even")
+    want = {(0, 0): 1, (1, 0): 1}
+    want.update({(1, m): 2 for m in range(1, 600)})
+    assert g.coeffs == want
+    g = genfun_by_enumeration("cylindric", (-1,), window=Window(1200, 1))
+    want = {(0, 0): 1}
+    want.update({(1, k): 1 for k in range(1, 1200)})
+    assert g.coeffs == want
+    assert list(down_neighbors((1,) * 1500)) == [(1,) * 1500, (1,) * 1499]
