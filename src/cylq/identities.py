@@ -1311,8 +1311,8 @@ def _run_width6_forms(window: Window) -> list:
     Window(1),  # windows are chosen per degree by the checker
 )
 def _run_coefficient_recurrences(window: Window) -> list:
-    n_max4 = 10
-    n_max6 = 6
+    n_max4 = 12
+    n_max6 = 10
     out = []
     for d in ((1, 1), (1, -1), (-1, 1)):
         rep = check_closed_form(closed_form_width4(d), width4_recurrence(d), n_max4)

@@ -42,7 +42,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Iterator, Optional, Sequence
 
-from .series import TruncatedSeries, Window
+from .series import TruncatedSeries, Window, _add_into
 
 __all__ = [
     "is_above",
@@ -632,13 +632,38 @@ def _largest(diagonals) -> int:
     return max((t[0] for t in diagonals if t), default=0)
 
 
+def _count_anchor(counts, w: int, budget: int, part_cap, rows_cap, strict: bool) -> None:
+    """Width-1 closed chains: the only diagonal is the anchor, and it closes
+    on itself.
+
+    Every partition does so weakly, and none but the empty one strictly
+    (its largest part would have to exceed itself).  So the nonstrict count
+    is every partition within the caps, by a DP over (part value, rows used,
+    size): ``table[r]`` counts partitions into r parts no larger than the
+    current value by size, and the ones gaining a part equal to that value
+    are those whose largest part it is.
+    """
+    counts[(0, 0)] = counts.get((0, 0), 0) + 1
+    if strict:
+        return
+    top = budget // w if w else part_cap * rows_cap  # largest size in the budget
+    rows = top if rows_cap is None else min(rows_cap, top)
+    table = [[1]] + [[] for _ in range(rows)]
+    for v in range(1, (top if part_cap is None else min(part_cap, top)) + 1):
+        largest: list = []
+        for r in range(1, rows + 1):
+            _add_into(table[r], v, table[r - 1], top + 1)
+            _add_into(largest, v, table[r - 1], top + 1)
+        for size, n in enumerate(largest):
+            if n:
+                counts[(v, w * size)] = counts.get((v, w * size), 0) + n
+
+
 def _count_closed(counts, delta, aw, budget, part_cap, rows_cap, strict) -> None:
     """Closed chains: list lam^0..lam^(h-2), count the closing diagonal."""
     h = len(delta)
-    if h == 1:  # the only diagonal is the anchor
-        for (lam0,), used in _closed_chains(delta, aw, budget, part_cap, rows_cap, strict):
-            key = (_largest((lam0,)), used)
-            counts[key] = counts.get(key, 0) + 1
+    if h == 1:
+        _count_anchor(counts, aw[0], budget, part_cap, rows_cap, strict)
         return
     _, d, w = _heaviest_rotation(delta, aw)
     # lam^(h-1) lies below lam^(h-2) when d[h-2] = -1 and above lam^0 when

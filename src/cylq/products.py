@@ -39,7 +39,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .lattice import _check_profile, _check_weights, full_profile, scp_weights
-from .series import TruncatedSeries, Window, one, poch_infinite, qf
+from .series import TruncatedSeries, Window, one, poch_product, qf
 
 __all__ = [
     "prefix_sums",
@@ -192,12 +192,8 @@ class ProductSpec:
         return ProductSpec(norm(num), norm(den))
 
     def expand(self, window: Window) -> TruncatedSeries:
-        out = one(window)
-        for e, m in self.num:
-            out = out * poch_infinite(qf(e, m), window)
-        for e, m in self.den:
-            out = out * poch_infinite(qf(e, m), window).invert()
-        return out
+        factors = ([qf(e, m) for e, m in pairs] for pairs in (self.num, self.den))
+        return poch_product(*factors, window)
 
     def to_json(self) -> dict:
         return {
@@ -263,10 +259,7 @@ def nonsymmetric_mirror_series(half_delta: Sequence[int], window: Window) -> Tru
     h = len(d)
     scp = scp_product_spec(d).expand(window)
     (_, _), (w2, _) = w1_w2_multisets(d, scp_weights(h))
-    ratio = one(window)
-    for e in w2:
-        ratio = ratio * poch_infinite(qf(e / 2, 2 * h, -1), window)
-        ratio = ratio * poch_infinite(qf(e / 2, 2 * h), window).invert()
+    ratio = poch_product([qf(e / 2, 2 * h, -1) for e in w2], [qf(e / 2, 2 * h) for e in w2], window)
     return scp * (ratio - one(window))
 
 

@@ -39,7 +39,8 @@ from math import lcm
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
 from .lattice import KINDS, _check_profile, _resolve
-from .series import TruncatedSeries, Window, one, zero
+from .series import (TruncatedSeries, Window, _add_into, _combine, _div_binomial, _from_rows,
+                     _mul_binomial, _poch, make_series, one, poch_finite, qf, zero, zf)
 
 __all__ = [
     "CheckReport",
@@ -283,16 +284,7 @@ class FunctionalTerm:
 
     def prefactor_series(self, window: Window) -> TruncatedSeries:
         """The prefactor polynomial as a truncated series."""
-        scale = window.q_scale
-        for _d, e, _c in self.prefactor:
-            scale = lcm(scale, e.denominator)
-        coeffs = {}
-        for d, e, c in self.prefactor:
-            key = (d, int(e * scale))
-            coeffs[key] = coeffs.get(key, 0) + c
-        return TruncatedSeries(
-            coeffs, window.q_truncation, window.z_truncation, scale
-        )
+        return make_series(self.prefactor, window)
 
     def pretty(self, symbol: str = "F") -> str:
         if self.target is None:
@@ -387,14 +379,7 @@ def poch_z_prefactor(s: int) -> tuple:
     """``(zq;q)_(s-1) = prod_(j=1)^(s-1) (1 - z q^j)`` as monomials."""
     if s < 1 or s != int(s):
         raise ValueError("the polynomial prefactor needs an integer shift >= 1")
-    poly = {(0, Fraction(0)): 1}
-    for j in range(1, int(s)):
-        nxt = dict(poly)
-        for (d, e), c in poly.items():
-            key = (d + 1, e + j)
-            nxt[key] = nxt.get(key, 0) - c
-        poly = nxt
-    return _canon_monomials((d, e, c) for (d, e), c in poly.items())
+    return _canon_monomials(poch_finite(zf(1, 1, 1), int(s) - 1, Window(None)).items())
 
 
 def build_system(
@@ -721,12 +706,8 @@ class EliminationResult:
 
 
 def _poly_mul(a: dict, b: dict) -> dict:
-    out: dict = {}
-    for (da, ea), ca in a.items():
-        for (db, eb), cb in b.items():
-            key = (da + db, ea + eb)
-            out[key] = out.get(key, 0) + ca * cb
-    return {k: v for k, v in out.items() if v}
+    pa, pb = (make_series(((d, e, c) for (d, e), c in x.items()), Window(None)) for x in (a, b))
+    return {(d, e): c for d, e, c in (pa * pb).items()}
 
 
 def eliminate(
@@ -941,7 +922,7 @@ class CoefficientRecurrence:
         multiplying a nonzero value must instantiate to nonnegative
         exponents; a negative exponent against a nonzero value raises.
         """
-        acc = zero(window)
+        parts = []
         for tgt, lag, poly in self.terms:
             hv = value_fn(tgt, n - lag)
             if hv.is_zero():
@@ -952,13 +933,12 @@ class CoefficientRecurrence:
                         "coefficient exponent q^%s is negative at degree %d "
                         "while h_%s(%d) is nonzero" % (e, n, tgt, n - lag)
                     )
-                acc = acc + hv.times_monomial(0, e, c)
+                parts.append((hv, 0, e, c))
         for deg, qpoly in self.inhom:
             if deg == n:
                 base = one(window)
-                for e, c in qpoly:
-                    acc = acc - base.times_monomial(0, e, c)
-        return acc
+                parts += [(base, 0, e, -c) for e, c in qpoly]
+        return _combine(window, parts)
 
     def coefficient(self, target: tuple, lag: int) -> LinQPoly:
         for tgt, lg, poly in self.terms:
@@ -985,14 +965,8 @@ class CoefficientRecurrence:
 
 
 def _den_product(dens: Sequence[Fraction]) -> dict:
-    poly = {(0, Fraction(0)): 1}
-    for dshift in dens:
-        nxt = dict(poly)
-        for (d, e), c in poly.items():
-            key = (d + 1, e + dshift)
-            nxt[key] = nxt.get(key, 0) - c
-        poly = nxt
-    return poly
+    poly = _poch([(zf(1, d, 1), 1) for d in dens], [], Window(None))
+    return {(d, e): c for d, e, c in poly.items()}
 
 
 def _equation_recurrence(profile: tuple, terms: Sequence[FunctionalTerm]):
@@ -1078,39 +1052,21 @@ class CoefficientSequence:
         return self._value_fn(n, window)
 
 
-def _arr_mul(arr: list, exp: int, coeff: int) -> None:
-    # in place: arr *= (1 + coeff * q^exp), exp >= 1
-    if exp < len(arr):
-        for i in range(len(arr) - 1, exp - 1, -1):
-            arr[i] += coeff * arr[i - exp]
-
-
-def _arr_div(arr: list, exp: int) -> None:
-    # in place: arr /= (1 - q^exp), exp >= 1
-    for i in range(exp, len(arr)):
-        arr[i] += arr[i - exp]
-
-
-def _series_from_shifted(arr: list, shift: int, n_trunc: int) -> TruncatedSeries:
-    coeffs = {
-        (0, i + shift): v for i, v in enumerate(arr) if v and i + shift < n_trunc
-    }
-    return TruncatedSeries(coeffs, n_trunc, None, 1)
+def _poch_value(numerator, denominator, shift, sign, n_trunc):
+    """``sign * q^shift * prod (f)_n / prod (f)_n`` exact below ``q^n_trunc``
+    (pairs ``(f, n)`` as for the Pochhammer kernel)."""
+    width = n_trunc - shift
+    if width <= 0:
+        return zero(Window(n_trunc, None, 1))
+    (row,) = _poch(numerator, denominator, Window(width))._rows
+    return _from_rows([[0] * shift + [sign * v for v in row]], n_trunc, None, 1)
 
 
 def closed_form_euler() -> CoefficientSequence:
     """``h(n) = q^n / (q;q)_n``: the coefficients of ``1/(zq;q)_inf``."""
 
     def value(n: int, window: Window) -> TruncatedSeries:
-        n_trunc = window.q_truncation
-        width = n_trunc - n
-        if width <= 0:
-            return zero(Window(n_trunc, None, 1))
-        arr = [0] * width
-        arr[0] = 1
-        for j in range(1, n + 1):
-            _arr_div(arr, j)
-        return _series_from_shifted(arr, n, n_trunc)
+        return _poch_value([], [(qf(1, 1), n)], n, 1, window.q_truncation)
 
     return CoefficientSequence((1,), "geometric-row-lengths", value)
 
@@ -1134,23 +1090,15 @@ def closed_form_width4(profile: Sequence[int]) -> CoefficientSequence:
         )
 
     def value(n: int, window: Window) -> TruncatedSeries:
-        n_trunc = window.q_truncation
         shift = n * (n + 1) if p == (1, 1) else n * n
-        width = n_trunc - shift
-        if width <= 0:
-            return zero(Window(n_trunc, None, 1))
-        arr = [0] * width
-        arr[0] = 1
-        for j in range((n + 1) // 2):
-            _arr_mul(arr, 2 + 4 * j, -1)
-        for j in range(n // 2):
-            _arr_mul(arr, 4 + 4 * j, 1)
-        for j in range(1, n + 1):
-            _arr_div(arr, 4 * j)
         sign = (-1) ** (n // 2 if p == (-1, 1) else (n + 1) // 2)
-        if sign < 0:
-            arr = [-v for v in arr]
-        return _series_from_shifted(arr, shift, n_trunc)
+        return _poch_value(
+            [(qf(2, 4), (n + 1) // 2), (qf(4, 4, -1), n // 2)],
+            [(qf(4, 4), n)],
+            shift,
+            sign,
+            window.q_truncation,
+        )
 
     return CoefficientSequence(p, "width4-closed-form", value)
 
@@ -1235,38 +1183,33 @@ def closed_form_width6(profile: Sequence[int]) -> CoefficientSequence:
 
     def value(n: int, window: Window) -> TruncatedSeries:
         n_trunc = window.q_truncation
-        half = n // 2
-        min_e = min(e_fn(n, m) for m in range(half + 1))
-        width = n_trunc - min_e + 4
+        low = width6_min_exponent(p, n)
+        width = n_trunc - low
         if width <= 0:
             return zero(Window(n_trunc, None, 1))
-        base = [0] * width
-        base[0] = 1
+        base = [[1]]
         for j in range(1, n + 1):
-            _arr_div(base, 3 * j)
-        acc: dict = {}
-        for m in range(half + 1):
+            _div_binomial(base, 0, 3 * j, 1, width, None)
+        origin = min(low, 0)  # acc[i] is the coefficient of q^(i + origin)
+        acc = []
+        for m in range(n // 2 + 1):
             if m > 0:
-                _arr_mul(base, 3 * (n - 2 * m + 1), -1)
-                _arr_mul(base, 3 * (n - 2 * m + 2), -1)
-                _arr_mul(base, 6 * m - 5, 1)
-                _arr_mul(base, 6 * m - 1, 1)
-                _arr_div(base, 6 * m)
+                _mul_binomial(base, 0, 3 * (n - 2 * m + 1), 1, width, None)
+                _mul_binomial(base, 0, 3 * (n - 2 * m + 2), 1, width, None)
+                _mul_binomial(base, 0, 6 * m - 5, -1, width, None)
+                _mul_binomial(base, 0, 6 * m - 1, -1, width, None)
+                _div_binomial(base, 0, 6 * m, 1, width, None)
             sgn = (-1) ** (m + sign_off)
-            e_base = e_fn(n, m)
             for be, bc in br_fn(n, m):
-                off = e_base + be
-                coef = sgn * bc
-                for i, v in enumerate(base):
-                    if v and i + off < n_trunc:
-                        acc[i + off] = acc.get(i + off, 0) + coef * v
-        acc = {e: c for e, c in acc.items() if c}
-        if acc and min(acc) < 0:
+                off = e_fn(n, m) + be - origin
+                _add_into(acc, off, base[0], n_trunc - origin, sgn * bc)
+        below = [i for i, c in enumerate(acc[:-origin]) if c]
+        if below:
             raise AssertionError(
                 "assembled value has a negative exponent at n=%d: q^%d"
-                % (n, min(acc))
+                % (n, below[0] + origin)
             )
-        return TruncatedSeries({(0, e): c for e, c in acc.items()}, n_trunc, None, 1)
+        return _from_rows([acc[-origin:]], n_trunc, None, 1)
 
     return CoefficientSequence(p, "width6-closed-form", value)
 
@@ -1286,18 +1229,9 @@ def closed_form_goellnitz() -> CoefficientSequence:
     width-3 chain."""
 
     def value(n: int, window: Window) -> TruncatedSeries:
-        n_trunc = window.q_truncation
-        shift = n * n
-        width = n_trunc - shift
-        if width <= 0:
-            return zero(Window(n_trunc, None, 1))
-        arr = [0] * width
-        arr[0] = 1
-        for j in range(1, n + 1):
-            _arr_mul(arr, 2 * j - 1, 1)
-        for j in range(1, n + 1):
-            _arr_div(arr, 2 * j)
-        return _series_from_shifted(arr, shift, n_trunc)
+        return _poch_value(
+            [(qf(1, 2, -1), n)], [(qf(2, 2), n)], n * n, 1, window.q_truncation
+        )
 
     return CoefficientSequence((1, -1, 1), "odd-kernel-closed-form", value)
 

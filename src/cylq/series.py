@@ -1,11 +1,10 @@
 """Exact truncated power-series arithmetic in two variables.
 
 Every series in this package is an element of Z[[z, q^(1/d)]] known exactly
-inside a rectangular window: all coefficients of z^k q^(m/d) with
-m/d < q_truncation and k <= z_truncation are stored exactly (zeros omitted),
-and nothing is claimed outside the window.  The integer d (``q_scale``)
-puts rational q-exponents on a common grid; pure integer-exponent series
-use d = 1.
+inside a rectangular window: every coefficient of z^k q^(m/d) with
+m/d < q_truncation and k <= z_truncation is known exactly, and nothing is
+claimed outside the window.  The integer d (``q_scale``) puts rational
+q-exponents on a common grid; pure integer-exponent series use d = 1.
 
 Conventions used throughout:
 
@@ -22,13 +21,23 @@ Conventions used throughout:
 Binary operations rescale both operands to the least common q-grid and
 intersect the two windows; coefficients pushed beyond the window are
 dropped, never reported.
+
+The kernel is dense: a series stores one list of integers per z-degree,
+indexed by the q-numerator on its grid.  Input is validated once, where it
+enters (the constructor, :func:`make_series`, :func:`series_from_json`);
+results of the kernel are built from rows it already trusts.  Products pack
+each operand into one Python integer (Kronecker substitution) and multiply
+those; Pochhammer symbols multiply and divide by their binomials in place.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate, chain
 from math import gcd, lcm
+from operator import add, mul, sub
+from types import MappingProxyType
 from typing import Iterable, Iterator, Optional, Union
 
 __all__ = [
@@ -103,19 +112,188 @@ def _min_bound(a: Optional[int], b: Optional[int]) -> Optional[int]:
 
 
 # ---------------------------------------------------------------------------
+# dense rows: the kernel
+# ---------------------------------------------------------------------------
+# Row k of a list of rows holds the coefficients of z^k by q-numerator.
+# ``qcap`` bounds the q-numerators and ``zcap`` the z-degrees (None: no
+# bound).  The helpers mutate only rows their caller owns.
+
+#: A factor with at most this many terms multiplies by shifted-row sums;
+#: past it, packing both factors into integers is faster.
+_SPARSE_TERMS = 8
+
+
+def _row(rows, k):
+    """Row k, appending empty rows up to it."""
+    while len(rows) <= k:
+        rows.append([])
+    return rows[k]
+
+
+def _add_into(dst, off, src, qcap, c=1):
+    """dst[off + i] += c * src[i] wherever off + i < qcap, extending dst."""
+    end = off + len(src) if qcap is None else min(off + len(src), qcap)
+    if end <= off:
+        return
+    dst.extend([0] * (end - len(dst)))
+    if c == 1 or c == -1:
+        dst[off:end] = map(add if c == 1 else sub, dst[off:end], src)
+    else:
+        dst[off:end] = map(add, dst[off:end], [c * x for x in src[:end - off]])
+
+
+def _terms(rows):
+    return sum(len(r) - r.count(0) for r in rows)
+
+
+def _spread(rows, f):
+    """The rows moved from grid 1/d to grid 1/(f*d); shared when f == 1."""
+    if f == 1:
+        return rows
+    out = [[0] * ((len(r) - 1) * f + 1) if r else [] for r in rows]
+    for wide, r in zip(out, rows):
+        wide[::f] = r
+    return out
+
+
+def _mul_binomial(rows, i, e, c, qcap, zcap):
+    """rows *= (1 - c z^i q^e), in place, downwards so that row k - i is
+    still the old one when it is added into row k."""
+    top = len(rows) - 1 + i if zcap is None else min(len(rows) - 1 + i, zcap)
+    for k in range(top, i - 1, -1):
+        if rows[k - i]:
+            _add_into(_row(rows, k), e, rows[k - i], qcap, -c)
+
+
+def _div_binomial(rows, i, e, c, qcap, zcap):
+    """rows /= (1 - c z^i q^e), in place.
+
+    A pure-q binomial (i = 0 < e, finite qcap) runs row[j] += c row[j - e]
+    along each residue class mod e, or block by block where blocks are
+    fewer; a z-carrying one (finite zcap) adds c q^e row k - i into row k,
+    upwards.
+    """
+    if i:
+        _row(rows, zcap)
+        for k in range(i, zcap + 1):
+            _add_into(rows[k], e, rows[k - i], qcap, c)
+        return
+    step = add if c == 1 else (lambda acc, x: x + c * acc)
+    for row in filter(None, rows):
+        row.extend([0] * (qcap - len(row)))
+        if e * e <= qcap:
+            for r in range(e):
+                row[r::e] = accumulate(row[r::e], step)
+        else:
+            for j in range(e, qcap, e):
+                _add_into(row, j, row[j - e:j], qcap, c)
+
+
+def _inverse_row(f, qcap):
+    """1/f below qcap, for f[0] = +1 or -1: f[0] g[j] = -(f[1] g[j-1] + ... + f[j] g[0])."""
+    a0, last, rev = f[0], len(f) - 1, f[::-1]
+    g = [a0]
+    for j in range(1, qcap):
+        k = min(j, last)
+        g.append(-a0 * sum(map(mul, rev[last - k:last], g[j - k:j])))
+    return g
+
+
+def _offset(slots, size, half):
+    """``half`` in each of ``slots`` slots of ``size`` bytes."""
+    return int.from_bytes(half.to_bytes(size, "little") * slots, "little")
+
+
+def _pack(rows, stride, size, half):
+    """Coefficient j of row k in slot k * stride + j, stored plus ``half``."""
+    pad = half.to_bytes(size, "little")
+    chunks = []
+    for row in rows:
+        chunks += [(x + half).to_bytes(size, "little") for x in row]
+        chunks.append(pad * (stride - len(row)))
+    return int.from_bytes(b"".join(chunks), "little") - _offset(len(rows) * stride, size, half)
+
+
+def _kronecker(a, b, qcap, zcap):
+    """a * b as one integer product (Kronecker substitution).
+
+    The stride holds a whole row of the product and a slot its largest
+    possible coefficient, so no slot carries into the next; adding
+    ``half`` to every slot makes them unsigned to read back.
+    """
+    la, lb = max(map(len, a)), max(map(len, b))
+    stride, nrows = la + lb - 1, len(a) + len(b) - 1
+    bound = max(map(abs, chain.from_iterable(a))) * max(map(abs, chain.from_iterable(b)))
+    size = (bound * min(la, lb) * min(len(a), len(b))).bit_length() // 8 + 1
+    half = 1 << (8 * size - 1)
+    product = _pack(a, stride, size, half) * _pack(b, stride, size, half)
+    buf = (product + _offset(nrows * stride, size, half)).to_bytes(nrows * stride * size, "little")
+    width = stride if qcap is None else min(stride, qcap)
+    return [
+        [int.from_bytes(buf[p:p + size], "little") - half
+         for p in range(k * stride * size, (k * stride + width) * size, size)]
+        for k in range(nrows if zcap is None else min(nrows, zcap + 1))
+    ]
+
+
+def _mul_rows(a, b, qcap, zcap):
+    """Rows of a * b inside (qcap, zcap)."""
+    top = None if zcap is None else zcap + 1
+    a, b = [r[:qcap] for r in a[:top]], [r[:qcap] for r in b[:top]]
+    if _terms(b) < _terms(a):
+        a, b = b, a
+    if _terms(a) > _SPARSE_TERMS:
+        return _kronecker(a, b, qcap, zcap)
+    out = []
+    for k, row in enumerate(a):
+        reach = b if zcap is None else b[:zcap + 1 - k]
+        for i, c in enumerate(row):
+            if c:
+                for j, brow in enumerate(reach, k):
+                    _add_into(_row(out, j), i, brow, qcap, c)
+    return out
+
+
+def _from_rows(rows, q_truncation, z_truncation, q_scale):
+    """The series of rows the kernel built, which become its own: cropped
+    to the window, with trailing zeros and empty rows dropped, unvalidated."""
+    del rows[len(rows) if z_truncation is None else z_truncation + 1:]
+    for row in rows:
+        del row[len(row) if q_truncation is None else q_truncation * q_scale:]
+    s = object.__new__(TruncatedSeries)
+    s._rows = _trim(rows)
+    s.q_truncation, s.z_truncation, s.q_scale = q_truncation, z_truncation, q_scale
+    return s
+
+
+def _trim(rows):
+    """Drop trailing zeros of each row, then trailing empty rows."""
+    for row in rows:
+        if not any(row):
+            row.clear()
+        while row and not row[-1]:
+            row.pop()
+    while rows and not rows[-1]:
+        rows.pop()
+    return rows
+
+
+# ---------------------------------------------------------------------------
 # the series type
 # ---------------------------------------------------------------------------
 
 
 class TruncatedSeries:
-    """Sparse exact series: dict {(z_degree, q_numerator): coefficient}.
+    """Dense exact series: row k lists the coefficients of z^k.
 
-    The q-exponent of a stored key (k, m) is m / q_scale.  All stored keys
-    lie inside the window; the constructor drops anything outside it.
-    Instances are immutable by convention: no method mutates ``self``.
+    Entry m of row k is the coefficient of z^k q^(m / q_scale).  Rows end at
+    their last nonzero coefficient and the row list at its last nonzero row;
+    nothing outside the window is stored, since the constructor drops it.
+    ``coeffs`` is a read-only view {(z_degree, q_numerator): coefficient} of
+    the nonzero terms.  Instances are immutable: no method mutates ``self``.
     """
 
-    __slots__ = ("coeffs", "q_truncation", "z_truncation", "q_scale")
+    __slots__ = ("_rows", "q_truncation", "z_truncation", "q_scale")
 
     def __init__(
         self,
@@ -126,7 +304,7 @@ class TruncatedSeries:
     ) -> None:
         Window(q_truncation, z_truncation, q_scale)  # validate bounds
         qcap = None if q_truncation is None else q_truncation * q_scale
-        kept: dict = {}
+        rows = []
         for (zdeg, qnum), c in coeffs.items():
             if c == 0:
                 continue
@@ -142,8 +320,11 @@ class TruncatedSeries:
                 continue
             if z_truncation is not None and zdeg > z_truncation:
                 continue
-            kept[(zdeg, qnum)] = c
-        self.coeffs = kept
+            row = _row(rows, zdeg)
+            if len(row) <= qnum:
+                row.extend([0] * (qnum + 1 - len(row)))
+            row[qnum] = c
+        self._rows = _trim(rows)
         self.q_truncation = q_truncation
         self.z_truncation = z_truncation
         self.q_scale = q_scale
@@ -151,11 +332,17 @@ class TruncatedSeries:
     # -- basic inspection ---------------------------------------------------
 
     @property
+    def coeffs(self) -> MappingProxyType:
+        return MappingProxyType({
+            (z, qn): c for z, row in enumerate(self._rows) for qn, c in enumerate(row) if c
+        })
+
+    @property
     def window(self) -> Window:
         return Window(self.q_truncation, self.z_truncation, self.q_scale)
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self._rows
 
     def coefficient(self, z_degree: int, q_exponent: QExp) -> int:
         """Exact coefficient of z^z_degree q^q_exponent.
@@ -175,17 +362,20 @@ class TruncatedSeries:
                 % (z_degree, self.z_truncation)
             )
         num = e * self.q_scale
-        if num.denominator != 1:
+        if num.denominator != 1 or not 0 <= z_degree < len(self._rows):
             return 0
-        return self.coeffs.get((z_degree, int(num)), 0)
+        row = self._rows[z_degree]
+        return row[int(num)] if 0 <= num < len(row) else 0
 
     def items(self) -> Iterator[tuple[int, Fraction, int]]:
         """Yield (z_degree, q_exponent, coefficient) sorted by (z, q)."""
-        for (zdeg, qnum) in sorted(self.coeffs):
-            yield zdeg, Fraction(qnum, self.q_scale), self.coeffs[(zdeg, qnum)]
+        for zdeg, row in enumerate(self._rows):
+            for qnum, c in enumerate(row):
+                if c:
+                    yield zdeg, Fraction(qnum, self.q_scale), c
 
     def support_size(self) -> int:
-        return len(self.coeffs)
+        return _terms(self._rows)
 
     def __repr__(self) -> str:
         ncap = "inf" if self.q_truncation is None else str(self.q_truncation)
@@ -194,7 +384,7 @@ class TruncatedSeries:
             ncap,
             zcap,
             self.q_scale,
-            len(self.coeffs),
+            self.support_size(),
         )
 
     def pretty(self, max_terms: int = 24) -> str:
@@ -228,14 +418,17 @@ class TruncatedSeries:
     def canonical(self) -> "TruncatedSeries":
         """Equivalent series with the smallest q_scale representing it."""
         g = self.q_scale
-        for (_, qnum) in self.coeffs:
-            g = gcd(g, qnum)
-            if g == 1:
-                break
+        for row in self._rows:
+            for qnum, c in enumerate(row):
+                if c and qnum % g:
+                    g = gcd(g, qnum)
+                    if g == 1:
+                        return self
         if g <= 1 or self.q_scale == 1:
             return self
-        newco = {(z, qn // g): c for (z, qn), c in self.coeffs.items()}
-        return TruncatedSeries(newco, self.q_truncation, self.z_truncation, self.q_scale // g)
+        return _from_rows(
+            [r[::g] for r in self._rows], self.q_truncation, self.z_truncation, self.q_scale // g
+        )
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TruncatedSeries):
@@ -245,10 +438,10 @@ class TruncatedSeries:
             a.q_scale == b.q_scale
             and a.q_truncation == b.q_truncation
             and a.z_truncation == b.z_truncation
-            and a.coeffs == b.coeffs
+            and a._rows == b._rows
         )
 
-    __hash__ = None  # mutable-dict payload; identity hashing would mislead
+    __hash__ = None  # mutable-list payload; identity hashing would mislead
 
     def first_difference(self, other: "TruncatedSeries"):
         """First disagreement inside the intersected window, or None.
@@ -257,24 +450,14 @@ class TruncatedSeries:
         for the smallest disagreeing exponent pair, ordering by q-exponent
         first and z-degree second.
         """
-        a, b = _unified(self, other)
-        ncap = _min_bound(a.q_truncation, b.q_truncation)
-        dcap = _min_bound(a.z_truncation, b.z_truncation)
-        scale = a.q_scale
-        keys = set(a.coeffs) | set(b.coeffs)
-        best = None
-        for (zdeg, qnum) in keys:
-            if ncap is not None and qnum >= ncap * scale:
-                continue
-            if dcap is not None and zdeg > dcap:
-                continue
-            ca = a.coeffs.get((zdeg, qnum), 0)
-            cb = b.coeffs.get((zdeg, qnum), 0)
-            if ca != cb:
-                key = (qnum, zdeg)
-                if best is None or key < best[0]:
-                    best = (key, (zdeg, Fraction(qnum, scale), ca, cb))
-        return None if best is None else best[1]
+        diff = _combine(self.window, [(self, 0, 0, 1), (other, 0, 0, -1)])
+        firsts = [(next(i for i, c in enumerate(row) if c), z)
+                  for z, row in enumerate(diff._rows) if row]
+        if not firsts:
+            return None
+        qnum, zdeg = min(firsts)
+        e = Fraction(qnum, diff.q_scale)
+        return zdeg, e, self.coefficient(zdeg, e), other.coefficient(zdeg, e)
 
     def agrees_with(self, other: "TruncatedSeries") -> bool:
         """True when the two series agree on the whole intersected window."""
@@ -282,45 +465,20 @@ class TruncatedSeries:
 
     # -- ring operations -----------------------------------------------------
 
-    def _rescaled(self, new_scale: int) -> "TruncatedSeries":
-        if new_scale == self.q_scale:
-            return self
-        if new_scale % self.q_scale:
-            raise ValueError("cannot rescale grid 1/%d to 1/%d" % (self.q_scale, new_scale))
-        f = new_scale // self.q_scale
-        newco = {(z, qn * f): c for (z, qn), c in self.coeffs.items()}
-        return TruncatedSeries(newco, self.q_truncation, self.z_truncation, new_scale)
-
     def __add__(self, other):
         if isinstance(other, int):
             other = _constant(other, self.window)
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
-        a, b = _unified(self, other)
-        out = dict(a.coeffs)
-        for k, c in b.coeffs.items():
-            out[k] = out.get(k, 0) + c
-        return TruncatedSeries(
-            out,
-            _min_bound(a.q_truncation, b.q_truncation),
-            _min_bound(a.z_truncation, b.z_truncation),
-            a.q_scale,
-        )
+        return _combine(self.window, [(self, 0, 0, 1), (other, 0, 0, 1)])
 
     __radd__ = __add__
 
     def __neg__(self):
-        return TruncatedSeries(
-            {k: -c for k, c in self.coeffs.items()},
-            self.q_truncation,
-            self.z_truncation,
-            self.q_scale,
-        )
+        return _combine(self.window, [(self, 0, 0, -1)])
 
     def __sub__(self, other):
-        if isinstance(other, int):
-            other = _constant(other, self.window)
-        if not isinstance(other, TruncatedSeries):
+        if not isinstance(other, (int, TruncatedSeries)):
             return NotImplemented
         return self.__add__(-other)
 
@@ -329,32 +487,15 @@ class TruncatedSeries:
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return TruncatedSeries(
-                {k: c * other for k, c in self.coeffs.items()},
-                self.q_truncation,
-                self.z_truncation,
-                self.q_scale,
-            )
+            return _combine(self.window, [(self, 0, 0, other)])
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
-        a, b = _unified(self, other)
-        ntr = _min_bound(a.q_truncation, b.q_truncation)
-        dtr = _min_bound(a.z_truncation, b.z_truncation)
-        qcap = None if ntr is None else ntr * a.q_scale
-        out: dict = {}
-        if len(b.coeffs) < len(a.coeffs):
-            a, b = b, a
-        for (za, qa), ca in a.coeffs.items():
-            for (zb, qb), cb in b.coeffs.items():
-                z = za + zb
-                if dtr is not None and z > dtr:
-                    continue
-                qn = qa + qb
-                if qcap is not None and qn >= qcap:
-                    continue
-                k = (z, qn)
-                out[k] = out.get(k, 0) + ca * cb
-        return TruncatedSeries(out, ntr, dtr, a.q_scale)
+        scale = lcm(self.q_scale, other.q_scale)
+        ra, rb = (_spread(x._rows, scale // x.q_scale) for x in (self, other))
+        ntr = _min_bound(self.q_truncation, other.q_truncation)
+        dtr = _min_bound(self.z_truncation, other.z_truncation)
+        qcap = None if ntr is None else ntr * scale
+        return _from_rows(_mul_rows(ra, rb, qcap, dtr), ntr, dtr, scale)
 
     __rmul__ = __mul__
 
@@ -371,14 +512,7 @@ class TruncatedSeries:
         e = _as_fraction(q_exponent)
         if z_degree < 0 or e < 0:
             raise ValueError("monomial exponents must be nonnegative")
-        scale = lcm(self.q_scale, e.denominator)
-        s = self._rescaled(scale)
-        shift = int(e * scale)
-        out = {
-            (z + z_degree, qn + shift): c * coefficient
-            for (z, qn), c in s.coeffs.items()
-        }
-        return TruncatedSeries(out, s.q_truncation, s.z_truncation, scale)
+        return _combine(self.window, [(self, z_degree, e, coefficient)])
 
     def invert(
         self,
@@ -394,46 +528,32 @@ class TruncatedSeries:
         """
         ntr = _min_bound(self.q_truncation, q_truncation)
         dtr = _min_bound(self.z_truncation, z_truncation)
-        a0 = self.coeffs.get((0, 0), 0)
+        rows = self._rows
+        a0 = rows[0][0] if rows and rows[0] else 0
         if a0 not in (1, -1):
             raise ValueError(
                 "cannot invert: constant term is %d, need a unit (+1 or -1)" % a0
             )
-        if ntr is None:
-            if any(qn for (_, qn) in self.coeffs):
-                raise ValueError(
-                    "cannot invert a series with q-dependence without a finite q_truncation"
-                )
-            ntr_eff = 1
-        else:
-            ntr_eff = ntr
-        has_z = any(z for (z, _) in self.coeffs)
-        if dtr is None:
-            if has_z:
-                raise ValueError(
-                    "cannot invert a series with z-dependence without a finite z_truncation"
-                )
-            dtr_eff = 0
-        else:
-            dtr_eff = dtr
-        scale = self.q_scale
-        qcap = ntr_eff * scale
-        rest = {k: c for k, c in self.coeffs.items() if k != (0, 0)}
-        inv: dict = {(0, 0): a0}
-        # graded recursion: each key is determined by componentwise-smaller ones
-        for z in range(0, dtr_eff + 1):
-            for qn in range(0, qcap):
-                if z == 0 and qn == 0:
-                    continue
-                acc = 0
-                for (gz, gq), c in rest.items():
-                    if gz <= z and gq <= qn:
-                        prev = inv.get((z - gz, qn - gq), 0)
-                        if prev:
-                            acc += c * prev
-                if acc:
-                    inv[(z, qn)] = -a0 * acc
-        return TruncatedSeries(inv, ntr, dtr, scale)
+        if ntr is None and any(len(r) > 1 for r in rows):
+            raise ValueError(
+                "cannot invert a series with q-dependence without a finite q_truncation"
+            )
+        if dtr is None and len(rows) > 1:
+            raise ValueError(
+                "cannot invert a series with z-dependence without a finite z_truncation"
+            )
+        qcap = (ntr or 1) * self.q_scale
+        f = [r[:qcap] for r in rows[:(dtr or 0) + 1]]
+        g0 = _inverse_row(f[0], qcap)
+        inv = [g0]
+        # f_0 g_k = -(f_1 g_(k-1) + ... + f_k g_0), z-degree by z-degree
+        for k in range(1, (dtr or 0) + 1):
+            acc = []
+            for t in range(1, min(k, len(f) - 1) + 1):
+                for r in _mul_rows([f[t]], [inv[k - t]], qcap, 0):
+                    _add_into(acc, 0, r, None, -1)
+            inv += _mul_rows([g0], [acc], qcap, 0) or [[]]
+        return _from_rows(inv, ntr, dtr, self.q_scale)
 
     def substitute_z(self, q_shift: QExp, sign: int = 1) -> "TruncatedSeries":
         """Map z -> sign * z * q^q_shift with q_shift >= 0.
@@ -447,13 +567,9 @@ class TruncatedSeries:
             raise ValueError("substitute_z requires a nonnegative q-shift")
         if sign not in (1, -1):
             raise ValueError("substitute_z sign must be +1 or -1")
-        scale = lcm(self.q_scale, e.denominator)
-        s = self._rescaled(scale)
-        step = int(e * scale)
-        out: dict = {}
-        for (z, qn), c in s.coeffs.items():
-            out[(z, qn + z * step)] = c * (sign ** (z & 1))
-        return TruncatedSeries(out, s.q_truncation, s.z_truncation, scale)
+        window = Window(self.q_truncation, self.z_truncation, lcm(self.q_scale, e.denominator))
+        rows = range(len(self._rows))
+        return _combine(window, [(self.z_slice(k), k, k * e, sign ** k) for k in rows])
 
     def z_slice(self, z_degree: int) -> "TruncatedSeries":
         """The coefficient of z^z_degree as a pure q-series."""
@@ -462,8 +578,8 @@ class TruncatedSeries:
                 "z^%d slice requested beyond the exact z-window (%d)"
                 % (z_degree, self.z_truncation)
             )
-        out = {(0, qn): c for (z, qn), c in self.coeffs.items() if z == z_degree}
-        return TruncatedSeries(out, self.q_truncation, None, self.q_scale)
+        rows = [list(self._rows[z_degree])] if 0 <= z_degree < len(self._rows) else []
+        return _from_rows(rows, self.q_truncation, None, self.q_scale)
 
     def collapse_z(self) -> "TruncatedSeries":
         """Set z = 1, producing a pure q-series.
@@ -480,22 +596,29 @@ class TruncatedSeries:
                     "collapse_z needs z_truncation >= q_truncation - 1 "
                     "(or an exact z-window) to be exact"
                 )
-        out: dict = {}
-        for (z, qn), c in self.coeffs.items():
-            k = (0, qn)
-            out[k] = out.get(k, 0) + c
-        return TruncatedSeries(out, self.q_truncation, None, self.q_scale)
-
-
-def _unified(a: TruncatedSeries, b: TruncatedSeries):
-    scale = lcm(a.q_scale, b.q_scale)
-    return a._rescaled(scale), b._rescaled(scale)
+        return _combine(Window(self.q_truncation, None, self.q_scale),
+                        [(self.z_slice(k), 0, 0, 1) for k in range(len(self._rows))])
 
 
 def _constant(c: int, window: Window) -> TruncatedSeries:
-    return TruncatedSeries(
-        {(0, 0): c}, window.q_truncation, window.z_truncation, window.q_scale
-    )
+    return _from_rows([[c]], window.q_truncation, window.z_truncation, window.q_scale)
+
+
+def _combine(window, parts):
+    """The sum of c z^k q^e s over the parts (s, k, e, c), exact in the
+    intersection of the window with the windows of the parts, on their
+    common grid: one accumulator, no intermediate series."""
+    scale, ntr, dtr = window.q_scale, window.q_truncation, window.z_truncation
+    for s, _k, e, _c in parts:
+        scale = lcm(scale, s.q_scale, _as_fraction(e).denominator)
+        ntr, dtr = _min_bound(ntr, s.q_truncation), _min_bound(dtr, s.z_truncation)
+    qcap = None if ntr is None else ntr * scale
+    acc = []
+    for s, k, e, c in parts:
+        if dtr is None or k <= dtr:
+            for z, row in enumerate(_spread(s._rows, scale // s.q_scale), k):
+                _add_into(_row(acc, z), int(e * scale), row, qcap, c)
+    return _from_rows(acc, ntr, dtr, scale)
 
 
 # ---------------------------------------------------------------------------
@@ -521,7 +644,7 @@ def make_series(
 
 
 def zero(window: Window) -> TruncatedSeries:
-    return TruncatedSeries({}, window.q_truncation, window.z_truncation, window.q_scale)
+    return _from_rows([], window.q_truncation, window.z_truncation, window.q_scale)
 
 
 def one(window: Window) -> TruncatedSeries:
@@ -575,20 +698,30 @@ def zf(z_degree: int, q_exponent: QExp, modulus: QExp, sign: int = 1) -> PochFac
     return PochFactor(z_degree, _as_fraction(q_exponent), sign, _as_fraction(modulus))
 
 
-def _binomial_factor(
-    factor: PochFactor, j: int, window: Window, scale: int
-) -> TruncatedSeries:
-    e = factor.q_exponent + j * factor.modulus
-    return TruncatedSeries(
-        {(0, 0): 1, (factor.z_degree, int(e * scale)): -factor.sign},
-        window.q_truncation,
-        window.z_truncation,
-        scale,
-    )
-
-
 def _factor_scale(factor: PochFactor, window: Window) -> int:
     return lcm(window.q_scale, factor.q_exponent.denominator, factor.modulus.denominator)
+
+
+def _poch(numerator, denominator, window):
+    """prod (f; q^m)_n over the numerator pairs (f, n), divided by the same
+    over the denominator pairs (n = None: n = inf), by binomials in place.
+
+    Binomials at or past the q-window act as 1 there and are skipped; the
+    caller has checked that the denominators are invertible in the window.
+    """
+    pairs = [(f, n, _mul_binomial) for f, n in numerator]
+    pairs += [(f, n, _div_binomial) for f, n in denominator]
+    scale = lcm(window.q_scale, *(_factor_scale(f, window) for f, _, _ in pairs))
+    qcap = None if window.q_truncation is None else window.q_truncation * scale
+    rows = [[1]]
+    for f, n, apply in pairs:
+        first, step = int(f.q_exponent * scale), int(f.modulus * scale)
+        if qcap is not None:
+            below = max(0, -((first - qcap) // step))
+            n = below if n is None else min(n, below)
+        for j in range(n):
+            apply(rows, f.z_degree, first + j * step, f.sign, qcap, window.z_truncation)
+    return _from_rows(rows, window.q_truncation, window.z_truncation, scale)
 
 
 def poch_finite(factor: PochFactor, n: int, window: Window) -> TruncatedSeries:
@@ -601,11 +734,7 @@ def poch_finite(factor: PochFactor, n: int, window: Window) -> TruncatedSeries:
         raise ValueError(
             "poch_finite needs n >= 0; for 1/(base;q)_n with n < 0 use inv_poch_finite"
         )
-    scale = _factor_scale(factor, window)
-    out = TruncatedSeries({(0, 0): 1}, window.q_truncation, window.z_truncation, scale)
-    for j in range(n):
-        out = out * _binomial_factor(factor, j, window, scale)
-    return out
+    return _poch([(factor, n)], [], window)
 
 
 def inv_poch_finite(factor: PochFactor, n: int, window: Window) -> TruncatedSeries:
@@ -619,13 +748,15 @@ def inv_poch_finite(factor: PochFactor, n: int, window: Window) -> TruncatedSeri
         return zero(window)
     if n == 0:
         return one(window)
-    if factor.z_degree == 0 and factor.q_exponent == 0 and factor.sign == 1:
-        raise ValueError("cannot invert a Pochhammer factor with vanishing constant term")
+    if factor.z_degree == 0 and factor.q_exponent == 0:
+        if factor.sign == 1:
+            raise ValueError("cannot invert a Pochhammer factor with vanishing constant term")
+        raise ValueError("cannot invert: constant term is 2, need a unit (+1 or -1)")
     if window.q_truncation is None:
         raise ValueError("inverting a finite Pochhammer symbol needs a finite q_truncation")
     if factor.z_degree > 0 and window.z_truncation is None:
         raise ValueError("inverting a z-carrying Pochhammer symbol needs a finite z_truncation")
-    return poch_finite(factor, n, window).invert()
+    return _poch([], [(factor, n)], window)
 
 
 def poch_infinite(factor: PochFactor, window: Window) -> TruncatedSeries:
@@ -636,32 +767,7 @@ def poch_infinite(factor: PochFactor, window: Window) -> TruncatedSeries:
     divergent-at-origin binomial (1 - sign) infinitely often in spirit and
     is rejected.
     """
-    if factor.z_degree == 0 and factor.q_exponent <= 0:
-        raise ValueError(
-            "divergent-at-origin factor: infinite product needs q_exponent > 0 "
-            "or a positive z_degree"
-        )
-    if window.q_truncation is None:
-        raise ValueError("infinite products need a finite q_truncation")
-    if factor.z_degree > 0 and window.z_truncation is None:
-        raise ValueError("a z-carrying infinite product needs a finite z_truncation")
-    scale = _factor_scale(factor, window)
-    ncap = Fraction(window.q_truncation)
-    out = TruncatedSeries({(0, 0): 1}, window.q_truncation, window.z_truncation, scale)
-    j = 0
-    while True:
-        e = factor.q_exponent + j * factor.modulus
-        if factor.z_degree == 0:
-            if e >= ncap:
-                break
-        else:
-            # the binomial's lowest new term is z^i q^e; invisible once both
-            # caps are passed for every power of it
-            if e >= ncap:
-                break
-        out = out * _binomial_factor(factor, j, window, scale)
-        j += 1
-    return out
+    return poch_product([factor], [], window)
 
 
 def poch_product(
@@ -670,12 +776,18 @@ def poch_product(
     window: Window,
 ) -> TruncatedSeries:
     """prod (num_i; ...)_inf / prod (den_j; ...)_inf inside the window."""
-    out = one(window)
-    for f in numerator:
-        out = out * poch_infinite(f, window)
-    for f in denominator:
-        out = out * poch_infinite(f, window).invert()
-    return out
+    numerator, denominator = list(numerator), list(denominator)
+    for f in numerator + denominator:
+        if f.z_degree == 0 and f.q_exponent <= 0:
+            raise ValueError(
+                "divergent-at-origin factor: infinite product needs q_exponent > 0 "
+                "or a positive z_degree"
+            )
+        if window.q_truncation is None:
+            raise ValueError("infinite products need a finite q_truncation")
+        if f.z_degree > 0 and window.z_truncation is None:
+            raise ValueError("a z-carrying infinite product needs a finite z_truncation")
+    return _poch([(f, None) for f in numerator], [(f, None) for f in denominator], window)
 
 
 def gauss_binomial(n: int, m: int, window: Window) -> TruncatedSeries:
@@ -690,11 +802,9 @@ def gauss_binomial(n: int, m: int, window: Window) -> TruncatedSeries:
         # exact polynomial of degree m(n-m): compute in a window just past it
         wide = Window(m * (n - m) + 1, window.z_truncation, window.q_scale)
         res = gauss_binomial(n, m, wide)
-        return TruncatedSeries(res.coeffs, None, window.z_truncation, res.q_scale)
+        return _from_rows(res._rows, None, window.z_truncation, res.q_scale)
     base = qf(1, 1)
-    num = poch_finite(base, n, window)
-    den = poch_finite(base, m, window) * poch_finite(base, n - m, window)
-    return num / den
+    return _poch([(base, n)], [(base, m), (base, n - m)], window)
 
 
 def theta_sum(b1: QExp, b2: QExp, window: Window) -> TruncatedSeries:
@@ -747,7 +857,7 @@ def series_to_json(s: TruncatedSeries) -> dict:
         "z_truncation": s.z_truncation,
         "q_scale": s.q_scale,
         "terms": [
-            [z, qn, s.q_scale, s.coeffs[(z, qn)]] for (z, qn) in sorted(s.coeffs)
+            [z, qn, s.q_scale, c] for z, row in enumerate(s._rows) for qn, c in enumerate(row) if c
         ],
     }
 

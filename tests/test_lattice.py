@@ -418,6 +418,19 @@ def test_counting_equals_listing_every_profile(kind):
                 assert _counted(*args) == _listed(*args), args
 
 
+@pytest.mark.parametrize("kind", ("cylindric", "distinct"))
+def test_width_one_anchor_dp_equals_listing(kind):
+    for delta in ((1,), (-1,)):
+        for weights, window in ((None, Window(12)), (None, Window(12, 4)),
+                                ((Fr(1, 2),), Window(6, None, 2)), ((Fr(1, 2),), Window(7, 3)),
+                                ((0,), Window(5, 3))):
+            for max_rows in (None, 1, 2):
+                if weights == (0,) and max_rows is None:
+                    continue  # unbounded: both sides refuse it
+                args = (kind, delta, weights, window, max_rows)
+                assert _counted(*args) == _listed(*args), args
+
+
 @settings(max_examples=120)
 @given(st.data())
 def test_counting_equals_listing_random(data):

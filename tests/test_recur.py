@@ -8,6 +8,7 @@ import pytest
 from cylq.lattice import genfun_by_enumeration
 from cylq.recur import (
     CoefficientRecurrence,
+    CoefficientSequence,
     FunctionalTerm,
     build_system,
     check_closed_form,
@@ -34,6 +35,7 @@ from cylq.recur import (
 from cylq.series import (
     TruncatedSeries,
     Window,
+    make_series,
     one,
     poch_infinite,
     poch_product,
@@ -407,3 +409,39 @@ def test_functional_term_validation():
         FunctionalTerm(1, 0, None)  # constant term needs a value
     term = FunctionalTerm(1, 2, (1, -1), ((0, 0, 1), (0, 0, 1)))
     assert term.prefactor == ((0, Fraction(0), 2),)
+
+
+CRITERION_11 = [(closed_form_width4, width4_recurrence, p, 40)
+                for p in ((1, 1), (1, -1), (-1, 1))]
+CRITERION_11 += [(closed_form_width6, width6_recurrence, p, 30)
+                 for p in ((1, 1, 1), (1, 1, -1), (1, -1, 1), (-1, 1, 1))]
+
+
+@pytest.mark.parametrize("form, relation, profile, n_max", CRITERION_11)
+def test_criterion_11_reports_are_pinned(form, relation, profile, n_max):
+    report = check_closed_form(form(profile), relation(profile), n_max)
+    assert (report.holds, report.failures, report.vacuous, report.initial_ok) == (
+        True, (), (), True
+    )
+    assert report.window == Window(2 * (n_max + 2) ** 2 + 40)
+    assert report.start_degree == relation(profile).min_degree
+
+
+def test_one_wrong_coefficient_is_caught():
+    # h(7) of the (1,1,1) closed form with its lowest coefficient off by one:
+    # the relation at degree m reads h(m - lag) for lags 0..3, and its lag-0
+    # coefficient starts with +1, so degrees 7..10 fail, the first at the
+    # bumped exponent with residual +1
+    true = closed_form_width6((1, 1, 1))
+    _z, low, _c = next(true.value(7, Window(2 * (30 + 2) ** 2 + 40)).items())
+
+    def value(n, window):
+        h = true.value(n, window)
+        return h + make_series([(0, low, 1)], window) if n == 7 else h
+
+    wrong = CoefficientSequence((1, 1, 1), "width6-closed-form", value)
+    report = check_closed_form(wrong, width6_recurrence((1, 1, 1)), 30)
+    assert report.holds is False
+    assert report.failures[0] == (7, low, 1)
+    assert [f[0] for f in report.failures] == [7, 8, 9, 10]
+    assert report.initial_ok and not report.vacuous

@@ -1,8 +1,11 @@
 """Tests for the exact truncated-series ring."""
 
 from fractions import Fraction as Fr
+from math import gcd, lcm
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from cylq.series import (
     PochFactor,
@@ -23,6 +26,7 @@ from cylq.series import (
     zero,
     zf,
 )
+from cylq.series import _div_binomial, _from_rows, _min_bound, _mul_binomial
 
 W = Window(24)
 WB = Window(16, 8)
@@ -282,3 +286,220 @@ def test_negative_exponent_rejected():
         TruncatedSeries({(0, -1): 1}, 5, None, 1)
     with pytest.raises(ValueError):
         TruncatedSeries({(-1, 0): 1}, 5, None, 1)
+
+
+def test_degenerate_pochhammer_base():
+    # (q^0; q)_2 = (1 - 1)(1 - q) vanishes and (-q^0; q)_2 = (1 + 1)(1 + q)
+    assert poch_finite(qf(0, 1), 2, Window(None)).is_zero()
+    assert poch_finite(qf(0, 1, -1), 2, Window(None)) == make_series(
+        [(0, 0, 2), (0, 1, 2)], Window(None)
+    )
+    with pytest.raises(ValueError, match="constant term is 2"):
+        inv_poch_finite(qf(0, 1, -1), 2, W)
+
+
+# ---------------------------------------------------------------------------
+# the dense kernel against the dict kernel it replaced
+# ---------------------------------------------------------------------------
+#
+# The oracle below is the dict arithmetic the dense kernel replaced: it
+# works on {(z_degree, q_numerator): coefficient} and builds its results
+# through the validating public constructor.
+
+
+def _state(s):
+    """Everything a series is: its terms and its window, uncanonicalized."""
+    return dict(s.coeffs), s.q_truncation, s.z_truncation, s.q_scale
+
+
+def _outcome(fn, *args):
+    try:
+        return _state(fn(*args))
+    except ValueError as err:
+        return ("ValueError", str(err))
+
+
+def _rescaled(s, scale):
+    f = scale // s.q_scale
+    return {(z, qn * f): c for (z, qn), c in s.coeffs.items()}
+
+
+def _bounds(a, b):
+    return _min_bound(a.q_truncation, b.q_truncation), _min_bound(a.z_truncation, b.z_truncation)
+
+
+def oracle_add(a, b, sign=1):
+    scale = lcm(a.q_scale, b.q_scale)
+    out = _rescaled(a, scale)
+    for k, c in _rescaled(b, scale).items():
+        out[k] = out.get(k, 0) + sign * c
+    return TruncatedSeries(out, *_bounds(a, b), scale)
+
+
+def oracle_mul(a, b):
+    scale = lcm(a.q_scale, b.q_scale)
+    ntr, dtr = _bounds(a, b)
+    qcap = None if ntr is None else ntr * scale
+    out: dict = {}
+    for (za, qa), ca in _rescaled(a, scale).items():
+        for (zb, qb), cb in _rescaled(b, scale).items():
+            z, qn = za + zb, qa + qb
+            if (dtr is None or z <= dtr) and (qcap is None or qn < qcap):
+                out[(z, qn)] = out.get((z, qn), 0) + ca * cb
+    return TruncatedSeries(out, ntr, dtr, scale)
+
+
+def oracle_invert(s, q_truncation=None, z_truncation=None):
+    ntr = _min_bound(s.q_truncation, q_truncation)
+    dtr = _min_bound(s.z_truncation, z_truncation)
+    coeffs = dict(s.coeffs)
+    a0 = coeffs.get((0, 0), 0)
+    if a0 not in (1, -1):
+        raise ValueError("cannot invert: constant term is %d, need a unit (+1 or -1)" % a0)
+    if ntr is None and any(qn for (_, qn) in coeffs):
+        raise ValueError(
+            "cannot invert a series with q-dependence without a finite q_truncation"
+        )
+    if dtr is None and any(z for (z, _) in coeffs):
+        raise ValueError(
+            "cannot invert a series with z-dependence without a finite z_truncation"
+        )
+    rest = {k: c for k, c in coeffs.items() if k != (0, 0)}
+    inv = {(0, 0): a0}
+    for z in range(0, (dtr or 0) + 1):
+        for qn in range(0, (ntr or 1) * s.q_scale):
+            if z or qn:
+                acc = sum(
+                    c * inv.get((z - gz, qn - gq), 0)
+                    for (gz, gq), c in rest.items()
+                    if gz <= z and gq <= qn
+                )
+                if acc:
+                    inv[(z, qn)] = -a0 * acc
+    return TruncatedSeries(inv, ntr, dtr, s.q_scale)
+
+
+def oracle_moved(s, q_exponent, q_step, z_degree, coefficient, sign):
+    """z^k q^m -> coefficient sign^k z^(k + z_degree) q^(m + q_exponent + k q_step)."""
+    scale = lcm(s.q_scale, q_exponent.denominator, q_step.denominator)
+    out = {
+        (z + z_degree, qn + int((q_exponent + z * q_step) * scale)): c * coefficient * sign ** z
+        for (z, qn), c in _rescaled(s, lcm(scale, s.q_scale)).items()
+    }
+    return TruncatedSeries(out, s.q_truncation, s.z_truncation, scale)
+
+
+def oracle_canonical(s):
+    g = s.q_scale
+    for (_, qn) in s.coeffs:
+        g = gcd(g, qn)
+    if g <= 1:
+        return s
+    out = {(z, qn // g): c for (z, qn), c in s.coeffs.items()}
+    return TruncatedSeries(out, s.q_truncation, s.z_truncation, s.q_scale // g)
+
+
+def oracle_first_difference(a, b):
+    scale = lcm(a.q_scale, b.q_scale)
+    ntr, dtr = _bounds(a, b)
+    ac, bc = _rescaled(a, scale), _rescaled(b, scale)
+    diffs = [
+        (qn, z)
+        for (z, qn) in set(ac) | set(bc)
+        if (ntr is None or qn < ntr * scale) and (dtr is None or z <= dtr)
+        and ac.get((z, qn), 0) != bc.get((z, qn), 0)
+    ]
+    if not diffs:
+        return None
+    qn, z = min(diffs)
+    return z, Fr(qn, scale), ac.get((z, qn), 0), bc.get((z, qn), 0)
+
+
+BIG = 2**200
+
+
+@st.composite
+def windows(draw, finite=False):
+    n = draw(st.integers(1, 12) if finite else st.one_of(st.none(), st.integers(1, 12)))
+    d = draw(st.integers(0, 4) if finite else st.one_of(st.none(), st.integers(0, 4)))
+    return Window(n, d, draw(st.integers(1, 6)))
+
+
+@st.composite
+def series(draw, window=None, unit=False):
+    """A random series: sparse or dense support, coefficients up to 2^200,
+    some terms past the window (the constructor drops them)."""
+    w = window or draw(windows())
+    zmax = 4 if w.z_truncation is None else w.z_truncation + 1
+    qmax = 8 * w.q_scale if w.q_truncation is None else w.q_truncation * w.q_scale + 2
+    coefficient = st.integers(-BIG, BIG) | st.integers(-3, 3)
+    if draw(st.booleans()):
+        keys = draw(st.lists(st.tuples(st.integers(0, zmax), st.integers(0, qmax)), max_size=8))
+    else:
+        keys = [(z, qn) for z in range(draw(st.integers(0, zmax)) + 1) for qn in range(qmax)]
+    coeffs = {k: draw(coefficient) for k in keys}
+    if unit:
+        coeffs[(0, 0)] = draw(st.sampled_from((1, -1)))
+    return TruncatedSeries(coeffs, w.q_truncation, w.z_truncation, w.q_scale)
+
+
+@given(series(), series())
+def test_ring_operations_match_dict_kernel(a, b):
+    assert _state(a * b) == _state(oracle_mul(a, b))
+    assert _state(a + b) == _state(oracle_add(a, b))
+    assert _state(a - b) == _state(oracle_add(a, b, -1))
+    assert _state(-a) == _state(oracle_add(zero(a.window), a, -1))
+    assert _state(a * 3) == _state(oracle_mul(a, make_series([(0, 0, 3)], a.window)))
+    assert a.first_difference(b) == oracle_first_difference(a, b)
+    assert a.first_difference(a + b) == oracle_first_difference(a, oracle_add(a, b))
+    assert (a == b) == (_state(oracle_canonical(a)) == _state(oracle_canonical(b)))
+    assert _state(a.canonical()) == _state(oracle_canonical(a))
+    assert a.support_size() == len(a.coeffs)
+    assert [(z, Fr(qn, a.q_scale), c) for (z, qn), c in sorted(a.coeffs.items())] == list(a.items())
+
+
+@given(series(unit=True), st.one_of(st.none(), st.integers(1, 12)),
+       st.one_of(st.none(), st.integers(0, 4)))
+def test_invert_matches_dict_kernel(a, q_truncation, z_truncation):
+    assert _outcome(a.invert, q_truncation, z_truncation) == _outcome(
+        oracle_invert, a, q_truncation, z_truncation
+    )
+
+
+exponents = st.fractions(0, 5, max_denominator=4)
+
+
+@given(series(), st.integers(0, 5), exponents, st.integers(-BIG, BIG), st.sampled_from((1, -1)))
+def test_monomial_moves_match_dict_kernel(a, z_degree, e, c, sign):
+    assert _state(a.times_monomial(z_degree, e, c)) == _state(
+        oracle_moved(a, e, Fr(0), z_degree, c, 1)
+    )
+    assert _state(a.substitute_z(e, sign)) == _state(oracle_moved(a, Fr(0), e, 0, 1, sign))
+
+
+@given(st.data(), windows(finite=True))
+def test_binomial_primitives_match_repeated_products(data, w):
+    a = data.draw(series(w))
+    qcap = w.q_truncation * w.q_scale
+    bounds = (w.q_truncation, w.z_truncation, w.q_scale)
+    rows, divided = [list(r) for r in a._rows], [list(r) for r in a._rows]
+    product, quotient = a, a
+    for _ in range(data.draw(st.integers(1, 4))):
+        i = data.draw(st.integers(0, 2))
+        e = data.draw(st.integers(0 if i else 1, qcap + 1))
+        c = data.draw(st.sampled_from((1, -1)) | st.integers(-BIG, BIG))
+        binomial = TruncatedSeries({(0, 0): 1, (i, e): -c}, *bounds)
+        _mul_binomial(rows, i, e, c, qcap, w.z_truncation)
+        _div_binomial(divided, i, e, c, qcap, w.z_truncation)
+        product = oracle_mul(product, binomial)
+        quotient = oracle_mul(quotient, oracle_invert(binomial))
+    assert _state(_from_rows(rows, *bounds)) == _state(product)
+    assert _state(_from_rows(divided, *bounds)) == _state(quotient)
+
+
+@given(series())
+def test_json_matches_dict_kernel(a):
+    assert series_to_json(a)["terms"] == [
+        [z, qn, a.q_scale, c] for (z, qn), c in sorted(a.coeffs.items())
+    ]
+    assert _state(series_from_json(series_to_json(a))) == _state(a)
