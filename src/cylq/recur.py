@@ -39,8 +39,8 @@ from math import lcm
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
 from .lattice import KINDS, _check_profile, _resolve
-from .series import (TruncatedSeries, Window, _add_into, _combine, _div_binomial, _from_rows,
-                     _mul_binomial, _poch, make_series, one, poch_finite, qf, zero, zf)
+from .series import (TruncatedSeries, Window, _combine, _poch, make_series, one, poch_finite, qf,
+                     zero, zf)
 
 __all__ = [
     "CheckReport",
@@ -112,22 +112,10 @@ def corner_set(kind: str, profile: Sequence[int]) -> tuple:
     closed = _is_closed_kind(kind)
     d = _check_profile(profile)
     h = len(d)
-    out = []
+    peaks = [j for j in range(h) if d[j - 1] == 1 and d[j] == -1]  # j = 0 wraps around
     if closed:
-        for j in range(h):
-            if d[j - 1] == 1 and d[j] == -1:
-                out.append(j)
-    else:
-        for j in range(h + 1):
-            if j == 0:
-                if d[0] == -1:
-                    out.append(0)
-            elif j == h:
-                if d[h - 1] == 1:
-                    out.append(h)
-            elif d[j - 1] == 1 and d[j] == -1:
-                out.append(j)
-    return tuple(out)
+        return tuple(peaks)
+    return tuple([0] * (d[0] == -1) + [j for j in peaks if j] + [h] * (d[h - 1] == 1))
 
 
 def corner_moves(
@@ -144,16 +132,12 @@ def corner_moves(
     moves = []
     for j in corner_set(kind, d):
         nd = list(d)
-        if kind in ("cylindric", "distinct"):
-            nd[j - 1] = -1
-            nd[j] = 1
+        if kind in ("cylindric", "distinct") or 0 < j < h:
+            nd[j - 1], nd[j] = -1, 1  # a closed chain wraps at j = 0
         elif j == 0:
             nd[0] = 1
-        elif j == h:
-            nd[h - 1] = -1
         else:
-            nd[j - 1] = -1
-            nd[j] = 1
+            nd[h - 1] = -1
         moves.append((j, w[j], tuple(nd)))
     return tuple(moves)
 
@@ -174,27 +158,15 @@ def corner_subset_terms(
     nonempty objects, and every sign is ``+1``.
     """
     kind, d, w = _resolve(kind, profile, weights)
-    h = len(d)
-    closed = kind in ("cylindric", "distinct")
     strict = kind == "distinct"
     moves = corner_moves(kind, d, None if kind == "symmetric" else w)
     terms = []
     for r in range(1, len(moves) + 1):
         for combo in itertools.combinations(moves, r):
             nd = list(d)
-            s = Fraction(0)
-            for j, wj, _single in combo:
-                s += wj
-                if closed:
-                    nd[j - 1] = -1
-                    nd[j] = 1
-                elif j == 0:
-                    nd[0] = 1
-                elif j == h:
-                    nd[h - 1] = -1
-                else:
-                    nd[j - 1] = -1
-                    nd[j] = 1
+            for _j, _wj, single in combo:  # the swaps touch disjoint entries
+                nd = [y if y != x else z for x, y, z in zip(d, single, nd)]
+            s = sum((wj for _j, wj, _single in combo), Fraction(0))
             sign = 1 if strict else (-1) ** (r - 1)
             terms.append((sign, s, tuple(nd)))
     if terms and not strict:
@@ -705,11 +677,6 @@ class EliminationResult:
         return "H[%s](z) = %s" % (_pretty_profile(self.keep), " ".join(rhs))
 
 
-def _poly_mul(a: dict, b: dict) -> dict:
-    pa, pb = (make_series(((d, e, c) for (d, e), c in x.items()), Window(None)) for x in (a, b))
-    return {(d, e): c for d, e, c in (pa * pb).items()}
-
-
 def eliminate(
     system: FunctionalSystem,
     keep: Sequence[int],
@@ -769,25 +736,15 @@ def eliminate(
         for t in system.equations[p]:
             if t.target is None or t.den_shift is not None:
                 return None
-            poly = {(d, e): t.sign * c for d, e, c in t.prefactor}
-            out.append((poly, t.shift, canon(t.target)))
+            out.append((t.sign * t.prefactor_series(Window(None)), t.shift, canon(t.target)))
         return out
 
     def combine(terms: list) -> list:
-        merged: list = []
-        index: dict = {}
+        merged: dict = {}
         for poly, shift, tgt in terms:
             key = (shift, tgt)
-            if key in index:
-                slot = index[key]
-                agg = dict(merged[slot][0])
-                for k, v in poly.items():
-                    agg[k] = agg.get(k, 0) + v
-                merged[slot] = ({k: v for k, v in agg.items() if v}, shift, tgt)
-            else:
-                index[key] = len(merged)
-                merged.append((dict(poly), shift, tgt))
-        return [(p, s, t) for p, s, t in merged if p]
+            merged[key] = merged[key] + poly if key in merged else poly
+        return [(p, s, t) for (s, t), p in merged.items() if not p.is_zero()]
 
     working = load_terms(keep)
     if working is None:
@@ -828,14 +785,13 @@ def eliminate(
                 rewritten.append((poly, shift, tgt))
                 continue
             for spoly, sshift, stgt in sub:
-                shifted = {(d, e + d * shift): c for (d, e), c in spoly.items()}
-                rewritten.append((_poly_mul(poly, shifted), shift + sshift, stgt))
+                rewritten.append((poly * spoly.substitute_z(shift), shift + sshift, stgt))
         working = combine(rewritten)
         visited.append(x)
 
     terms = tuple(
-        (_canon_monomials((d, e, c) for (d, e), c in poly.items()), shift)
-        for poly, shift, _t in sorted(working, key=lambda w: (w[1], sorted(w[0])))
+        (_canon_monomials(poly.items()), shift)
+        for poly, shift, _t in sorted(working, key=lambda w: (w[1], [t[:2] for t in w[0].items()]))
     )
     return EliminationResult(keep, True, terms, tuple(visited), ident, None)
 
@@ -964,32 +920,27 @@ class CoefficientRecurrence:
         return " + ".join(parts) + " = " + rhs
 
 
-def _den_product(dens: Sequence[Fraction]) -> dict:
-    poly = _poch([(zf(1, d, 1), 1) for d in dens], [], Window(None))
-    return {(d, e): c for d, e, c in poly.items()}
+def _den_product(dens: Sequence[Fraction]) -> TruncatedSeries:
+    """prod (1 - z q^d) over the shifts, an exact polynomial."""
+    return _poch([(zf(1, d, 1), 1) for d in dens], [], Window(None))
 
 
 def _equation_recurrence(profile: tuple, terms: Sequence[FunctionalTerm]):
     dens = sorted({t.den_shift for t in terms if t.den_shift is not None})
     r_poly = _den_product(dens)
     coeff: dict = {}
-    for (d, e), c in r_poly.items():
+    for d, e, c in r_poly.items():
         key = (profile, d)
         coeff.setdefault(key, []).append((Fraction(0), e, c))
-    inhom_parts: dict = {}
+    const = sum(t.inhomogeneous for t in terms if t.target is None)
     for t in terms:
         if t.target is None:
-            for (d, e), c in r_poly.items():
-                inhom_parts.setdefault(d, {})
-                inhom_parts[d][e] = inhom_parts[d].get(e, 0) + c * t.inhomogeneous
             continue
         minus = list(dens)
         if t.den_shift is not None:
             minus.remove(t.den_shift)
-        cleared = _poly_mul(
-            _den_product(minus), {(d, e): t.sign * c for d, e, c in t.prefactor}
-        )
-        for (d, e), c in cleared.items():
+        cleared = t.sign * _den_product(minus) * t.prefactor_series(Window(None))
+        for d, e, c in cleared.items():
             key = (t.target, d)
             coeff.setdefault(key, []).append((t.shift, e - t.shift * d, -c))
     rec_terms = []
@@ -998,9 +949,8 @@ def _equation_recurrence(profile: tuple, terms: Sequence[FunctionalTerm]):
         if not poly.is_zero():
             rec_terms.append((tgt, lag, poly))
     inhom = tuple(
-        (d, tuple(sorted((e, c) for e, c in table.items() if c)))
-        for d, table in sorted(inhom_parts.items())
-        if any(table.values())
+        (d, tuple((e, c) for _d, e, c in group))
+        for d, group in itertools.groupby((const * r_poly).items(), key=lambda m: m[0])
     )
     return CoefficientRecurrence(profile, tuple(rec_terms), inhom)
 
@@ -1055,11 +1005,10 @@ class CoefficientSequence:
 def _poch_value(numerator, denominator, shift, sign, n_trunc):
     """``sign * q^shift * prod (f)_n / prod (f)_n`` exact below ``q^n_trunc``
     (pairs ``(f, n)`` as for the Pochhammer kernel)."""
-    width = n_trunc - shift
-    if width <= 0:
+    if n_trunc <= shift:
         return zero(Window(n_trunc, None, 1))
-    (row,) = _poch(numerator, denominator, Window(width))._rows
-    return _from_rows([[0] * shift + [sign * v for v in row]], n_trunc, None, 1)
+    poch = _poch(numerator, denominator, Window(n_trunc - shift))
+    return _combine(Window(n_trunc), [(poch, 0, shift, sign)])
 
 
 def closed_form_euler() -> CoefficientSequence:
@@ -1184,32 +1133,18 @@ def closed_form_width6(profile: Sequence[int]) -> CoefficientSequence:
     def value(n: int, window: Window) -> TruncatedSeries:
         n_trunc = window.q_truncation
         low = width6_min_exponent(p, n)
-        width = n_trunc - low
-        if width <= 0:
+        if n_trunc <= low:
             return zero(Window(n_trunc, None, 1))
-        base = [[1]]
-        for j in range(1, n + 1):
-            _div_binomial(base, 0, 3 * j, 1, width, None)
-        origin = min(low, 0)  # acc[i] is the coefficient of q^(i + origin)
-        acc = []
+        inner = Window(n_trunc - low)  # every summand carries q^low or more
+        base = _poch([], [(qf(3, 3), n)], inner)
+        parts = []
         for m in range(n // 2 + 1):
-            if m > 0:
-                _mul_binomial(base, 0, 3 * (n - 2 * m + 1), 1, width, None)
-                _mul_binomial(base, 0, 3 * (n - 2 * m + 2), 1, width, None)
-                _mul_binomial(base, 0, 6 * m - 5, -1, width, None)
-                _mul_binomial(base, 0, 6 * m - 1, -1, width, None)
-                _div_binomial(base, 0, 6 * m, 1, width, None)
+            if m > 0:  # from the summand m - 1 to the summand m
+                num = [(qf(3 * (n - 2 * m + 1), 3), 2), (qf(6 * m - 5, 4, -1), 2)]
+                base = _poch(num, [(qf(6 * m, 1), 1)], inner, base)
             sgn = (-1) ** (m + sign_off)
-            for be, bc in br_fn(n, m):
-                off = e_fn(n, m) + be - origin
-                _add_into(acc, off, base[0], n_trunc - origin, sgn * bc)
-        below = [i for i, c in enumerate(acc[:-origin]) if c]
-        if below:
-            raise AssertionError(
-                "assembled value has a negative exponent at n=%d: q^%d"
-                % (n, below[0] + origin)
-            )
-        return _from_rows([acc[-origin:]], n_trunc, None, 1)
+            parts += [(base, 0, e_fn(n, m) + be, sgn * bc) for be, bc in br_fn(n, m)]
+        return _combine(Window(n_trunc), parts)
 
     return CoefficientSequence(p, "width6-closed-form", value)
 

@@ -122,6 +122,10 @@ def _min_bound(a: Optional[int], b: Optional[int]) -> Optional[int]:
 #: past it, packing both factors into integers is faster.
 _SPARSE_TERMS = 8
 
+#: Rows are dense, so where no window bounds a variable, input reaching
+#: this exponent is refused rather than stored with everything below it.
+_UNWINDOWED_LIMIT = 1 << 16
+
 
 def _row(rows, k):
     """Row k, appending empty rows up to it."""
@@ -169,9 +173,11 @@ def _div_binomial(rows, i, e, c, qcap, zcap):
     """rows /= (1 - c z^i q^e), in place.
 
     A pure-q binomial (i = 0 < e, finite qcap) runs row[j] += c row[j - e]
-    along each residue class mod e, or block by block where blocks are
-    fewer; a z-carrying one (finite zcap) adds c q^e row k - i into row k,
-    upwards.
+    along each of the e residue classes mod e, or over each of the qcap / e
+    blocks of e terms, whichever takes fewer Python-level steps: either
+    one alone is several times slower, on small e (closed forms) or on
+    large e (a product's last binomials).  A z-carrying binomial (finite
+    zcap) adds c q^e row k - i into row k, upwards.
     """
     if i:
         _row(rows, zcap)
@@ -291,6 +297,9 @@ class TruncatedSeries:
     nothing outside the window is stored, since the constructor drops it.
     ``coeffs`` is a read-only view {(z_degree, q_numerator): coefficient} of
     the nonzero terms.  Instances are immutable: no method mutates ``self``.
+    Where no window bounds a variable, the constructor refuses a term whose
+    z-degree or q-numerator there reaches ``_UNWINDOWED_LIMIT`` (2^16),
+    since every lower one would be stored too.
     """
 
     __slots__ = ("_rows", "q_truncation", "z_truncation", "q_scale")
@@ -316,6 +325,12 @@ class TruncatedSeries:
                 raise ValueError("negative q-exponent %s is outside the ring" % Fraction(qnum, q_scale))
             if not isinstance(c, int):
                 raise ValueError("coefficients must be integers")
+            if (qcap is None and qnum >= _UNWINDOWED_LIMIT
+                    or z_truncation is None and zdeg >= _UNWINDOWED_LIMIT):
+                raise ValueError(
+                    "term z^%d q^%s lies past the %d exponents stored without a window"
+                    % (zdeg, Fraction(qnum, q_scale), _UNWINDOWED_LIMIT)
+                )
             if qcap is not None and qnum >= qcap:
                 continue
             if z_truncation is not None and zdeg > z_truncation:
@@ -605,19 +620,32 @@ def _constant(c: int, window: Window) -> TruncatedSeries:
 
 
 def _combine(window, parts):
-    """The sum of c z^k q^e s over the parts (s, k, e, c), exact in the
-    intersection of the window with the windows of the parts, on their
-    common grid: one accumulator, no intermediate series."""
+    """The sum of c z^k q^e s over the parts (s, k, e, c), on their common
+    grid: one accumulator, no intermediate series.
+
+    It is exact in the window and wherever every part is; a part shifted
+    by q^e is exact below its own q-window plus e.  A shift may be negative
+    when the sum has no term below q^0, which is checked.
+    """
     scale, ntr, dtr = window.q_scale, window.q_truncation, window.z_truncation
     for s, _k, e, _c in parts:
-        scale = lcm(scale, s.q_scale, _as_fraction(e).denominator)
-        ntr, dtr = _min_bound(ntr, s.q_truncation), _min_bound(dtr, s.z_truncation)
-    qcap = None if ntr is None else ntr * scale
+        scale = lcm(scale, s.q_scale, e.denominator)
+        dtr = _min_bound(dtr, s.z_truncation)
+    shifts = [int(e * scale) for _s, _k, e, _c in parts]
+    for (s, _k, _e, _c), shift in zip(parts, shifts):
+        ntr = _min_bound(ntr, s.q_truncation and s.q_truncation + shift // scale)
+    origin = min([0, *shifts])  # acc[i] holds q-numerator i + origin
+    qcap = None if ntr is None else ntr * scale - origin
     acc = []
-    for s, k, e, c in parts:
+    for (s, k, _e, c), shift in zip(parts, shifts):
         if dtr is None or k <= dtr:
             for z, row in enumerate(_spread(s._rows, scale // s.q_scale), k):
-                _add_into(_row(acc, z), int(e * scale), row, qcap, c)
+                _add_into(_row(acc, z), shift - origin, row, qcap, c)
+    for row in acc:
+        if any(row[:-origin]):
+            lead = next(i for i, c in enumerate(row) if c) + origin
+            raise ValueError("negative q-exponent %s is outside the ring" % Fraction(lead, scale))
+        del row[:-origin]
     return _from_rows(acc, ntr, dtr, scale)
 
 
@@ -698,30 +726,32 @@ def zf(z_degree: int, q_exponent: QExp, modulus: QExp, sign: int = 1) -> PochFac
     return PochFactor(z_degree, _as_fraction(q_exponent), sign, _as_fraction(modulus))
 
 
-def _factor_scale(factor: PochFactor, window: Window) -> int:
-    return lcm(window.q_scale, factor.q_exponent.denominator, factor.modulus.denominator)
-
-
-def _poch(numerator, denominator, window):
-    """prod (f; q^m)_n over the numerator pairs (f, n), divided by the same
-    over the denominator pairs (n = None: n = inf), by binomials in place.
+def _poch(numerator, denominator, window, start=None):
+    """``start`` (default 1) times prod (f; q^m)_n over the numerator pairs
+    (f, n), divided by the same over the denominator pairs (n = None: n =
+    inf), by binomials in place, exact in the window and where ``start`` is.
 
     Binomials at or past the q-window act as 1 there and are skipped; the
     caller has checked that the denominators are invertible in the window.
     """
     pairs = [(f, n, _mul_binomial) for f, n in numerator]
     pairs += [(f, n, _div_binomial) for f, n in denominator]
-    scale = lcm(window.q_scale, *(_factor_scale(f, window) for f, _, _ in pairs))
-    qcap = None if window.q_truncation is None else window.q_truncation * scale
-    rows = [[1]]
+    start = _constant(1, window) if start is None else start
+    ntr = _min_bound(window.q_truncation, start.q_truncation)
+    dtr = _min_bound(window.z_truncation, start.z_truncation)
+    scale = lcm(start.q_scale, window.q_scale,
+                *(x.denominator for f, _, _ in pairs for x in (f.q_exponent, f.modulus)))
+    qcap = None if ntr is None else ntr * scale
+    rows = _spread(start._rows, scale // start.q_scale)
+    rows = [r[:qcap] for r in rows[:None if dtr is None else dtr + 1]]
     for f, n, apply in pairs:
         first, step = int(f.q_exponent * scale), int(f.modulus * scale)
         if qcap is not None:
             below = max(0, -((first - qcap) // step))
             n = below if n is None else min(n, below)
         for j in range(n):
-            apply(rows, f.z_degree, first + j * step, f.sign, qcap, window.z_truncation)
-    return _from_rows(rows, window.q_truncation, window.z_truncation, scale)
+            apply(rows, f.z_degree, first + j * step, f.sign, qcap, dtr)
+    return _from_rows(rows, ntr, dtr, scale)
 
 
 def poch_finite(factor: PochFactor, n: int, window: Window) -> TruncatedSeries:

@@ -445,3 +445,15 @@ def test_one_wrong_coefficient_is_caught():
     assert report.failures[0] == (7, low, 1)
     assert [f[0] for f in report.failures] == [7, 8, 9, 10]
     assert report.initial_ok and not report.vacuous
+
+
+def test_closed_form_values_keep_the_window():
+    # every value is exact in the whole window it was asked for, which the
+    # width-6 assembly meets by evaluating its base below q^(N - low)
+    forms = [closed_form_euler(), closed_form_goellnitz()]
+    forms += [closed_form_width4(p) for p in ((1, 1), (1, -1), (-1, 1))]
+    forms += [closed_form_width6(p) for p in ((1, 1, 1), (1, 1, -1), (1, -1, 1), (-1, 1, 1))]
+    for form in forms:
+        for n in range(13):
+            for window in (Window(1), Window(7), Window(60)):
+                assert form.value(n, window).window == window, (form.label, n, window)

@@ -26,7 +26,8 @@ from cylq.series import (
     zero,
     zf,
 )
-from cylq.series import _div_binomial, _from_rows, _min_bound, _mul_binomial
+from cylq.series import (_UNWINDOWED_LIMIT, _combine, _div_binomial, _from_rows, _min_bound,
+                         _mul_binomial, _poch)
 
 W = Window(24)
 WB = Window(16, 8)
@@ -298,8 +299,38 @@ def test_degenerate_pochhammer_base():
         inv_poch_finite(qf(0, 1, -1), 2, W)
 
 
-# ---------------------------------------------------------------------------
-# the dense kernel against the dict kernel it replaced
+def test_unwindowed_exponents_are_refused():
+    # dense rows would hold every exponent below the far one
+    top = _UNWINDOWED_LIMIT - 1
+    assert monomial(top, top, Window(None)).coefficient(top, top) == 1
+    for key in ((0, top + 1), (top + 1, 0)):
+        with pytest.raises(ValueError, match="stored without a window"):
+            TruncatedSeries({key: 1}, None)
+    payload = {"schema": "cylq-series/1", "q_truncation": None, "z_truncation": 2,
+               "q_scale": 1, "terms": [[0, 10**9, 1, 1]]}
+    with pytest.raises(ValueError, match="q\\^1000000000 lies past"):
+        series_from_json(payload)
+    # a window bounds the storage instead
+    assert TruncatedSeries({(10**9, 10**9): 1}, 10, 3).is_zero()
+
+
+def test_combine_follows_shifted_windows():
+    s = make_series([(0, 0, 1), (0, 2, 5)], Window(4))
+    # q^3 s is exact below q^7, and the window stops it at q^6
+    assert _state(_combine(Window(6), [(s, 0, 3, 1)])) == ({(0, 3): 1, (0, 5): 5}, 6, None, 1)
+    # a negative shift is allowed where the sum has nothing below q^0
+    parts = [(s, 0, -1, 1), (one(Window(9)), 0, -1, -1)]
+    assert _state(_combine(Window(6), parts)) == ({(0, 1): 5}, 3, None, 1)
+    with pytest.raises(ValueError, match="negative q-exponent -1 is outside the ring"):
+        _combine(Window(6), parts[:1])
+
+
+def test_pochhammer_from_a_start():
+    start = make_series([(0, 0, 1), (1, 1, -2), (2, Fr(5, 3), 7)], Window(9, 3))
+    expected = start * poch_finite(zf(1, 1, 1), 3, WB) * inv_poch_finite(qf(Fr(1, 2), 2), 4, WB)
+    got = _poch([(zf(1, 1, 1), 3)], [(qf(Fr(1, 2), 2), 4)], WB, start)
+    assert _state(got) == _state(expected)
+
 # ---------------------------------------------------------------------------
 #
 # The oracle below is the dict arithmetic the dense kernel replaced: it
