@@ -46,7 +46,6 @@ from .products import (
 from .recur import (
     build_system,
     check_closed_form,
-    closed_form_euler,
     closed_form_width4,
     closed_form_width6,
     sigma_prefactor_factored,
@@ -59,6 +58,8 @@ from .recur import (
 from .series import (
     TruncatedSeries,
     Window,
+    _combine,
+    _poch,
     gauss_binomial,
     inv_poch_finite,
     one,
@@ -118,16 +119,20 @@ def _z_cap(window: Window, fallback: int) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _euler_summands(n_trunc: int):
+    """``(1/(q;q)_n, n)`` for n < n_trunc, so that q^n/(q;q)_n is exact
+    below ``q^n_trunc``: a running quotient, one binomial division a step."""
+    base = one(Window(n_trunc))
+    for n in range(n_trunc):
+        if n:
+            base = _poch([], [(qf(n, 1), 1)], Window(n_trunc - n), base)
+        yield base, n
+
+
 def sum_euler(window: Window) -> TruncatedSeries:
     """``sum_n q^n / (q;q)_n``: partitions graded by number of parts."""
     n_trunc = _require_q(window)
-    w = Window(n_trunc)
-    total = zero(w)
-    n = 0
-    while n < n_trunc:
-        total = total + closed_form_euler().value(n, w)
-        n += 1
-    return total
+    return _combine(Window(n_trunc), [(b, 0, n, 1) for b, n in _euler_summands(n_trunc)])
 
 
 def sum_rogers_ramanujan(shift: int, window: Window) -> TruncatedSeries:

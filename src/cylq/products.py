@@ -36,6 +36,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate, product
+from math import lcm
 from typing import Optional, Sequence
 
 from .lattice import _check_profile, _check_weights, full_profile, scp_weights
@@ -259,31 +261,39 @@ def nonsymmetric_mirror_series(half_delta: Sequence[int], window: Window) -> Tru
     h = len(d)
     scp = scp_product_spec(d).expand(window)
     (_, _), (w2, _) = w1_w2_multisets(d, scp_weights(h))
-    ratio = poch_product([qf(e / 2, 2 * h, -1) for e in w2], [qf(e / 2, 2 * h) for e in w2], window)
+    halves = [Fraction(e, 2) for e in w2]
+    ratio = poch_product([qf(e, 2 * h, -1) for e in halves], [qf(e, 2 * h) for e in halves], window)
     return scp * (ratio - one(window))
+
+
+def _balanced(d: tuple, A: Sequence[int]) -> bool:
+    """``is_balanced`` for a checked profile and integer partial sums A_1..A_h."""
+    pairs = w3_entries(d, A)[1:]  # drop the total-weight entry
+    total = A[-1]
+    return sorted(pairs) == sorted(total - e for e in pairs)
 
 
 def is_balanced(delta: Sequence[int], weights: Optional[Sequence] = None) -> bool:
     """True when the pair exponents are symmetric under e -> A_h - e.
 
     With standard weights every profile is balanced; general weights break
-    the symmetry.
+    the symmetry.  Scaling the weights does not change the answer, so they
+    are scaled to integers by the lcm of their denominators.
     """
-    entries, modulus = w3_multiset(delta, weights)
-    pairs = list(entries)
-    pairs.remove(modulus)  # drop one copy of the total-weight entry
-    return sorted(pairs) == sorted(modulus - e for e in pairs)
+    d = _check_profile(delta)
+    w = _check_weights(weights if weights is not None else (1,) * len(d), len(d))
+    scale = lcm(*(x.denominator for x in w))
+    return _balanced(d, tuple(accumulate(x.numerator * (scale // x.denominator) for x in w)))
 
 
 def balance_census(max_width: int) -> dict:
     """{width: (#balanced, #profiles)} over all standard-weight profiles."""
-    from itertools import product as iproduct
-
     out = {}
     for h in range(1, max_width + 1):
+        A = range(1, h + 1)
         good = total = 0
-        for d in iproduct((-1, 1), repeat=h):
+        for d in product((-1, 1), repeat=h):
             total += 1
-            good += is_balanced(d)
+            good += _balanced(d, A)
         out[h] = (good, total)
     return out

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from cylq.identities import (
+    _euler_summands,
     compare_series,
     get_case,
     registry,
@@ -22,8 +23,8 @@ from cylq.lattice import (
     schmidt_genfun,
     signed_distinct_genfun,
 )
-from cylq.recur import closed_form_width6, width6_min_exponent
-from cylq.series import TruncatedSeries, Window, poch_product, qf, zero
+from cylq.recur import closed_form_euler, closed_form_width6, width6_min_exponent
+from cylq.series import TruncatedSeries, Window, _combine, poch_product, qf, zero
 
 EXPECTED_LABELS = {
     "coefficient-recurrences",
@@ -161,6 +162,16 @@ def test_sum_evaluator_spot_values():
     assert rr.coefficient(0, 4) == 2  # 4 and 1+1+1+1
     gg2 = sum_goellnitz("GG2", w)
     assert gg2.coefficient(0, 7) == 3  # 7, 4+1+1+1, seven ones
+
+
+def test_euler_summands_are_the_closed_form():
+    # the running quotients, shifted by q^n, are q^n/(q;q)_n exactly,
+    # window included
+    w = Window(60)
+    summands = list(_euler_summands(60))
+    assert [n for _, n in summands] == list(range(60))
+    for base, n in summands[:41]:
+        assert _combine(w, [(base, 0, n, 1)]) == closed_form_euler().value(n, w), n
 
 
 def test_signed_distinct_enumeration_small_values():

@@ -4,6 +4,7 @@ import itertools
 from fractions import Fraction as Fr
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cylq.lattice import full_profile, genfun_by_enumeration
 from cylq.products import (
@@ -161,16 +162,105 @@ def test_product_spec_json():
     assert ProductSpec.from_json(spec2.to_json()) == spec2
 
 
+def oracle_is_balanced(delta, weights=None):
+    """The balance check on the Fraction multiset that ``is_balanced``
+    replaced, kept as its oracle."""
+    entries, modulus = w3_multiset(delta, weights)
+    pairs = list(entries)
+    pairs.remove(modulus)  # drop one copy of the total-weight entry
+    return sorted(pairs) == sorted(modulus - e for e in pairs)
+
+
 def test_balance_standard_weights():
     census = balance_census(8)
     for h, (good, total) in census.items():
         assert good == total == 2 ** h
+    oracle = {
+        h: (sum(oracle_is_balanced(d) for d in itertools.product((-1, 1), repeat=h)), 2 ** h)
+        for h in range(1, 9)
+    }
+    assert census == oracle
+
+
+# weight vectors of width 8, cut to the profile's width: standard, equal,
+# zeros, rational and irregular
+FIXED_WEIGHTS = [
+    None,
+    (3,) * 8,
+    (0,) * 8,
+    (0,) + (1,) * 7,
+    (1, 1, 1, 0, 1, 1, 1, 1),
+    (Fr(1, 2),) * 8,
+    (2, 1, 1, 2, 1, 1, 2, 1),
+    (1, 2, 1, 2, 1, 2, 1, 2),
+    (Fr(1, 2), Fr(1, 3), 1, Fr(5, 6), 2, Fr(1, 4), 3, Fr(2, 5)),
+]
+
+
+def test_is_balanced_matches_oracle_every_profile():
+    seen = set()
+    for weights in FIXED_WEIGHTS:
+        for h in range(1, 9):
+            w = None if weights is None else weights[:h]
+            for d in itertools.product((-1, 1), repeat=h):
+                expected = oracle_is_balanced(d, w)
+                assert is_balanced(d, w) is expected, (d, w)
+                seen.add(expected)
+    assert seen == {True, False}
+
+
+@settings(max_examples=300)
+@given(st.data())
+def test_is_balanced_matches_oracle_random(data):
+    h = data.draw(st.integers(1, 8))
+    delta = tuple(data.draw(st.lists(st.sampled_from((-1, 1)), min_size=h, max_size=h)))
+    mode = data.draw(st.sampled_from(("random", "equal", "one zero", "all zero")))
+    weight = st.builds(Fr, st.integers(0, 12), st.integers(1, 6))
+    if mode == "equal":
+        weights = (data.draw(weight),) * h
+    elif mode == "all zero":
+        weights = (0,) * h
+    else:
+        weights = data.draw(st.lists(weight, min_size=h, max_size=h))
+        if mode == "one zero":
+            weights[data.draw(st.integers(0, h - 1))] = 0
+    expected = oracle_is_balanced(delta, weights)
+    assert is_balanced(delta, weights) is expected
+    k = data.draw(st.integers(1, 12))
+    assert is_balanced(delta, [k * x for x in weights]) is expected
 
 
 def test_weighted_profiles_can_be_unbalanced():
     assert not is_balanced((-1, 1), (2, 1))
     assert w3_multiset((-1, 1), (2, 1))[0] == (2, 3)
     assert is_balanced((-1, 1), (1, 1))
+    for d, a in [((-1, 1), (2, 1)), ((1, -1), (Fr(1, 3), 1)), ((1, 1, -1), (1, 2, 4))]:
+        assert not is_balanced(d, a) and not oracle_is_balanced(d, a)
+        assert not is_balanced(d, [6 * x for x in a])
+
+
+def test_balance_input_checks():
+    with pytest.raises(ValueError, match="profile entries"):
+        is_balanced((1, 0))
+    with pytest.raises(ValueError, match="expected 2 weights"):
+        is_balanced((1, -1), (1, 1, 1))
+    with pytest.raises(ValueError, match="nonnegative"):
+        is_balanced((1, -1), (1, -1))
+
+
+def test_multisets_stay_fractions_on_integer_input():
+    # the public multisets keep Fraction entries and moduli, so that halving
+    # an exponent (as the mirror series does) stays exact
+    def fractions(values):
+        return all(type(x) is Fr for x in values)
+
+    assert fractions(prefix_sums((1, 3, 1)))
+    for weights in (None, (1, 1, 2)):
+        W, M = w3_multiset((-1, -1, 1), weights)
+        assert fractions(W + (M,))
+    for weights in (None, (1, 2, 1)):
+        (w1, m1), (w2, m2) = w1_w2_multisets((1, -1), weights)
+        assert fractions(w1 + w2 + (m1, m2))
 
 
 def test_scp_product_matches_enumeration():
