@@ -20,215 +20,17 @@ Layers (each ``from cylq import ...``-able):
 - ``cli``: the ``cylq`` command-line front end over all of the above.
 """
 
-from .series import (
-    PochFactor,
-    TruncatedSeries,
-    Window,
-    gauss_binomial,
-    inv_poch_finite,
-    make_series,
-    monomial,
-    one,
-    poch_finite,
-    poch_infinite,
-    poch_product,
-    qf,
-    series_from_json,
-    series_to_json,
-    theta_sum,
-    zero,
-    zf,
-)
-from .lattice import (
-    KINDS,
-    Diamond,
-    GridPartition,
-    count_distinct_by_marked_sum,
-    count_partitions_by_hook,
-    down_neighbors,
-    down_neighbors_strict,
-    enumerate_objects,
-    full_profile,
-    genfun_by_enumeration,
-    is_above,
-    is_above_strict,
-    partitions_iter,
-    schmidt_genfun,
-    scp_weights,
-    signed_distinct_genfun,
-    standard_weights,
-    up_neighbors,
-    up_neighbors_strict,
-)
-from .products import (
-    ORIENTATIONS,
-    ProductSpec,
-    balance_census,
-    cp_product,
-    cp_product_spec,
-    dspp_product,
-    dspp_product_spec,
-    is_balanced,
-    nonsymmetric_mirror_series,
-    prefix_sums,
-    scp_product_spec,
-    w1_entries,
-    w1_w2_multisets,
-    w2_entries,
-    w3_entries,
-    w3_multiset,
-)
-from .recur import (
-    CheckReport,
-    CoefficientRecurrence,
-    CoefficientSequence,
-    EliminationResult,
-    FunctionalSystem,
-    FunctionalTerm,
-    LinQPoly,
-    build_system,
-    check_closed_form,
-    closed_form_euler,
-    closed_form_goellnitz,
-    closed_form_width4,
-    closed_form_width6,
-    corner_moves,
-    corner_set,
-    corner_subset_terms,
-    eliminate,
-    poch_z_prefactor,
-    profile_closure,
-    reverse_profile,
-    sigma_prefactor_factored,
-    sigma_prefactor_terms,
-    solve_fixed_point,
-    system_from_json,
-    system_to_json,
-    to_coefficient_recurrences,
-    width4_recurrence,
-    width6_recurrence,
-)
-from .identities import (
-    CONVENTIONS,
-    Comparison,
-    IdentityCase,
-    Side,
-    compare_series,
-    get_case,
-    registry,
-    report_text,
-    verify,
-)
-from .fitkit import (
-    FitProblem,
-    convert_profile,
-    discover_equivalences,
-    fit_report,
-    fit_weights,
-)
+from . import series, lattice, products, recur, identities, fitkit
+from .series import *  # noqa: F401,F403
+from .lattice import *  # noqa: F401,F403
+from .products import *  # noqa: F401,F403
+from .recur import *  # noqa: F401,F403
+from .identities import *  # noqa: F401,F403
+from .fitkit import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
 __all__ = [
-    # series
-    "PochFactor",
-    "TruncatedSeries",
-    "Window",
-    "gauss_binomial",
-    "inv_poch_finite",
-    "make_series",
-    "monomial",
-    "one",
-    "poch_finite",
-    "poch_infinite",
-    "poch_product",
-    "qf",
-    "series_from_json",
-    "series_to_json",
-    "theta_sum",
-    "zero",
-    "zf",
-    # lattice
-    "KINDS",
-    "Diamond",
-    "GridPartition",
-    "count_distinct_by_marked_sum",
-    "count_partitions_by_hook",
-    "down_neighbors",
-    "down_neighbors_strict",
-    "enumerate_objects",
-    "full_profile",
-    "genfun_by_enumeration",
-    "is_above",
-    "is_above_strict",
-    "partitions_iter",
-    "schmidt_genfun",
-    "scp_weights",
-    "signed_distinct_genfun",
-    "standard_weights",
-    "up_neighbors",
-    "up_neighbors_strict",
-    # products
-    "ORIENTATIONS",
-    "ProductSpec",
-    "balance_census",
-    "cp_product",
-    "cp_product_spec",
-    "dspp_product",
-    "dspp_product_spec",
-    "is_balanced",
-    "nonsymmetric_mirror_series",
-    "prefix_sums",
-    "scp_product_spec",
-    "w1_entries",
-    "w1_w2_multisets",
-    "w2_entries",
-    "w3_entries",
-    "w3_multiset",
-    # recur
-    "CheckReport",
-    "CoefficientRecurrence",
-    "CoefficientSequence",
-    "EliminationResult",
-    "FunctionalSystem",
-    "FunctionalTerm",
-    "LinQPoly",
-    "build_system",
-    "check_closed_form",
-    "closed_form_euler",
-    "closed_form_goellnitz",
-    "closed_form_width4",
-    "closed_form_width6",
-    "corner_moves",
-    "corner_set",
-    "corner_subset_terms",
-    "eliminate",
-    "poch_z_prefactor",
-    "profile_closure",
-    "reverse_profile",
-    "sigma_prefactor_factored",
-    "sigma_prefactor_terms",
-    "solve_fixed_point",
-    "system_from_json",
-    "system_to_json",
-    "to_coefficient_recurrences",
-    "width4_recurrence",
-    "width6_recurrence",
-    # identities
-    "CONVENTIONS",
-    "Comparison",
-    "IdentityCase",
-    "Side",
-    "compare_series",
-    "get_case",
-    "registry",
-    "report_text",
-    "verify",
-    # fitkit
-    "FitProblem",
-    "convert_profile",
-    "discover_equivalences",
-    "fit_report",
-    "fit_weights",
-    "__version__",
+    *series.__all__, *lattice.__all__, *products.__all__,
+    *recur.__all__, *identities.__all__, *fitkit.__all__, "__version__",
 ]

@@ -106,7 +106,7 @@ def _parse_target(text: str) -> tuple:
 def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
-        raise argparse.ArgumentTypeError("window bounds must be >= 1")
+        raise argparse.ArgumentTypeError("must be an integer >= 1")
     return value
 
 
@@ -285,7 +285,10 @@ def _cmd_system(args) -> int:
 def _cmd_solve(args) -> int:
     system = build_system(args.kind, args.profile, args.weights, args.normalized)
     window = _window(args, default_d=args.N)
-    solved = solve_fixed_point(system, window)
+    try:
+        solved = solve_fixed_point(system, window)
+    except RuntimeError as err:  # an unsolvable system is a usage error, not an inequality
+        raise ValueError(err) from None
     chosen = sorted(solved) if args.select is None else [args.select]
     if args.select is not None and args.select not in solved:
         raise ValueError(

@@ -223,7 +223,7 @@ class FitProblem:
 
     @staticmethod
     def from_json(payload: dict) -> "FitProblem":
-        if payload.get("schema") != "cylq-fit/1":
+        if not isinstance(payload, dict) or payload.get("schema") != "cylq-fit/1":
             raise ValueError("not a cylq-fit/1 payload")
         return FitProblem.make(
             payload["kind"],

@@ -40,10 +40,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from operator import add
 from typing import Iterator, Optional, Sequence
 
-from .series import TruncatedSeries, Window
+from .series import TruncatedSeries, Window, _add_into
 
 __all__ = [
     "is_above",
@@ -595,14 +594,6 @@ def _times_geometric(poly: list, w: int, lo: int, hi: int, cap: int) -> list:
     return out
 
 
-def _add_shifted(dst: list, off: int, src: list, cap: int) -> None:
-    """dst[off + i] += src[i] wherever off + i < cap, extending dst."""
-    end = min(off + len(src), cap)
-    if end > off:
-        dst.extend([0] * (end - len(dst)))
-        dst[off:end] = map(add, dst[off:end], src)
-
-
 def _add_free_diagonals(counts: dict, z: int, used: int, budget: int, free) -> None:
     """Add every filling of the free diagonals to counts {(z, size): n}.
 
@@ -661,8 +652,8 @@ def _count_anchor(counts, w: int, budget: int, part_cap, rows_cap, strict: bool)
     for v in range(1, (top if part_cap is None else min(part_cap, top)) + 1):
         largest: list = []
         for r in range(1, rows + 1):
-            _add_shifted(table[r], v, table[r - 1], top + 1)
-            _add_shifted(largest, v, table[r - 1], top + 1)
+            _add_into(table[r], v, table[r - 1], top + 1)
+            _add_into(largest, v, table[r - 1], top + 1)
         for size, n in enumerate(largest):
             if n:
                 counts[(v, w * size)] = counts.get((v, w * size), 0) + n

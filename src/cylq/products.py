@@ -206,7 +206,7 @@ class ProductSpec:
 
     @staticmethod
     def from_json(payload: dict) -> "ProductSpec":
-        if payload.get("schema") != "cylq-product/1":
+        if not isinstance(payload, dict) or payload.get("schema") != "cylq-product/1":
             raise ValueError("not a cylq-product/1 payload")
         return ProductSpec.make(
             [(Fraction(e), Fraction(m)) for e, m in payload["num"]],

@@ -39,8 +39,8 @@ from math import lcm
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
 from .lattice import KINDS, _check_profile, _resolve
-from .series import (TruncatedSeries, Window, _combine, _poch, make_series, one, poch_finite, qf,
-                     zero, zf)
+from .series import (TruncatedSeries, Window, _add_into, _combine, _poch, _strip, make_series,
+                     one, poch_finite, qf, zero, zf)
 
 __all__ = [
     "CheckReport",
@@ -462,7 +462,7 @@ def system_to_json(system: FunctionalSystem) -> dict:
 
 
 def system_from_json(payload: dict) -> FunctionalSystem:
-    if payload.get("schema") != "cylq-system/1":
+    if not isinstance(payload, dict) or payload.get("schema") != "cylq-system/1":
         raise ValueError("unsupported system schema")
     equations = {}
     for eq in payload["equations"]:
@@ -495,15 +495,6 @@ def system_from_json(payload: dict) -> FunctionalSystem:
 # ---------------------------------------------------------------------------
 
 
-def _add_scaled(acc: dict, table: dict, shift_num: int, coef: int, ncap: int) -> None:
-    if not coef:
-        return
-    for qn, v in table.items():
-        k = qn + shift_num
-        if k < ncap:
-            acc[k] = acc.get(k, 0) + coef * v
-
-
 def solve_fixed_point(system: FunctionalSystem, window: Window) -> dict:
     """Solve the system within the window; returns ``{profile: series}``.
 
@@ -531,95 +522,73 @@ def solve_fixed_point(system: FunctionalSystem, window: Window) -> dict:
                 scale = lcm(scale, e.denominator)
     ncap = n_trunc * scale
 
-    tables = {p: [] for p in profiles}
+    # tables[p][n]: the coefficient of z^n in F_p, as a list of ints indexed
+    # by q-numerator on the grid 1/scale, without trailing zeros
+    tables = {}
     for p in profiles:
         inhoms = [t.inhomogeneous for t in system.equations[p] if t.target is None]
         const = sum(inhoms) if inhoms else 1
-        tables[p].append({0: const} if const else {})
+        tables[p] = [[const] if const else []]
 
     for n in range(1, d_trunc + 1):
         fixed = {}
         varmul = {}
         for p in profiles:
-            fx: dict = {}
-            vm: dict = {}
+            fx: list = []
+            vm: list = []  # same-degree references: (target, q-offset, coefficient)
             for t in system.equations[p]:
                 if t.target is None:
                     continue
                 s_num = int(t.shift * scale)
-                dn = None if t.den_shift is None else int(t.den_shift * scale)
+                # 1/(1 - z q^den_shift) lifts z^k of F(z q^shift) to every z^m, m >= k
+                dn = int((t.den_shift or 0) * scale)
                 for d, e, c in t.prefactor:
                     m = n - d
                     if m < 0:
                         continue
                     e_num = int(e * scale)
                     base = t.sign * c
-                    if dn is None:
-                        if m <= n - 1:
-                            _add_scaled(
-                                fx, tables[t.target][m], e_num + s_num * m, base, ncap
-                            )
-                    else:
-                        for k in range(min(m, n - 1) + 1):
-                            _add_scaled(
-                                fx,
-                                tables[t.target][k],
-                                e_num + s_num * k + dn * (m - k),
-                                base,
-                                ncap,
-                            )
+                    for k in range(m if t.den_shift is None else 0, min(m, n - 1) + 1):
+                        off = e_num + s_num * k + dn * (m - k)
+                        _add_into(fx, off, tables[t.target][k], ncap, base)
                     if m == n:
-                        key = e_num + s_num * n
-                        if key < ncap:
-                            mul = vm.setdefault(t.target, {})
-                            mul[key] = mul.get(key, 0) + base
-            fixed[p] = {k: v for k, v in fx.items() if v}
-            varmul[p] = {
-                tgt: mm
-                for tgt, mm in (
-                    (tgt, {k: v for k, v in mm.items() if v}) for tgt, mm in vm.items()
-                )
-                if mm
-            }
+                        vm.append((t.target, e_num + s_num * n, base))
+            fixed[p] = _strip(fx)
+            varmul[p] = vm
 
-        cur = {p: dict(fixed[p]) for p in profiles}
+        cur = dict(fixed)  # rows are replaced, never changed in place
         rounds = 0
         while True:
             changed = False
             for p in profiles:
-                acc = dict(fixed[p])
-                for tgt, mul in varmul[p].items():
-                    gv = cur[tgt]
-                    for me, mc in mul.items():
-                        _add_scaled(acc, gv, me, mc, ncap)
-                acc = {k: v for k, v in acc.items() if v}
-                if acc != cur[p]:
+                acc = list(fixed[p])
+                for tgt, off, c in varmul[p]:
+                    _add_into(acc, off, cur[tgt], ncap, c)
+                if _strip(acc) != cur[p]:
                     cur[p] = acc
                     changed = True
             if not changed:
                 break
             rounds += 1
             if rounds > ncap + 50:
-                zero_shift = sorted(
+                zero_shift = {
                     p
                     for p in profiles
                     for t in system.equations[p]
                     if t.target is not None and t.shift == 0
-                )
+                }
                 raise RuntimeError(
                     "fixed-point iteration made no progress at z-degree %d; "
-                    "zero-shift dependencies involve profiles %s"
-                    % (n, sorted(set(zero_shift)))
+                    "zero-shift dependencies involve profiles %s" % (n, sorted(zero_shift))
                 )
         for p in profiles:
             tables[p].append(cur[p])
 
     out = {}
     for p in profiles:
-        coeffs = {}
-        for nn in range(d_trunc + 1):
-            for qn, v in tables[p][nn].items():
-                coeffs[(nn, qn)] = v
+        coeffs = {
+            (nn, qn): v for nn, row in enumerate(tables[p]) for qn, v in enumerate(row) if v
+        }
         out[p] = TruncatedSeries(coeffs, n_trunc, d_trunc, scale)
     return out
 

@@ -272,13 +272,19 @@ def _from_rows(rows, q_truncation, z_truncation, q_scale):
     return s
 
 
+def _strip(row):
+    """Drop the row's trailing zeros, in place; returns the row."""
+    if not any(row):
+        row.clear()
+    while row and not row[-1]:
+        row.pop()
+    return row
+
+
 def _trim(rows):
     """Drop trailing zeros of each row, then trailing empty rows."""
     for row in rows:
-        if not any(row):
-            row.clear()
-        while row and not row[-1]:
-            row.pop()
+        _strip(row)
     while rows and not rows[-1]:
         rows.pop()
     return rows
@@ -893,7 +899,7 @@ def series_to_json(s: TruncatedSeries) -> dict:
 
 
 def series_from_json(payload: dict) -> TruncatedSeries:
-    if payload.get("schema") != _SERIES_SCHEMA:
+    if not isinstance(payload, dict) or payload.get("schema") != _SERIES_SCHEMA:
         raise ValueError("not a %s payload" % _SERIES_SCHEMA)
     shared = payload["q_scale"]
     coeffs: dict = {}

@@ -110,6 +110,17 @@ def test_solve_select_outside_closure_is_usage_error(capsys):
     assert "closure" in err
 
 
+def test_solve_without_progress_is_usage_error(capsys):
+    # zero weights leave a zero-shift cycle that the sweeps cannot resolve
+    code, out, err = run(
+        capsys, "solve", "--kind", "cylindric", "--profile=1,-1",
+        "--weights", "0,0", "--N", "5",
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: fixed-point iteration made no progress at z-degree 1")
+
+
 # ---------------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------------
@@ -217,6 +228,14 @@ def test_fit_problem_file_and_json_report(tmp_path, capsys):
     assert [s["weights"] for s in report["solutions"]] == [[0, 1, 0]]
 
 
+def test_fit_problem_not_an_object_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "problem.json"
+    path.write_text("[1, 2]", encoding="utf-8")
+    code, _, err = run(capsys, "fit", "--problem", str(path))
+    assert code == 2
+    assert err == "error: not a cylq-fit/1 payload\n"
+
+
 def test_fit_missing_file_is_usage_error(capsys):
     code, _, err = run(capsys, "fit", "--problem", "/no/such/file.json")
     assert code == 2
@@ -253,3 +272,15 @@ def test_bad_window_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["series", "--sum", "euler", "--N", "0"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv", [["verify", "--jobs", "0"], ["balance", "--max-width", "0"]]
+)
+def test_nonpositive_count_is_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "must be an integer >= 1" in err
+    assert "window" not in err

@@ -135,6 +135,11 @@ def test_solver_matches_enumeration_small_profiles():
         ("cylindric", (1, -1), (0, 1)),
         ("distinct", (1, -1), (0, 1)),
         ("distinct", (1, -1, 1, -1), None),
+        # shifts off the integer grid: q_scale 2, and 6 for (3/2, 1/3)
+        ("cylindric", (-1, -1, 1), (Fraction(1, 2), 1, 1)),
+        ("skew-shifted", (1, -1), (Fraction(1, 2), 1, Fraction(1, 2))),
+        ("distinct", (1, -1), (Fraction(1, 2), 1)),
+        ("cylindric", (1, -1), (Fraction(3, 2), Fraction(1, 3))),
     ]:
         system = build_system(kind, profile, weights, normalized=False)
         sol = solve_fixed_point(system, window)
