@@ -104,7 +104,10 @@ def _parse_target(text: str) -> tuple:
 
 
 def _positive_int(text: str) -> int:
-    value = int(text)
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("must be an integer >= 1") from None
     if value < 1:
         raise argparse.ArgumentTypeError("must be an integer >= 1")
     return value

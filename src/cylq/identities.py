@@ -52,7 +52,6 @@ from .recur import (
     sigma_prefactor_terms,
     solve_fixed_point,
     width4_recurrence,
-    width6_min_exponent,
     width6_recurrence,
 )
 from .series import (
@@ -260,21 +259,16 @@ def sum_mod12(profile: Sequence[int], window: Window) -> TruncatedSeries:
     """
     n_trunc = _require_q(window)
     w = Window(n_trunc)
-    seq = closed_form_width6(profile)
-    p = seq.profile
 
     def floor_bound(k: int) -> int:
         return 3 * (k // 2) ** 2 - 2 * k - 4
 
-    total = zero(w)
-    n = 0
-    while not (
-        n >= 4 and floor_bound(n) >= n_trunc and floor_bound(n + 1) >= n_trunc
-    ):
-        if width6_min_exponent(p, n) < n_trunc:
-            total = total + seq.value(n, w)
-        n += 1
-    return total
+    parts = []
+    for n, h in enumerate(closed_form_width6(profile).values(w)):
+        if n >= 4 and floor_bound(n) >= n_trunc and floor_bound(n + 1) >= n_trunc:
+            break
+        parts.append((h, 0, 0, 1))
+    return _combine(w, parts)
 
 
 def sum_schmidt_distinct_odd(window: Window) -> TruncatedSeries:
@@ -454,11 +448,9 @@ def _z_parity(series: TruncatedSeries, parity: int) -> TruncatedSeries:
 
 def _stack_values(seq, n_max: int, window: Window) -> TruncatedSeries:
     """``sum_{n <= n_max} z^n h(n)`` for a coefficient sequence."""
-    w = Window(window.q_truncation, n_max)
-    total = zero(w)
-    for n in range(n_max + 1):
-        total = total + seq.value(n, Window(window.q_truncation)).times_monomial(n)
-    return total
+    values = seq.values(Window(window.q_truncation))
+    parts = [(h, n, 0, 1) for n, h in zip(range(n_max + 1), values)]
+    return _combine(Window(window.q_truncation, n_max), parts)
 
 
 # -- case runners ------------------------------------------------------------
@@ -1047,12 +1039,8 @@ def _run_signed_distinct(window: Window) -> list:
             _PROD("(q;q^2)_inf (-q^2;q^2)_inf"),
         ),
     ]
-    seq = closed_form_width4((1, -1))
-    chain = zero(w)
-    n = 0
-    while n * n + n < n_trunc:
-        chain = chain + seq.value(n, w).times_monomial(0, n)
-        n += 1
+    degrees = itertools.takewhile(lambda n: n * n + n < n_trunc, itertools.count())
+    chain = _combine(w, [(h, 0, n, 1) for n, h in zip(degrees, closed_form_width4((1, -1)).values(w))])
     doubled = poch_product([qf(2, 4), qf(4, 4, -1)], [], w)
     out.append(
         compare_series(

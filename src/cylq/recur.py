@@ -33,10 +33,12 @@ sequences use the conventions ``h(0) = 1`` and ``h(n) = 0`` for ``n < 0``.
 from __future__ import annotations
 
 import itertools
+from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from math import lcm
-from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from .lattice import KINDS, _check_profile, _resolve
 from .series import (TruncatedSeries, Window, _add_into, _combine, _poch, _strip, make_series,
@@ -194,9 +196,6 @@ def profile_closure(
 # ---------------------------------------------------------------------------
 # functional terms and systems
 # ---------------------------------------------------------------------------
-
-# a prefactor monomial: (z-degree, q-exponent, integer coefficient)
-Monomial = tuple
 
 
 def _canon_monomials(entries: Iterable) -> tuple:
@@ -956,37 +955,52 @@ class CoefficientSequence:
     """A sequence ``n -> h(n)`` of q-series coefficients of ``z^n``.
 
     ``h(n) = 0`` for ``n < 0``; every sequence built here has ``h(0) = 1``.
-    ``value(n, window)`` evaluates exactly within the window.
+    ``values(window)`` iterates ``h(0), h(1), ...`` exactly within the
+    window and ``value(n, window)`` is its item ``n``.  The closed forms
+    build each value from the factors kept for the one before; a sequence
+    given a per-degree ``value_fn(n, window)`` maps it over ``n``.
     """
 
     profile: tuple
     label: str
-    _value_fn: Callable = field(repr=False, compare=False)
+    _value_fn: Optional[Callable] = field(default=None, repr=False, compare=False)
+    _values_fn: Optional[Callable] = field(default=None, repr=False, compare=False)
 
-    def value(self, n: int, window: Window) -> TruncatedSeries:
+    def values(self, window: Window) -> Iterator[TruncatedSeries]:
         if window.q_truncation is None:
             raise ValueError("closed-form evaluation needs a finite q-window")
+        if self._values_fn is None:
+            return (self._value_fn(n, window) for n in itertools.count())
+        # _values_fn stops where every later value vanishes in the window
+        zeros = iter(lambda: zero(Window(window.q_truncation)), None)
+        return itertools.chain(self._values_fn(window), zeros)
+
+    def value(self, n: int, window: Window) -> TruncatedSeries:
+        values = self.values(window)  # refuses an unbounded window first
         if n < 0:
             return zero(Window(window.q_truncation, None, 1))
-        return self._value_fn(n, window)
+        return next(itertools.islice(values, n, None))
 
 
-def _poch_value(numerator, denominator, shift, sign, n_trunc):
-    """``sign * q^shift * prod (f)_n / prod (f)_n`` exact below ``q^n_trunc``
-    (pairs ``(f, n)`` as for the Pochhammer kernel)."""
-    if n_trunc <= shift:
-        return zero(Window(n_trunc, None, 1))
-    poch = _poch(numerator, denominator, Window(n_trunc - shift))
-    return _combine(Window(n_trunc), [(poch, 0, shift, sign)])
+def _running(step, window: Window):
+    """``sign(n) q^shift(n) T(n)`` exact in the window, for n from 0 while
+    ``shift(n)`` is inside it: ``T(0) = 1``, and ``step(n)`` gives the pairs
+    (as for the Pochhammer kernel) taking ``T(n - 1)`` to ``T(n)``, then
+    ``shift(n)``, which must not decrease, and ``sign(n)``."""
+    n_trunc, base = window.q_truncation, None  # None: T(0) = 1
+    for n in itertools.count():
+        numerator, denominator, shift, sign = step(n) if n else ([], [], 0, 1)
+        if n_trunc <= shift:
+            return
+        base = _poch(numerator, denominator, Window(n_trunc - shift), base)
+        yield _combine(Window(n_trunc), [(base, 0, shift, sign)])
 
 
 def closed_form_euler() -> CoefficientSequence:
-    """``h(n) = q^n / (q;q)_n``: the coefficients of ``1/(zq;q)_inf``."""
-
-    def value(n: int, window: Window) -> TruncatedSeries:
-        return _poch_value([], [(qf(1, 1), n)], n, 1, window.q_truncation)
-
-    return CoefficientSequence((1,), "geometric-row-lengths", value)
+    """``h(n) = q^n / (q;q)_n``: the coefficients of ``1/(zq;q)_inf``;
+    ``E(n) = E(n-1) / (1 - q^n)``."""
+    step = lambda n: ([], [(qf(n, 1), 1)], n, 1)
+    return CoefficientSequence((1,), "geometric-row-lengths", _values_fn=partial(_running, step))
 
 
 def closed_form_width4(profile: Sequence[int]) -> CoefficientSequence:
@@ -994,7 +1008,7 @@ def closed_form_width4(profile: Sequence[int]) -> CoefficientSequence:
     (equivalently the width-4 symmetric cylinder).
 
     All three start from ``K(n) = (q^2;q^4)_ceil(n/2) (-q^4;q^4)_floor(n/2)
-    / (q^4;q^4)_n``:
+    / (q^4;q^4)_n = K(n-1) (1 + (-1)^n q^(2n)) / (1 - q^(4n))``:
 
     * ``(+1,+1)``: ``(-1)^ceil(n/2) q^(n(n+1)) K(n)``
     * ``(+1,-1)``: ``(-1)^ceil(n/2) q^(n^2) K(n)``
@@ -1007,18 +1021,12 @@ def closed_form_width4(profile: Sequence[int]) -> CoefficientSequence:
             "the reversal (-1,-1) shares the (1,1) sequence"
         )
 
-    def value(n: int, window: Window) -> TruncatedSeries:
+    def step(n: int):
         shift = n * (n + 1) if p == (1, 1) else n * n
         sign = (-1) ** (n // 2 if p == (-1, 1) else (n + 1) // 2)
-        return _poch_value(
-            [(qf(2, 4), (n + 1) // 2), (qf(4, 4, -1), n // 2)],
-            [(qf(4, 4), n)],
-            shift,
-            sign,
-            window.q_truncation,
-        )
+        return [(qf(2 * n, 1, (-1) ** (n + 1)), 1)], [(qf(4 * n, 1), 1)], shift, sign
 
-    return CoefficientSequence(p, "width4-closed-form", value)
+    return CoefficientSequence(p, "width4-closed-form", _values_fn=partial(_running, step))
 
 
 _WIDTH6_DATA = {
@@ -1089,7 +1097,8 @@ def closed_form_width6(profile: Sequence[int]) -> CoefficientSequence:
     ``q^(E(n,m)) * B(n,m) * (-q,-q^5;q^6)_m / ((q^6;q^6)_m (q^3;q^3)_(n-2m))``
     with a profile-specific exponent ``E`` and prefactor polynomial ``B``.
     Individual prefactor entries may dip below the shift; the assembled
-    value is always a genuine power series (enforced).
+    value is always a genuine power series (enforced).  From ``n - 1`` to
+    ``n`` each kept base gains one binomial, and even ``n`` adds one base.
     """
     p = _check_profile(profile)
     if p not in _WIDTH6_DATA:
@@ -1099,23 +1108,31 @@ def closed_form_width6(profile: Sequence[int]) -> CoefficientSequence:
         )
     e_fn, br_fn, sign_off = _WIDTH6_DATA[p]
 
-    def value(n: int, window: Window) -> TruncatedSeries:
+    def values(window: Window):
         n_trunc = window.q_truncation
-        low = width6_min_exponent(p, n)
-        if n_trunc <= low:
-            return zero(Window(n_trunc, None, 1))
-        inner = Window(n_trunc - low)  # every summand carries q^low or more
-        base = _poch([], [(qf(3, 3), n)], inner)
-        parts = []
-        for m in range(n // 2 + 1):
-            if m > 0:  # from the summand m - 1 to the summand m
-                num = [(qf(3 * (n - 2 * m + 1), 3), 2), (qf(6 * m - 5, 4, -1), 2)]
-                base = _poch(num, [(qf(6 * m, 1), 1)], inner, base)
-            sgn = (-1) ** (m + sign_off)
-            parts += [(base, 0, e_fn(n, m) + be, sgn * bc) for be, bc in br_fn(n, m)]
-        return _combine(Window(n_trunc), parts)
+        # every summand at degree n carries q^lows[n] or more, and lows grows
+        # along each parity class from n = 2: no later degree reaches the window
+        lows = []
+        while len(lows) < 4 or min(lows[-2:]) < n_trunc:
+            lows.append(width6_min_exponent(p, len(lows)))
+        # a base serves every later degree: keep it below q^(N - floors[n])
+        floors = list(itertools.accumulate(reversed(lows), min))[::-1]
+        bases = []  # P(m) / (q^3;q^3)_(n-2m) with P(m) = (-q,-q^5;q^6)_m / (q^6;q^6)_m
+        for n, floor in enumerate(floors):
+            if n_trunc <= floor:
+                return
+            inner = Window(n_trunc - floor)
+            bases = [_poch([], [(qf(3 * (n - 2 * m), 1), 1)], inner, b) for m, b in enumerate(bases)]
+            if n % 2 == 0:  # P(m) = P(m-1) (1 + q^(6m-5)) (1 + q^(6m-1)) / (1 - q^(6m))
+                m = n // 2
+                top = _poch([(qf(6 * m - 5, 4, -1), 2)], [(qf(6 * m, 1), 1)], inner, top) if m else one(inner)
+                bases.append(top)
+            yield _combine(Window(n_trunc), [
+                (b, 0, e_fn(n, m) + be, (-1) ** (m + sign_off) * bc)
+                for m, b in enumerate(bases) for be, bc in br_fn(n, m)
+            ])
 
-    return CoefficientSequence(p, "width6-closed-form", value)
+    return CoefficientSequence(p, "width6-closed-form", _values_fn=values)
 
 
 def width6_min_exponent(profile: Sequence[int], n: int) -> int:
@@ -1130,14 +1147,9 @@ def width6_min_exponent(profile: Sequence[int], n: int) -> int:
 def closed_form_goellnitz() -> CoefficientSequence:
     """``h(n) = q^(n^2) (-q;q^2)_n / (q^2;q^2)_n``: the coefficient
     sequence of the (1,-1,1) profile with unit weights on the open
-    width-3 chain."""
-
-    def value(n: int, window: Window) -> TruncatedSeries:
-        return _poch_value(
-            [(qf(1, 2, -1), n)], [(qf(2, 2), n)], n * n, 1, window.q_truncation
-        )
-
-    return CoefficientSequence((1, -1, 1), "odd-kernel-closed-form", value)
+    width-3 chain; ``G(n) = G(n-1) (1 + q^(2n-1)) / (1 - q^(2n))``."""
+    step = lambda n: ([(qf(2 * n - 1, 1, -1), 1)], [(qf(2 * n, 1), 1)], n * n, 1)
+    return CoefficientSequence((1, -1, 1), "odd-kernel-closed-form", _values_fn=partial(_running, step))
 
 
 # ---------------------------------------------------------------------------
@@ -1273,34 +1285,30 @@ def check_closed_form(
     ``sequence`` is a :class:`CoefficientSequence` or a mapping from
     profiles to sequences (for coupled relations).  All values are
     evaluated in one shared window (default: ``q^(2(n_max+2)^2 + 40)``,
-    generous for every family shipped here).  Initial conditions are part
-    of the check: the kept profile's value at 0 must be the constant 1.
-    Mismatches are reported, never raised.
+    generous for every family shipped here).  Each sequence is read once,
+    in order, through ``values(window)``, keeping a sliding window of the
+    last ``order() + 1`` values of each target and the kept profile's
+    value at 0, which must be the constant 1 (initial conditions are part
+    of the check).  Mismatches are reported, never raised.
     """
     if window is None:
         window = Window(2 * (n_max + 2) ** 2 + 40)
-    if isinstance(sequence, CoefficientSequence):
-        seqmap = {recurrence.profile: sequence}
-        for tgt, _lag, _poly in recurrence.terms:
-            seqmap.setdefault(tgt, sequence)
-    else:
-        seqmap = dict(sequence)
-    cache: dict = {}
-
-    def value_fn(tgt, m):
-        key = (tgt, m)
-        if key not in cache:
-            cache[key] = seqmap[tgt].value(m, window)
-        return cache[key]
-
-    failures = []
-    vacuous = []
-    for n in range(recurrence.min_degree, n_max + 1):
-        used_nonzero = False
-        for tgt, lag, _poly in recurrence.terms:
-            if not value_fn(tgt, n - lag).is_zero():
-                used_nonzero = True
-                break
+    single = isinstance(sequence, CoefficientSequence)
+    targets = {recurrence.profile, *(tgt for tgt, _lag, _poly in recurrence.terms)}
+    streams = {tgt: (sequence if single else sequence[tgt]).values(window) for tgt in targets}
+    nothing = zero(Window(window.q_truncation, None, 1))  # h(n) for n < 0
+    order = recurrence.order()
+    recent = {tgt: deque([nothing] * order, order + 1) for tgt in targets}
+    value_fn = lambda tgt, m: recent[tgt][m - n - 1]  # h(m) for n - order <= m <= n
+    failures, vacuous = [], []
+    for n in range(min(recurrence.min_degree, 0), max(n_max, 0) + 1):
+        for tgt, values in streams.items():
+            recent[tgt].append(next(values) if n >= 0 else nothing)
+        if n == 0:
+            init = recent[recurrence.profile][-1]
+        if not recurrence.min_degree <= n <= n_max:
+            continue
+        used_nonzero = any(not value_fn(tgt, n - lag).is_zero() for tgt, lag, _poly in recurrence.terms)
         if not used_nonzero and not any(deg == n for deg, _ in recurrence.inhom):
             vacuous.append(n)
             continue
@@ -1308,14 +1316,6 @@ def check_closed_form(
         if not residual.is_zero():
             diff = residual.first_difference(zero(residual.window))
             failures.append((n, diff[1], diff[2]))
-    init = value_fn(recurrence.profile, 0)
     initial_ok = init.agrees_with(one(init.window))
-    return CheckReport(
-        not failures and initial_ok,
-        n_max,
-        window,
-        tuple(failures),
-        tuple(vacuous),
-        initial_ok,
-        recurrence.min_degree,
-    )
+    return CheckReport(not failures and initial_ok, n_max, window, tuple(failures),
+                       tuple(vacuous), initial_ok, recurrence.min_degree)

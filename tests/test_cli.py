@@ -284,3 +284,15 @@ def test_nonpositive_count_is_usage_error(capsys, argv):
     err = capsys.readouterr().err
     assert "must be an integer >= 1" in err
     assert "window" not in err
+
+
+@pytest.mark.parametrize(
+    "argv", [["verify", "--jobs", "x"], ["series", "--sum", "euler", "--N", "1.5"]]
+)
+def test_non_integer_count_is_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "must be an integer >= 1" in err
+    assert "_positive_int" not in err

@@ -2,6 +2,7 @@
 
 import json
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 
@@ -10,6 +11,7 @@ from cylq.recur import (
     CoefficientRecurrence,
     CoefficientSequence,
     FunctionalTerm,
+    _WIDTH6_DATA,
     build_system,
     check_closed_form,
     closed_form_euler,
@@ -30,15 +32,20 @@ from cylq.recur import (
     system_to_json,
     to_coefficient_recurrences,
     width4_recurrence,
+    width6_min_exponent,
     width6_recurrence,
 )
 from cylq.series import (
     TruncatedSeries,
     Window,
+    _combine,
+    _poch,
     make_series,
     one,
     poch_infinite,
     poch_product,
+    qf,
+    zero,
     zf,
 )
 
@@ -438,10 +445,12 @@ def test_one_wrong_coefficient_is_caught():
     # coefficient starts with +1, so degrees 7..10 fail, the first at the
     # bumped exponent with residual +1
     true = closed_form_width6((1, 1, 1))
-    _z, low, _c = next(true.value(7, Window(2 * (30 + 2) ** 2 + 40)).items())
+    window = Window(2 * (30 + 2) ** 2 + 40)
+    values = list(islice(true.values(window), 31))
+    _z, low, _c = next(values[7].items())
 
     def value(n, window):
-        h = true.value(n, window)
+        h = values[n]
         return h + make_series([(0, low, 1)], window) if n == 7 else h
 
     wrong = CoefficientSequence((1, 1, 1), "width6-closed-form", value)
@@ -462,3 +471,136 @@ def test_closed_form_values_keep_the_window():
         for n in range(13):
             for window in (Window(1), Window(7), Window(60)):
                 assert form.value(n, window).window == window, (form.label, n, window)
+
+
+def test_wrong_last_coefficient_is_caught():
+    # the sliding window reaches the last degree: h(n_max) bumped at its
+    # lowest exponent fails there alone, with residual +1
+    true = closed_form_width4((1, -1))
+    window = Window(240)
+    values = list(islice(true.values(window), 13))
+    _z, low, _c = next(values[12].items())
+    values[12] = values[12] + make_series([(0, low, 1)], window)
+    wrong = CoefficientSequence((1, -1), "width4-closed-form", lambda n, w: values[n])
+    report = check_closed_form(wrong, width4_recurrence((1, -1)), 12, window)
+    assert report.failures == ((12, low, 1),)
+    assert report.holds is False and report.initial_ok and not report.vacuous
+
+
+def test_coupled_mapping_and_initial_value():
+    # the Euler relation (1 - q^n) h(n) = q h(n-1), given as a mapping from
+    # its one profile; doubling every value keeps the homogeneous relation
+    # but fails the initial condition h(0) = 1
+    rec = to_coefficient_recurrences(build_system("cylindric", (1,), normalized=False))
+    report = check_closed_form({(1,): closed_form_euler()}, rec[(1,)], 12, Window(60))
+    assert report.holds and report.initial_ok and not report.vacuous
+    doubled = [2 * h for h in islice(closed_form_euler().values(Window(60)), 13)]
+    wrong = CoefficientSequence((1,), "doubled", lambda n, w: doubled[n])
+    report = check_closed_form({(1,): wrong}, rec[(1,)], 12, Window(60))
+    assert report.failures == () and not report.vacuous
+    assert report.initial_ok is False and report.holds is False
+
+
+# -- the from-scratch closed forms, kept as the oracle of the running ones ----
+
+
+def _oracle_poch_value(numerator, denominator, shift, sign, n_trunc):
+    """``sign * q^shift * prod (f)_n / prod (f)_n`` exact below ``q^n_trunc``."""
+    if n_trunc <= shift:
+        return zero(Window(n_trunc, None, 1))
+    poch = _poch(numerator, denominator, Window(n_trunc - shift))
+    return _combine(Window(n_trunc), [(poch, 0, shift, sign)])
+
+
+def _oracle_euler(n, window):
+    return _oracle_poch_value([], [(qf(1, 1), n)], n, 1, window.q_truncation)
+
+
+def _oracle_goellnitz(n, window):
+    return _oracle_poch_value(
+        [(qf(1, 2, -1), n)], [(qf(2, 2), n)], n * n, 1, window.q_truncation
+    )
+
+
+def _oracle_width4(p):
+    def value(n, window):
+        shift = n * (n + 1) if p == (1, 1) else n * n
+        sign = (-1) ** (n // 2 if p == (-1, 1) else (n + 1) // 2)
+        return _oracle_poch_value(
+            [(qf(2, 4), (n + 1) // 2), (qf(4, 4, -1), n // 2)],
+            [(qf(4, 4), n)], shift, sign, window.q_truncation,
+        )
+    return value
+
+
+def _oracle_width6(p):
+    e_fn, br_fn, sign_off = _WIDTH6_DATA[p]
+
+    def value(n, window):
+        n_trunc = window.q_truncation
+        low = width6_min_exponent(p, n)
+        if n_trunc <= low:
+            return zero(Window(n_trunc, None, 1))
+        inner = Window(n_trunc - low)
+        base = _poch([], [(qf(3, 3), n)], inner)
+        parts = []
+        for m in range(n // 2 + 1):
+            if m > 0:
+                num = [(qf(3 * (n - 2 * m + 1), 3), 2), (qf(6 * m - 5, 4, -1), 2)]
+                base = _poch(num, [(qf(6 * m, 1), 1)], inner, base)
+            sgn = (-1) ** (m + sign_off)
+            parts += [(base, 0, e_fn(n, m) + be, sgn * bc) for be, bc in br_fn(n, m)]
+        return _combine(Window(n_trunc), parts)
+    return value
+
+
+W4 = ((1, 1), (1, -1), (-1, 1))
+W6 = ((1, 1, 1), (1, 1, -1), (1, -1, 1), (-1, 1, 1))
+# (sequence, oracle, shift(n): the value vanishes in windows at or below it, n_max)
+ORACLE_CASES = [
+    (closed_form_euler(), _oracle_euler, lambda n: n, 40),
+    (closed_form_goellnitz(), _oracle_goellnitz, lambda n: n * n, 40),
+]
+ORACLE_CASES += [
+    (closed_form_width4(p), _oracle_width4(p), (lambda n: n * (n + 1)) if p == (1, 1) else (lambda n: n * n), 40)
+    for p in W4
+]
+ORACLE_CASES += [
+    (closed_form_width6(p), _oracle_width6(p), lambda n, p=p: width6_min_exponent(p, n), 30)
+    for p in W6
+]
+
+
+def _exact(s):
+    return s.window, s._rows
+
+
+@pytest.mark.parametrize("form, oracle, shift, n_max", ORACLE_CASES,
+                         ids=["_".join((c[0].label, *map(str, c[0].profile))) for c in ORACLE_CASES])
+def test_running_values_equal_the_from_scratch_oracle(form, oracle, shift, n_max):
+    # every degree in q^1, q^2, the criterion-11 window and the windows of
+    # the coefficient-recurrences case (n <= 10, 12, 16)
+    for N in (1, 2, *(2 * (k + 2) ** 2 + 40 for k in (n_max, 10, 12, 16))):
+        window = Window(N)
+        got = list(islice(form.values(window), n_max + 1))
+        assert [_exact(h) for h in got] == [_exact(oracle(n, window)) for n in range(n_max + 1)], N
+    # h(n) turns zero in the windows at or below its shift
+    for n in sorted({*range(11), *range(10, n_max + 1, 5), n_max}):
+        for N in (shift(n) - 1, shift(n), shift(n) + 1):
+            if N >= 1:
+                window = Window(N)
+                got = list(islice(form.values(window), n + 2))
+                for k in range(max(n - 1, 0), n + 2):
+                    assert _exact(got[k]) == _exact(oracle(k, window)), (N, k)
+    window = Window(100)
+    for n in (0, 1, n_max):
+        assert _exact(form.value(n, window)) == _exact(next(islice(form.values(window), n, None)))
+    assert form.value(-1, window) == zero(window)
+
+
+def test_width6_valuation_bound_grows_along_parities():
+    # closed_form_width6 stops once two consecutive degrees from n = 2 on
+    # clear the window, which needs this growth
+    for p in W6:
+        lows = [width6_min_exponent(p, n) for n in range(200)]
+        assert all(lows[n] <= lows[n + 2] for n in range(2, 198)), p
