@@ -113,6 +113,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _parse_normalized(text: str):
+    try:
+        return {"auto": "auto", "true": True, "false": False}[text]
+    except KeyError:
+        raise argparse.ArgumentTypeError("must be auto, true or false") from None
+
+
 def _window(args, *, default_d: Optional[int] = None) -> Window:
     d = args.D if args.D is not None else default_d
     return Window(args.N, d)
@@ -375,11 +382,11 @@ def _cmd_verify(args) -> int:
 
 def _cmd_fit(args) -> int:
     if args.problem is not None:
-        raw = (
-            sys.stdin.read()
-            if args.problem == "-"
-            else open(args.problem, "r", encoding="utf-8").read()
-        )
+        if args.problem == "-":
+            raw = sys.stdin.read()
+        else:
+            with open(args.problem, "r", encoding="utf-8") as f:
+                raw = f.read()
         problem = FitProblem.from_json(json.loads(raw))
     else:
         if args.kind is None or args.profile is None or not args.target:
@@ -490,15 +497,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = commands.add_parser("system", help="build the coupled system")
     p.add_argument("--kind", choices=KINDS, required=True)
-    p.add_argument("--normalized", default="auto",
-                   type=lambda s: {"auto": "auto", "true": True, "false": False}[s])
+    p.add_argument("--normalized", default="auto", type=_parse_normalized)
     _add_common(p, window=False, profile=True)
     p.set_defaults(func=_cmd_system)
 
     p = commands.add_parser("solve", help="solve the coupled system")
     p.add_argument("--kind", choices=KINDS, required=True)
-    p.add_argument("--normalized", default="auto",
-                   type=lambda s: {"auto": "auto", "true": True, "false": False}[s])
+    p.add_argument("--normalized", default="auto", type=_parse_normalized)
     p.add_argument("--select", type=_parse_profile, default=None,
                    help="print only this profile's solution")
     _add_common(p, profile=True)

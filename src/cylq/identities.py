@@ -11,10 +11,13 @@ are marked ``expected="report-only"``.
 
 Contents:
 
-* closed-form sum evaluators (`sum_rogers_ramanujan`, `sum_double_mod7`,
-  `sum_alternating_mod4`, `sum_signed_distinct_mod2`, `sum_goellnitz`,
-  `sum_mod12`, `sum_schmidt_distinct_odd`, `sum_schmidt_distinct_even`),
-  each summing exactly as many terms as can touch the window;
+* closed-form sum evaluators (`sum_euler`, `sum_rogers_ramanujan`,
+  `sum_double_mod7`, `sum_alternating_mod4`, `sum_signed_distinct_mod2`,
+  `sum_goellnitz`, `sum_mod12`, `sum_schmidt_distinct_odd`,
+  `sum_schmidt_distinct_even`), each summing exactly as many terms as
+  can touch the window.  The single sums run on `series._running`: each
+  summand is the one before times a few binomials, and one `_combine`
+  adds them; `sum_mod12` adds the width-6 closed-form values;
 * the registry (`registry`, `get_case`) of `IdentityCase` entries and
   the `verify` report builder with a versioned JSON shape and a
   human-readable rendering (`report_text`).
@@ -52,17 +55,19 @@ from .recur import (
     sigma_prefactor_terms,
     solve_fixed_point,
     width4_recurrence,
+    width6_min_exponent,
     width6_recurrence,
 )
 from .series import (
     TruncatedSeries,
     Window,
+    _UNIT_STEP,
     _combine,
     _poch,
+    _running,
     gauss_binomial,
     inv_poch_finite,
     one,
-    poch_finite,
     poch_infinite,
     poch_product,
     qf,
@@ -118,36 +123,20 @@ def _z_cap(window: Window, fallback: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _euler_summands(n_trunc: int):
-    """``(1/(q;q)_n, n)`` for n < n_trunc, so that q^n/(q;q)_n is exact
-    below ``q^n_trunc``: a running quotient, one binomial division a step."""
-    base = one(Window(n_trunc))
-    for n in range(n_trunc):
-        if n:
-            base = _poch([], [(qf(n, 1), 1)], Window(n_trunc - n), base)
-        yield base, n
-
-
 def sum_euler(window: Window) -> TruncatedSeries:
     """``sum_n q^n / (q;q)_n``: partitions graded by number of parts."""
-    n_trunc = _require_q(window)
-    return _combine(Window(n_trunc), [(b, 0, n, 1) for b, n in _euler_summands(n_trunc)])
+    w = Window(_require_q(window))
+    step = lambda n: ([], [(qf(n, 1), 1)], 0, n, 1) if n else _UNIT_STEP
+    return _combine(w, list(_running(step, w)))
 
 
 def sum_rogers_ramanujan(shift: int, window: Window) -> TruncatedSeries:
     """``sum_n q^(n^2 + shift*n) / (q;q)_n`` for shift in {0, 1}."""
     if shift not in (0, 1):
         raise ValueError("shift must be 0 or 1")
-    n_trunc = _require_q(window)
-    w = Window(n_trunc)
-    total = zero(w)
-    n = 0
-    while n * n + shift * n < n_trunc:
-        total = total + inv_poch_finite(qf(1, 1), n, w).times_monomial(
-            0, n * n + shift * n
-        )
-        n += 1
-    return total
+    w = Window(_require_q(window))
+    step = lambda n: ([], [(qf(n, 1), 1)], 0, n * n + shift * n, 1) if n else _UNIT_STEP
+    return _combine(w, list(_running(step, w)))
 
 
 def sum_double_mod7(window: Window) -> TruncatedSeries:
@@ -181,39 +170,28 @@ def sum_alternating_mod4(window: Window) -> TruncatedSeries:
     n_trunc = _require_q(window)
     d_cap = _z_cap(window, 10)
     w = Window(n_trunc, d_cap)
-    total = zero(w)
-    n = 0
-    while 2 * n <= d_cap and 4 * n * n < n_trunc:
-        c = (
-            poch_finite(qf(2, 4), n, w)
-            * poch_finite(qf(4, 4, -1), n, w)
-            * inv_poch_finite(qf(4, 4), 2 * n, w)
-        ).times_monomial(0, 4 * n * n, (-1) ** n)
-        total = total + c.times_monomial(2 * n)
-        if 2 * n + 1 <= d_cap:
-            unit = TruncatedSeries(
-                {(0, 0): 1, (0, 4 * n + 2): 1}, n_trunc, d_cap, 1
-            ).invert()
-            total = total - (c * unit).times_monomial(2 * n + 1, 4 * n + 1)
-        n += 1
-    return total
+    # c(n) = c(n-1) (1 - q^(4n-2)) (1 + q^(4n)) / ((1 - q^(8n-4)) (1 - q^(8n)))
+    step = lambda n: (
+        [(qf(4 * n - 2, 1), 1), (qf(4 * n, 1, -1), 1)], [(qf(8 * n - 4, 4), 2)], 2 * n, 4 * n * n, (-1) ** n
+    ) if n else _UNIT_STEP
+    parts = []
+    for c, k, e, sign in _running(step, w):
+        parts.append((c, k, e, sign))
+        odd = e + 2 * k + 1  # the z^(2n+1) part: -c q^(4n+1) / (1 + q^(4n+2))
+        if k < d_cap and odd < n_trunc:
+            c_odd = _poch([], [(qf(2 * k + 2, 1, -1), 1)], Window(n_trunc - odd, d_cap), c)
+            parts.append((c_odd, k + 1, odd, -sign))
+    return _combine(w, parts)
 
 
 def sum_signed_distinct_mod2(window: Window) -> TruncatedSeries:
     """``sum_n (-1)^n q^(2n^2+n) (q;q^2)_(n+1) (-q^2;q^2)_n / (q^2;q^2)_(2n+1)``."""
-    n_trunc = _require_q(window)
-    w = Window(n_trunc)
-    total = zero(w)
-    n = 0
-    while 2 * n * n + n < n_trunc:
-        c = (
-            poch_finite(qf(1, 2), n + 1, w)
-            * poch_finite(qf(2, 2, -1), n, w)
-            * inv_poch_finite(qf(2, 2), 2 * n + 1, w)
-        )
-        total = total + c.times_monomial(0, 2 * n * n + n, (-1) ** n)
-        n += 1
-    return total
+    w = Window(_require_q(window))
+    # S(n) = S(n-1) (1 - q^(2n+1)) (1 + q^(2n)) / ((1 - q^(4n)) (1 - q^(4n+2))), S(0) = (1 - q) / (1 - q^2)
+    step = lambda n: (
+        [(qf(2 * n + 1, 1), 1), (qf(2 * n, 1, -1), 1)], [(qf(4 * n, 2), 2)], 0, 2 * n * n + n, (-1) ** n
+    ) if n else ([(qf(1, 1), 1)], [(qf(2, 1), 1)], 0, 0, 1)
+    return _combine(w, list(_running(step, w)))
 
 
 def sum_goellnitz(variant: str, window: Window) -> TruncatedSeries:
@@ -223,80 +201,50 @@ def sum_goellnitz(variant: str, window: Window) -> TruncatedSeries:
     ``LG1``: the same with exponent ``n^2+n``;
     ``GG2``: the same with exponent ``n^2``;
     ``LG2``: ``sum q^(n^2+n) (-q^(-1);q^2)_n / (q^2;q^2)_n``, computed in
-    the Laurent-free rewriting ``q^(n^2) prod_{j=0}^{n-1}(q + q^(2j))``.
+    the Laurent-free rewriting ``q^(n^2+n-1) (1+q) (-q;q^2)_(n-1)`` of its
+    numerator for ``n >= 1``.
     """
     if variant not in GOELLNITZ_VARIANTS:
         raise ValueError("variant must be one of %s" % (GOELLNITZ_VARIANTS,))
-    n_trunc = _require_q(window)
-    w = Window(n_trunc)
-    total = zero(w)
-    n = 0
-    while n * n < n_trunc:
-        if variant == "LG2":
-            c = one(w)
-            for j in range(n):
-                c = c * TruncatedSeries({(0, 1): 1, (0, 2 * j): 1}, n_trunc, None, 1)
-            c = c * inv_poch_finite(qf(2, 2), n, w)
-            shift = n * n
-        else:
-            c = poch_finite(qf(1, 2, -1), n, w) * inv_poch_finite(qf(2, 2), n, w)
-            shift = {"GG1": n * n + 2 * n, "LG1": n * n + n, "GG2": n * n}[variant]
-        total = total + c.times_monomial(0, shift)
-        n += 1
-    return total
+    w = Window(_require_q(window))
+    # G(n) = G(n-1) (1 + q^(2n-1)) / (1 - q^(2n)); LG2's numerator gains 1 + q^(2n-3), and 1 + q at n = 1
+    lg2 = variant == "LG2"
+    shift = {"GG1": 2, "LG1": 1, "GG2": 0, "LG2": 1}[variant]
+    step = lambda n: (
+        [(qf(max(2 * n - 1 - 2 * lg2, 1), 1, -1), 1)], [(qf(2 * n, 1), 1)], 0, n * n + shift * n - lg2, 1
+    ) if n else _UNIT_STEP
+    return _combine(w, list(_running(step, w)))
 
 
 def sum_mod12(profile: Sequence[int], window: Window) -> TruncatedSeries:
     """The period-12 double sum for a width-3 open chain profile.
 
     Sums the closed-form coefficient values ``h(n)`` over all ``n`` that
-    can touch the window.  The stopping rule is analytic: every summand
-    of ``h(n)`` has q-valuation at least ``3*floor(n/2)^2 - 2n - 4``
-    (the minimal quadratic exponent minus the largest possible dip of
-    the prefactor polynomial), and that floor is increasing along each
-    parity class from ``n >= 2``, so once both parities clear the window
-    no later term contributes.
+    can touch the window: ``width6_min_exponent`` bounds the q-valuation
+    of ``h(n)`` and grows along each parity class from ``n = 2``, so once
+    two consecutive degrees clear the window no later one contributes.
     """
-    n_trunc = _require_q(window)
-    w = Window(n_trunc)
-
-    def floor_bound(k: int) -> int:
-        return 3 * (k // 2) ** 2 - 2 * k - 4
-
-    parts = []
-    for n, h in enumerate(closed_form_width6(profile).values(w)):
-        if n >= 4 and floor_bound(n) >= n_trunc and floor_bound(n + 1) >= n_trunc:
-            break
-        parts.append((h, 0, 0, 1))
-    return _combine(w, parts)
+    w = Window(_require_q(window))
+    seq = closed_form_width6(profile)
+    low = lambda n: width6_min_exponent(seq.profile, n)
+    stop = next(n for n in itertools.count(2) if min(low(n), low(n + 1)) >= w.q_truncation)
+    return _combine(w, [(h, 0, 0, 1) for h in itertools.islice(seq.values(w), stop)])
 
 
 def sum_schmidt_distinct_odd(window: Window) -> TruncatedSeries:
     """``sum_n z^(2n) q^(n(n+1)) / ((zq;q)_n (zq;q)_(n+1))``."""
     n_trunc = _require_q(window)
-    d_cap = _z_cap(window, n_trunc)
-    w = Window(n_trunc, d_cap)
-    total = zero(w)
-    n = 0
-    while 2 * n <= d_cap and n * (n + 1) < n_trunc:
-        t = inv_poch_finite(zf(1, 1, 1), n, w) * inv_poch_finite(zf(1, 1, 1), n + 1, w)
-        total = total + t.times_monomial(2 * n, n * (n + 1))
-        n += 1
-    return total
+    w = Window(n_trunc, _z_cap(window, n_trunc))
+    step = lambda n: ([], [(zf(1, n, 1), 2)], 2 * n, n * n + n, 1) if n else ([], [(zf(1, 1, 1), 1)], 0, 0, 1)
+    return _combine(w, list(_running(step, w)))
 
 
 def sum_schmidt_distinct_even(window: Window) -> TruncatedSeries:
     """``1 + sum_{n>=1} z^(2n-1) q^(n(n-1)) / ((z;q)_n (zq;q)_n)``."""
     n_trunc = _require_q(window)
-    d_cap = _z_cap(window, n_trunc)
-    w = Window(n_trunc, d_cap)
-    total = one(w)
-    n = 1
-    while 2 * n - 1 <= d_cap and n * (n - 1) < n_trunc:
-        t = inv_poch_finite(zf(1, 0, 1), n, w) * inv_poch_finite(zf(1, 1, 1), n, w)
-        total = total + t.times_monomial(2 * n - 1, n * (n - 1))
-        n += 1
-    return total
+    w = Window(n_trunc, _z_cap(window, n_trunc))
+    step = lambda n: ([], [(zf(1, n - 1, 1), 2)], 2 * n - 1, n * n - n, 1) if n else _UNIT_STEP
+    return _combine(w, list(_running(step, w)))
 
 
 # ---------------------------------------------------------------------------

@@ -36,13 +36,12 @@ import itertools
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial
 from math import lcm
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from .lattice import KINDS, _check_profile, _resolve
-from .series import (TruncatedSeries, Window, _add_into, _combine, _poch, _strip, make_series,
-                     one, poch_finite, qf, zero, zf)
+from .series import (TruncatedSeries, Window, _UNIT_STEP, _add_into, _combine, _poch, _running,
+                     _strip, make_series, one, poch_finite, qf, zero, zf)
 
 __all__ = [
     "CheckReport",
@@ -982,25 +981,20 @@ class CoefficientSequence:
         return next(itertools.islice(values, n, None))
 
 
-def _running(step, window: Window):
-    """``sign(n) q^shift(n) T(n)`` exact in the window, for n from 0 while
-    ``shift(n)`` is inside it: ``T(0) = 1``, and ``step(n)`` gives the pairs
-    (as for the Pochhammer kernel) taking ``T(n - 1)`` to ``T(n)``, then
-    ``shift(n)``, which must not decrease, and ``sign(n)``."""
-    n_trunc, base = window.q_truncation, None  # None: T(0) = 1
-    for n in itertools.count():
-        numerator, denominator, shift, sign = step(n) if n else ([], [], 0, 1)
-        if n_trunc <= shift:
-            return
-        base = _poch(numerator, denominator, Window(n_trunc - shift), base)
-        yield _combine(Window(n_trunc), [(base, 0, shift, sign)])
+def _running_values(step):
+    """``values(window)`` for a sequence whose value at ``n`` is the part
+    ``sign(n) q^e(n) T(n)`` of the running term ``step`` describes."""
+    def values(window: Window):
+        w = Window(window.q_truncation)
+        return (_combine(w, [part]) for part in _running(step, w))
+    return values
 
 
 def closed_form_euler() -> CoefficientSequence:
     """``h(n) = q^n / (q;q)_n``: the coefficients of ``1/(zq;q)_inf``;
     ``E(n) = E(n-1) / (1 - q^n)``."""
-    step = lambda n: ([], [(qf(n, 1), 1)], n, 1)
-    return CoefficientSequence((1,), "geometric-row-lengths", _values_fn=partial(_running, step))
+    step = lambda n: ([], [(qf(n, 1), 1)], 0, n, 1) if n else _UNIT_STEP
+    return CoefficientSequence((1,), "geometric-row-lengths", _values_fn=_running_values(step))
 
 
 def closed_form_width4(profile: Sequence[int]) -> CoefficientSequence:
@@ -1022,11 +1016,13 @@ def closed_form_width4(profile: Sequence[int]) -> CoefficientSequence:
         )
 
     def step(n: int):
+        if not n:
+            return _UNIT_STEP
         shift = n * (n + 1) if p == (1, 1) else n * n
         sign = (-1) ** (n // 2 if p == (-1, 1) else (n + 1) // 2)
-        return [(qf(2 * n, 1, (-1) ** (n + 1)), 1)], [(qf(4 * n, 1), 1)], shift, sign
+        return [(qf(2 * n, 1, (-1) ** (n + 1)), 1)], [(qf(4 * n, 1), 1)], 0, shift, sign
 
-    return CoefficientSequence(p, "width4-closed-form", _values_fn=partial(_running, step))
+    return CoefficientSequence(p, "width4-closed-form", _values_fn=_running_values(step))
 
 
 _WIDTH6_DATA = {
@@ -1148,8 +1144,8 @@ def closed_form_goellnitz() -> CoefficientSequence:
     """``h(n) = q^(n^2) (-q;q^2)_n / (q^2;q^2)_n``: the coefficient
     sequence of the (1,-1,1) profile with unit weights on the open
     width-3 chain; ``G(n) = G(n-1) (1 + q^(2n-1)) / (1 - q^(2n))``."""
-    step = lambda n: ([(qf(2 * n - 1, 1, -1), 1)], [(qf(2 * n, 1), 1)], n * n, 1)
-    return CoefficientSequence((1, -1, 1), "odd-kernel-closed-form", _values_fn=partial(_running, step))
+    step = lambda n: ([(qf(2 * n - 1, 1, -1), 1)], [(qf(2 * n, 1), 1)], 0, n * n, 1) if n else _UNIT_STEP
+    return CoefficientSequence((1, -1, 1), "odd-kernel-closed-form", _values_fn=_running_values(step))
 
 
 # ---------------------------------------------------------------------------

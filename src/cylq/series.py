@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, chain
+from itertools import accumulate, chain, count
 from math import gcd, lcm
 from operator import add, mul, sub
 from types import MappingProxyType
@@ -758,6 +758,29 @@ def _poch(numerator, denominator, window, start=None):
         for j in range(n):
             apply(rows, f.z_degree, first + j * step, f.sign, qcap, dtr)
     return _from_rows(rows, ntr, dtr, scale)
+
+
+#: The step to ``T(0) = 1`` at ``z^0 q^0`` with sign +1 (see :func:`_running`).
+_UNIT_STEP = ([], [], 0, 0, 1)
+
+
+def _running(step, window):
+    """The parts ``(T(n), k(n), e(n), sign(n))`` of a running term, for
+    :func:`_combine`, for n = 0, 1, ... while both shifts are in the window.
+
+    ``T(-1) = 1``, and ``step(n)`` gives the numerator and denominator pairs
+    (as for :func:`_poch`) taking ``T(n-1)`` to ``T(n)``, then the z-shift
+    ``k(n)`` and the q-shift ``e(n)``, neither of which may decrease, and
+    ``sign(n)``.  ``T(n)`` is exact in ``Window(N - e(n), D)``, so each part
+    is exact in the window; the parts stop at the first shift outside it.
+    """
+    n_trunc, z_cap, term = window.q_truncation, window.z_truncation, None
+    for n in count():
+        numerator, denominator, k, e, sign = step(n)
+        if n_trunc <= e or (z_cap is not None and z_cap < k):
+            return
+        term = _poch(numerator, denominator, Window(n_trunc - e, z_cap), term)
+        yield term, k, e, sign
 
 
 def poch_finite(factor: PochFactor, n: int, window: Window) -> TruncatedSeries:

@@ -263,9 +263,14 @@ def test_balance_json(capsys):
 
 
 def test_bad_profile_is_usage_error(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["enumerate", "--kind", "cylindric", "--profile", "0,2", "--N", "4"])
-    assert exc.value.code == 2
+    for argv in (
+        ["enumerate", "--kind", "cylindric", "--profile", "0,2", "--N", "4"],
+        ["system", "--kind", "cylindric", "--profile", "1,-1", "--normalized", "maybe"],
+        ["solve", "--kind", "cylindric", "--profile", "1,-1", "--N", "4", "--normalized", "maybe"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
 
 
 def test_bad_window_is_usage_error(capsys):

@@ -1,19 +1,23 @@
 """Tests for the identity case registry, evaluators, and reports."""
 
 import json
+from functools import partial
 
 import pytest
 
 from cylq.identities import (
-    _euler_summands,
     compare_series,
     get_case,
     registry,
     report_text,
+    sum_alternating_mod4,
     sum_euler,
     sum_goellnitz,
     sum_mod12,
     sum_rogers_ramanujan,
+    sum_schmidt_distinct_even,
+    sum_schmidt_distinct_odd,
+    sum_signed_distinct_mod2,
     verify,
     Side,
 )
@@ -23,8 +27,9 @@ from cylq.lattice import (
     schmidt_genfun,
     signed_distinct_genfun,
 )
-from cylq.recur import closed_form_euler, closed_form_width6, width6_min_exponent
-from cylq.series import TruncatedSeries, Window, _combine, poch_product, qf, zero
+from cylq.recur import closed_form_width6, width6_min_exponent
+from cylq.series import (TruncatedSeries, Window, inv_poch_finite, one, poch_finite, poch_product, qf,
+                         zero, zf)
 
 EXPECTED_LABELS = {
     "coefficient-recurrences",
@@ -164,14 +169,154 @@ def test_sum_evaluator_spot_values():
     assert gg2.coefficient(0, 7) == 3  # 7, 4+1+1+1, seven ones
 
 
-def test_euler_summands_are_the_closed_form():
-    # the running quotients, shifted by q^n, are q^n/(q;q)_n exactly,
-    # window included
-    w = Window(60)
-    summands = list(_euler_summands(60))
-    assert [n for _, n in summands] == list(range(60))
-    for base, n in summands[:41]:
-        assert _combine(w, [(base, 0, n, 1)]) == closed_form_euler().value(n, w), n
+# ---------------------------------------------------------------------------
+# from-scratch sum evaluators: the oracles of the running sums
+# ---------------------------------------------------------------------------
+# Each builds every summand from its Pochhammer symbols, adds it to the total
+# and stops by its own bound on the first exponent.
+
+
+def oracle_euler(window):
+    n_trunc = window.q_truncation
+    w = Window(n_trunc)
+    total = zero(w)
+    for n in range(n_trunc):
+        total = total + inv_poch_finite(qf(1, 1), n, w).times_monomial(0, n)
+    return total
+
+
+def oracle_rogers_ramanujan(shift, window):
+    n_trunc = window.q_truncation
+    w = Window(n_trunc)
+    total = zero(w)
+    n = 0
+    while n * n + shift * n < n_trunc:
+        total = total + inv_poch_finite(qf(1, 1), n, w).times_monomial(0, n * n + shift * n)
+        n += 1
+    return total
+
+
+def oracle_alternating_mod4(window):
+    n_trunc = window.q_truncation
+    d_cap = 10 if window.z_truncation is None else window.z_truncation
+    w = Window(n_trunc, d_cap)
+    total = zero(w)
+    n = 0
+    while 2 * n <= d_cap and 4 * n * n < n_trunc:
+        c = (
+            poch_finite(qf(2, 4), n, w)
+            * poch_finite(qf(4, 4, -1), n, w)
+            * inv_poch_finite(qf(4, 4), 2 * n, w)
+        ).times_monomial(0, 4 * n * n, (-1) ** n)
+        total = total + c.times_monomial(2 * n)
+        if 2 * n + 1 <= d_cap:
+            unit = TruncatedSeries({(0, 0): 1, (0, 4 * n + 2): 1}, n_trunc, d_cap, 1).invert()
+            total = total - (c * unit).times_monomial(2 * n + 1, 4 * n + 1)
+        n += 1
+    return total
+
+
+def oracle_signed_distinct_mod2(window):
+    n_trunc = window.q_truncation
+    w = Window(n_trunc)
+    total = zero(w)
+    n = 0
+    while 2 * n * n + n < n_trunc:
+        c = (
+            poch_finite(qf(1, 2), n + 1, w)
+            * poch_finite(qf(2, 2, -1), n, w)
+            * inv_poch_finite(qf(2, 2), 2 * n + 1, w)
+        )
+        total = total + c.times_monomial(0, 2 * n * n + n, (-1) ** n)
+        n += 1
+    return total
+
+
+def oracle_goellnitz(variant, window):
+    n_trunc = window.q_truncation
+    w = Window(n_trunc)
+    total = zero(w)
+    n = 0
+    while n * n < n_trunc:
+        if variant == "LG2":  # q^(n^2) prod_{j<n} (q + q^(2j)) / (q^2;q^2)_n
+            c = one(w)
+            for j in range(n):
+                c = c * TruncatedSeries({(0, 1): 1, (0, 2 * j): 1}, n_trunc, None, 1)
+            c = c * inv_poch_finite(qf(2, 2), n, w)
+            shift = n * n
+        else:
+            c = poch_finite(qf(1, 2, -1), n, w) * inv_poch_finite(qf(2, 2), n, w)
+            shift = {"GG1": n * n + 2 * n, "LG1": n * n + n, "GG2": n * n}[variant]
+        total = total + c.times_monomial(0, shift)
+        n += 1
+    return total
+
+
+def oracle_mod12(profile, window):
+    # q^(3 floor(n/2)^2 - 2n - 4) bounds every summand of h(n) from below
+    n_trunc = window.q_truncation
+    w = Window(n_trunc)
+    floor_bound = lambda k: 3 * (k // 2) ** 2 - 2 * k - 4  # noqa: E731
+    total = zero(w)
+    for n, h in enumerate(closed_form_width6(profile).values(w)):
+        if n >= 4 and floor_bound(n) >= n_trunc and floor_bound(n + 1) >= n_trunc:
+            return total
+        total = total + h
+
+
+def oracle_schmidt_distinct_odd(window):
+    n_trunc = window.q_truncation
+    d_cap = n_trunc if window.z_truncation is None else window.z_truncation
+    w = Window(n_trunc, d_cap)
+    total = zero(w)
+    n = 0
+    while 2 * n <= d_cap and n * (n + 1) < n_trunc:
+        t = inv_poch_finite(zf(1, 1, 1), n, w) * inv_poch_finite(zf(1, 1, 1), n + 1, w)
+        total = total + t.times_monomial(2 * n, n * (n + 1))
+        n += 1
+    return total
+
+
+def oracle_schmidt_distinct_even(window):
+    n_trunc = window.q_truncation
+    d_cap = n_trunc if window.z_truncation is None else window.z_truncation
+    w = Window(n_trunc, d_cap)
+    total = one(w)
+    n = 1
+    while 2 * n - 1 <= d_cap and n * (n - 1) < n_trunc:
+        t = inv_poch_finite(zf(1, 0, 1), n, w) * inv_poch_finite(zf(1, 1, 1), n, w)
+        total = total + t.times_monomial(2 * n - 1, n * (n - 1))
+        n += 1
+    return total
+
+
+W6 = ((1, 1, 1), (1, 1, -1), (1, -1, 1), (-1, 1, 1))
+# (label, sum, oracle, bivariate)
+SUM_ORACLES = [
+    ("euler", sum_euler, oracle_euler, False),
+    *[("rogers-ramanujan-%d" % s, partial(sum_rogers_ramanujan, s), partial(oracle_rogers_ramanujan, s), False)
+      for s in (0, 1)],
+    ("signed-distinct-mod2", sum_signed_distinct_mod2, oracle_signed_distinct_mod2, False),
+    *[("goellnitz-" + v, partial(sum_goellnitz, v), partial(oracle_goellnitz, v), False)
+      for v in ("GG1", "LG1", "GG2", "LG2")],
+    *[("mod12-" + ",".join(map(str, p)), partial(sum_mod12, p), partial(oracle_mod12, p), False) for p in W6],
+    ("alternating-mod4", sum_alternating_mod4, oracle_alternating_mod4, True),
+    ("schmidt-distinct-odd", sum_schmidt_distinct_odd, oracle_schmidt_distinct_odd, True),
+    ("schmidt-distinct-even", sum_schmidt_distinct_even, oracle_schmidt_distinct_even, True),
+]
+
+
+@pytest.mark.parametrize("fast, oracle, bivariate", [c[1:] for c in SUM_ORACLES],
+                         ids=[c[0] for c in SUM_ORACLES])
+def test_running_sums_equal_the_from_scratch_oracles(fast, oracle, bivariate):
+    ns = (1, 2, 3, 5, 8, 13, 30, 41, 81, 200)
+    if bivariate:  # the fallback z-window grows with N for the Schmidt sums
+        windows = [Window(n, d) for n in ns for d in (0, 1, 3, 10, 20)] + [Window(n) for n in ns[:7]]
+    else:
+        windows = [Window(n) for n in ns]
+    for window in windows + [Window(30, 3, 2)]:
+        got, want = fast(window), oracle(window)
+        assert (got.window, got._rows) == (want.window, want._rows), window
 
 
 def test_signed_distinct_enumeration_small_values():

@@ -1,6 +1,7 @@
 """Tests for the exact truncated-series ring."""
 
 from fractions import Fraction as Fr
+from itertools import count
 from math import gcd, lcm
 
 import pytest
@@ -26,8 +27,8 @@ from cylq.series import (
     zero,
     zf,
 )
-from cylq.series import (_UNWINDOWED_LIMIT, _combine, _div_binomial, _from_rows, _min_bound,
-                         _mul_binomial, _poch)
+from cylq.series import (_UNIT_STEP, _UNWINDOWED_LIMIT, _combine, _div_binomial, _from_rows,
+                         _min_bound, _mul_binomial, _poch, _running)
 
 W = Window(24)
 WB = Window(16, 8)
@@ -330,6 +331,31 @@ def test_pochhammer_from_a_start():
     expected = start * poch_finite(zf(1, 1, 1), 3, WB) * inv_poch_finite(qf(Fr(1, 2), 2), 4, WB)
     got = _poch([(zf(1, 1, 1), 3)], [(qf(Fr(1, 2), 2), 4)], WB, start)
     assert _state(got) == _state(expected)
+
+
+def test_running_terms_and_their_stop():
+    # T(n) = (-q;q^2)_n / (zq;q)_(n+1) at z^n q^(n^2), sign (-1)^n: each step
+    # gains one binomial above the bar and one below
+    def step(n):
+        if not n:
+            return [], [(zf(1, 1, 1), 1)], 0, 0, 1
+        return [(qf(2 * n - 1, 1, -1), 1)], [(zf(1, n + 1, 1), 1)], n, n * n, (-1) ** n
+
+    for N, D in ((1, 0), (1, 5), (10, 2), (10, 9), (17, 8), (30, 3)):
+        parts = list(_running(step, Window(N, D)))
+        # the parts stop at the first z- or q-shift outside the window
+        assert len(parts) == next(n for n in count() if n > D or n * n >= N), (N, D)
+        for n, (term, k, e, sign) in enumerate(parts):
+            w = Window(N - e, D)
+            want = poch_finite(qf(1, 2, -1), n, w) * inv_poch_finite(zf(1, 1, 1), n + 1, w)
+            assert (k, e, sign) == (n, n * n, (-1) ** n)
+            assert _state(term) == _state(want), (N, D, n)
+    # a pure q-term in a window without a z-bound: 1/(q;q)_n at q^n, n < N
+    euler = lambda n: ([], [(qf(n, 1), 1)], 0, n, 1) if n else _UNIT_STEP  # noqa: E731
+    parts = list(_running(euler, Window(12)))
+    assert [part[1:] for part in parts] == [(0, n, 1) for n in range(12)]
+    for n, (term, *_shifts) in enumerate(parts):
+        assert _state(term) == _state(inv_poch_finite(qf(1, 1), n, Window(12 - n))), n
 
 # ---------------------------------------------------------------------------
 #
