@@ -24,6 +24,7 @@ import json
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
+from math import lcm
 from typing import Optional
 
 from .fitkit import FitProblem, fit_report
@@ -113,6 +114,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+_NORMALIZED_HELP = (
+    "auto (default): the normalized system when every weight is an integer "
+    ">= 1 and the kind is not distinct; true: require it; false: the "
+    "unnormalized system"
+)
+
+
 def _parse_normalized(text: str):
     try:
         return {"auto": "auto", "true": True, "false": False}[text]
@@ -198,11 +206,13 @@ def _cmd_series(args) -> int:
 def _cmd_enumerate(args) -> int:
     window = _window(args)
     if args.objects:
+        # the largest weighted size below q^N on the weights' grid
+        grid = lcm(1, *(w.denominator for w in args.weights or ()))
         objs = enumerate_objects(
             args.kind,
             args.profile,
             args.weights,
-            max_weighted_size=args.N - 1,
+            max_weighted_size=args.N - Fraction(1, grid),
             max_part=args.D,
         )
         if args.format == "json":
@@ -497,13 +507,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = commands.add_parser("system", help="build the coupled system")
     p.add_argument("--kind", choices=KINDS, required=True)
-    p.add_argument("--normalized", default="auto", type=_parse_normalized)
+    p.add_argument("--normalized", default="auto", type=_parse_normalized,
+                   help=_NORMALIZED_HELP)
     _add_common(p, window=False, profile=True)
     p.set_defaults(func=_cmd_system)
 
     p = commands.add_parser("solve", help="solve the coupled system")
     p.add_argument("--kind", choices=KINDS, required=True)
-    p.add_argument("--normalized", default="auto", type=_parse_normalized)
+    p.add_argument("--normalized", default="auto", type=_parse_normalized,
+                   help=_NORMALIZED_HELP)
     p.add_argument("--select", type=_parse_profile, default=None,
                    help="print only this profile's solution")
     _add_common(p, profile=True)

@@ -25,14 +25,22 @@ Four object kinds share this machinery:
 The q-statistic is the weighted size sum_j a_j * |lam^j| and the
 z-statistic is the largest part.
 
+One walk lists chains: it takes every partition within the budget as the
+anchor, the diagonal of the heaviest weight, and then follows a list of
+steps (j, i, down), each placing at position j every neighbor of the
+diagonal at position i (below it when ``down`` is set).  A closed chain
+steps on around the cylinder from its anchor; an open chain steps right to
+its end and then left to its start.
+
 ``enumerate_objects`` lists the objects one by one and is the oracle.
-``genfun_by_enumeration`` counts them instead: it lists every diagonal but
-the free ones (the closing diagonal of a closed chain, the two ends of an
-open chain), and given its neighbors each coordinate of a free diagonal
-ranges over an independent interval, so those diagonals add a product of
-geometric polynomials.  The marked, diamond and signed families are
-counted by DPs over (previous part, marked sum).  Counting uses interlacing
-bounds only, never the solver's corner moves.
+``genfun_by_enumeration`` counts them instead: its steps place every
+diagonal but the free ones (the closing diagonal of a closed chain, the
+ends of an open chain other than its anchor), and given its neighbors each
+coordinate of a free diagonal ranges over an independent interval, so
+those diagonals add a product of geometric polynomials.  The marked,
+diamond and signed families are counted by DPs over (previous part, marked
+sum).  Counting uses interlacing bounds only, never the solver's corner
+moves.
 """
 
 from __future__ import annotations
@@ -447,97 +455,72 @@ def _neighbor_stream(direction_down: bool, strict: bool, prev: tuple,
                 yield mu
 
 
-def _closed_prefixes(d, w, budget, part_cap, rows_cap, strict, depth):
-    """The first ``depth`` diagonals of closed chains of profile d, weights w,
-    anchored at lam^0.
+def _walk(anchor, steps, aw, budget, part_cap, rows_cap, strict):
+    """Chains listed from the diagonal at position ``anchor``.
 
-    Yields (chain, scaled size of chain[:depth]); ``chain`` is one list,
-    overwritten by the next step.
+    Each step (j, i, down) puts at position j every neighbor of the diagonal
+    at position i, below it when ``down`` is set and above it otherwise.
+    Yields (chain, scaled size of the placed diagonals); ``chain`` is one
+    positional list, overwritten in place by the next step, and positions
+    no step reaches hold None.
     """
-    anchor_size = budget // w[0] if w[0] > 0 else None
-    chain = [None] * depth
+    chain = [None] * len(aw)
+    end = len(steps)
 
-    def rec(j: int, used: int) -> Iterator[tuple]:
-        if j == depth:
+    def rec(k: int, used: int) -> Iterator[tuple]:
+        if k == end:
             yield chain, used
             return
-        for mu in _neighbor_stream(d[j - 1] == -1, strict, chain[j - 1],
-                                   w[j], budget - used, part_cap, rows_cap):
+        j, i, down = steps[k]
+        for mu in _neighbor_stream(down, strict, chain[i], aw[j], budget - used,
+                                   part_cap, rows_cap):
             chain[j] = mu
-            yield from rec(j + 1, used + w[j] * sum(mu))
+            yield from rec(k + 1, used + aw[j] * sum(mu))
 
-    for lam0 in partitions_iter(anchor_size, part_cap, rows_cap):
-        used0 = w[0] * sum(lam0)
-        if used0 > budget:
-            continue
-        chain[0] = lam0
-        yield from rec(1, used0)
+    w = aw[anchor]
+    for lam in partitions_iter(budget // w if w > 0 else None, part_cap, rows_cap):
+        used = w * sum(lam)
+        if used <= budget:
+            chain[anchor] = lam
+            yield from rec(0, used)
 
 
-def _heaviest_rotation(delta, aw) -> tuple:
-    """(r, delta and weights rotated to start at the heaviest weight a_r)."""
-    r = max(range(len(delta)), key=lambda j: aw[j])
-    return r, delta[r:] + delta[:r], aw[r:] + aw[:r]
+def _closed_steps(delta, r: int, count: int) -> list:
+    """Steps around a closed chain to the ``count`` positions after r; the
+    link from position i to i+1 goes down when delta[i] = -1."""
+    h = len(delta)
+    return [((r + k + 1) % h, (r + k) % h, delta[(r + k) % h] == -1)
+            for k in range(count)]
+
+
+def _open_steps(delta, t: int, first: int, last: int) -> list:
+    """Steps of an open chain from position t right to ``last``, then left
+    to ``first``; read backwards, link j-1 -> j goes down when
+    delta[j-1] = +1."""
+    return ([(j + 1, j, delta[j] == -1) for j in range(t, last)]
+            + [(j - 1, j, delta[j - 1] == 1) for j in range(t, first, -1)])
 
 
 def _closed_chains(delta, aw, budget, part_cap, rows_cap, strict):
-    """Closed chains (cylindric wrap), anchored at the heaviest weight.
-
-    Yields (diagonals lam^0..lam^(h-1) in input orientation, scaled size).
-    """
+    """Closed chains (cylindric wrap), anchored at the heaviest weight a_r:
+    yields (diagonals lam^0..lam^(h-1), scaled size)."""
     h = len(delta)
-    r, d, w = _heaviest_rotation(delta, aw)
+    r = max(range(h), key=aw.__getitem__)
+    c = (r - 1) % h  # the closing link runs from lam^c to lam^r
     above = is_above_strict if strict else is_above
-    for chain, used in _closed_prefixes(d, w, budget, part_cap, rows_cap, strict, h):
-        lam0, last = chain[0], chain[h - 1]
-        if above(last, lam0) if d[h - 1] == -1 else above(lam0, last):
-            yield tuple(chain[(j - r) % h] for j in range(h)), used
-
-
-def _open_prefixes(delta, aw, t, first, last, budget, part_cap, rows_cap, strict):
-    """Diagonals lam^first..lam^last of open chains, anchored at lam^t.
-
-    Yields (those diagonals, their scaled size).
-    """
-    anchor_size = budget // aw[t] if aw[t] > 0 else None
-
-    def grow(j: int, chain: list, used: int) -> Iterator[tuple]:
-        # extend to the right from position j
-        if j == last:
-            yield from shrink(t, chain, used)
-            return
-        prev = chain[-1]
-        for mu in _neighbor_stream(delta[j] == -1, strict, prev,
-                                   aw[j + 1], budget - used, part_cap, rows_cap):
-            yield from grow(j + 1, chain + [mu], used + aw[j + 1] * sum(mu))
-
-    def shrink(j: int, chain: list, used: int) -> Iterator[tuple]:
-        # extend to the left from position j
-        if j == first:
+    for chain, used in _walk(r, _closed_steps(delta, r, h - 1), aw, budget,
+                             part_cap, rows_cap, strict):
+        if above(chain[c], chain[r]) if delta[c] == -1 else above(chain[r], chain[c]):
             yield tuple(chain), used
-            return
-        prev = chain[0]
-        # link j-1 -> j read backwards: delta[j-1] = -1 means the left
-        # diagonal dominates, so generate upward from the right one
-        for mu in _neighbor_stream(delta[j - 1] == 1, strict, prev,
-                                   aw[j - 1], budget - used, part_cap, rows_cap):
-            yield from shrink(j - 1, [mu] + chain, used + aw[j - 1] * sum(mu))
-
-    for lam_t in partitions_iter(anchor_size, part_cap, rows_cap):
-        used0 = aw[t] * sum(lam_t)
-        if used0 > budget:
-            continue
-        yield from grow(t, [lam_t], used0)
 
 
-def _open_chains(delta, aw, budget, part_cap, rows_cap, strict):
-    """Open chains lam^0..lam^h, anchored at the heaviest weight.
-
-    Yields (diagonals lam^0..lam^h, scaled size).
-    """
-    h = len(delta)
-    t = max(range(h + 1), key=lambda j: aw[j])
-    return _open_prefixes(delta, aw, t, 0, h, budget, part_cap, rows_cap, strict)
+def _open_chains(delta, aw, budget, part_cap, rows_cap):
+    """Open chains, anchored at the heaviest weight a_t: yields (diagonals
+    lam^0..lam^h, scaled size)."""
+    t = max(range(len(aw)), key=aw.__getitem__)
+    for chain, used in _walk(t, _open_steps(delta, t, 0, len(delta)), aw, budget,
+                             part_cap, rows_cap, False):
+        yield tuple(chain), used
 
 
 # ---------------------------------------------------------------------------
@@ -660,36 +643,38 @@ def _count_anchor(counts, w: int, budget: int, part_cap, rows_cap, strict: bool)
 
 
 def _count_closed(counts, delta, aw, budget, part_cap, rows_cap, strict) -> None:
-    """Closed chains: list lam^0..lam^(h-2), count the closing diagonal."""
+    """Closed chains: list all but the diagonal closing on the anchor, count it."""
     h = len(delta)
     if h == 1:
         _count_anchor(counts, aw[0], budget, part_cap, rows_cap, strict)
         return
-    _, d, w = _heaviest_rotation(delta, aw)
-    # lam^(h-1) lies below lam^(h-2) when d[h-2] = -1 and above lam^0 when
-    # d[h-1] = -1
-    for chain, used in _closed_prefixes(d, w, budget, part_cap, rows_cap, strict, h - 1):
-        bounds = _link_bounds(((chain[h - 2], d[h - 2] == 1), (chain[0], d[h - 1] == -1)),
+    r = max(range(h), key=aw.__getitem__)
+    c, p = (r - 1) % h, (r - 2) % h
+    # the closing diagonal lam^c lies below lam^p when delta[p] = -1 and
+    # above lam^r when delta[c] = -1
+    for chain, used in _walk(r, _closed_steps(delta, r, h - 2), aw, budget,
+                             part_cap, rows_cap, strict):
+        bounds = _link_bounds(((chain[p], delta[p] == 1), (chain[r], delta[c] == -1)),
                               strict, part_cap, rows_cap)
-        _add_free_diagonals(counts, _largest(chain), used, budget, ((w[h - 1], bounds),))
+        _add_free_diagonals(counts, _largest(chain), used, budget, ((aw[c], bounds),))
 
 
 def _count_open(counts, delta, aw, budget, part_cap, rows_cap) -> None:
     """Open chains: list the inner diagonals, count each end but the anchor."""
     h = len(delta)
-    t = max(range(h + 1), key=lambda j: aw[j])
+    t = max(range(h + 1), key=aw.__getitem__)
     first = 0 if t == 0 else 1
     last = h if t == h else h - 1
-    for diags, used in _open_prefixes(delta, aw, t, first, last, budget,
-                                      part_cap, rows_cap, False):
+    for chain, used in _walk(t, _open_steps(delta, t, first, last), aw, budget,
+                             part_cap, rows_cap, False):
         free = []
         if first == 1:  # lam^0 lies above lam^1 when delta[0] = -1
-            free.append((aw[0], _link_bounds(((diags[0], delta[0] == -1),),
+            free.append((aw[0], _link_bounds(((chain[1], delta[0] == -1),),
                                              False, part_cap, rows_cap)))
         if last == h - 1:  # lam^h lies above lam^(h-1) when delta[h-1] = +1
-            free.append((aw[h], _link_bounds(((diags[-1], delta[h - 1] == 1),),
+            free.append((aw[h], _link_bounds(((chain[h - 1], delta[h - 1] == 1),),
                                              False, part_cap, rows_cap)))
-        _add_free_diagonals(counts, _largest(diags), used, budget, free)
+        _add_free_diagonals(counts, _largest(chain), used, budget, free)
 
 
 # ---------------------------------------------------------------------------
@@ -749,11 +734,11 @@ def enumerate_objects(
             obj = GridPartition(kind, d, w, diags + (diags[0],))
             out.append((used, obj))
     elif kind == "skew-shifted":
-        for diags, used in _open_chains(d, aw, budget, max_part, max_rows, False):
+        for diags, used in _open_chains(d, aw, budget, max_part, max_rows):
             out.append((used, GridPartition(kind, d, w, diags)))
     else:  # symmetric: enumerate half chains with weights (1,2,...,2,1)
         h = len(d)
-        for half, used in _open_chains(d, aw, budget, max_part, max_rows, False):
+        for half, used in _open_chains(d, aw, budget, max_part, max_rows):
             # half[i] = diagonal at position h+i of the doubled cylinder
             fullp = full_profile(d)
             diags = tuple(half[h - j] for j in range(h + 1)) + tuple(
@@ -924,6 +909,8 @@ def count_partitions_by_hook(max_size: int, min_part: int = 1) -> dict:
     The hook length of a nonempty partition is largest part + rows - 1;
     the empty partition is recorded at (0, 0).
     """
+    if min_part < 1:
+        raise ValueError("min_part must be at least 1 (parts are positive)")
     counts: dict = {(0, 0): 1}
 
     def rec(prev: int, size: int, first: int, rows: int) -> None:

@@ -61,6 +61,19 @@ def test_enumerate_objects_lists_count(capsys):
     assert out.startswith("15 objects")
 
 
+def test_enumerate_objects_match_genfun_with_fractional_weights(capsys):
+    # sizes on the half-integer grid between N - 1 and N are below q^N too
+    argv = ("enumerate", "--kind", "cylindric", "--profile=-1,1",
+            "--weights", "1/2,1", "--N", "2", "--D", "3")
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    total = sum(int(line.rsplit(": ", 1)[1]) for line in out.splitlines()[1:])
+    code, out, _ = run(capsys, *argv, "--objects")
+    assert code == 0
+    assert total == 5
+    assert out.startswith("%d objects" % total)
+
+
 def test_product_with_weights(capsys):
     code, out, _ = run(
         capsys, "product", "--kind", "cylindric", "--profile=-1,-1,1",
@@ -271,6 +284,16 @@ def test_bad_profile_is_usage_error(capsys):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2, argv
+
+
+@pytest.mark.parametrize("command", ["system", "solve"])
+def test_normalized_help_names_its_values(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())
+    assert "--normalized NORMALIZED auto (default)" in text
+    assert "true: require it" in text and "false: the unnormalized system" in text
 
 
 def test_bad_window_is_usage_error(capsys):

@@ -374,6 +374,9 @@ def test_hook_tables():
             assert dt2.get((m, n), 0) == ht2.get((m + 1, n + 1), 0)
     with pytest.raises(ValueError):
         count_distinct_by_marked_sum(5, "even")
+    for min_part in (0, -1):
+        with pytest.raises(ValueError, match="min_part"):
+            count_partitions_by_hook(3, min_part)
 
 
 # ---------------------------------------------------------------------------
@@ -450,6 +453,76 @@ def test_counting_equals_listing_random(data):
     window = Window(data.draw(st.integers(1, 5)), z_cap, data.draw(st.sampled_from((1, 2))))
     args = (kind, delta, weights, window, max_rows)
     assert _counted(*args) == _listed(*args)
+
+
+def _tuples_within(weights, budget, parts):
+    """Every tuple of partitions from ``parts``, one per (positive) weight,
+    with weighted size at most budget."""
+    if not weights:
+        yield ()
+        return
+    for lam in parts:
+        used = weights[0] * sum(lam)
+        if used <= budget:
+            for rest in _tuples_within(weights[1:], budget - used, parts):
+                yield (lam,) + rest
+
+
+def _brute_force_objects(kind, delta, weights, budget, max_part, max_rows) -> set:
+    """The objects within the budget and caps among all tuples of diagonals
+    drawn from partitions_iter that GridPartition.validate accepts."""
+    h = len(delta)
+    if kind == "symmetric":  # the half chain lam^h..lam^2h, mirrored
+        free_weights, full_delta = scp_weights(h), full_profile(delta)
+        weights = (Fr(1),) * (2 * h)
+    else:
+        free_weights = weights = tuple(Fr(x) for x in weights)
+        full_delta = delta
+    k = int(budget / min(free_weights))
+    parts = [lam for lam in partitions_iter(size_cap=k)
+             if (max_part is None or not lam or lam[0] <= max_part)
+             and (max_rows is None or len(lam) <= max_rows)]
+    out = set()
+    for free in _tuples_within(free_weights, budget, parts):
+        if kind == "symmetric":
+            diags = free[::-1] + free[1:]
+        elif kind == "skew-shifted":
+            diags = free
+        else:
+            diags = free + free[:1]
+        obj = GridPartition(kind, full_delta, weights, diags)
+        try:
+            obj.validate()
+        except ValueError:
+            continue
+        assert obj.weighted_size() <= budget
+        out.add(obj)
+    return out
+
+
+def _heaviest_left_inside_right(n):
+    return sorted({tuple(2 if j == at else 1 for j in range(n)) for at in (0, n // 2, n - 1)})
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_walk_lists_every_object_of_the_brute_force(kind):
+    # listing and counting share the chain walk, so only an independent
+    # search can catch a walk that drops chains
+    for h in range(1, 4):
+        for delta in itertools.product((-1, 1), repeat=h):
+            if kind == "symmetric":
+                weight_cases = [None]
+            else:
+                n = h if kind in ("cylindric", "distinct") else h + 1
+                weight_cases = [(1,) * n] + _heaviest_left_inside_right(n)
+            for weights in weight_cases:
+                for budget, max_part, max_rows in ((4, None, None), (5, 2, 2)):
+                    objs = enumerate_objects(kind, delta, weights, max_weighted_size=budget,
+                                             max_part=max_part, max_rows=max_rows)
+                    assert len(set(objs)) == len(objs)
+                    want = _brute_force_objects(kind, delta, weights, budget,
+                                                max_part, max_rows)
+                    assert set(objs) == want, (kind, delta, weights, budget)
 
 
 MARKED_VARIANTS = [(distinct, marking, count_first) for distinct in (False, True)
