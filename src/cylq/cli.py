@@ -11,6 +11,11 @@ Subcommands::
     fit        solve for weights matching a target product
     balance    census of the pair-exponent symmetry over all profiles
 
+Each subcommand returns ``(exit code, payload, lines)``: the payload is
+its JSON document, the lines its text form.  ``main`` is the one place
+that prints; it writes the payload for ``--format json`` and the lines
+otherwise.  A usage error goes to stderr and leaves stdout empty.
+
 Exit codes: 0 success; 1 any verification inequality; 2 usage or
 infeasibility errors.  Output is deterministic for a fixed invocation,
 including under ``verify --jobs``: cases are emitted in sorted label
@@ -133,12 +138,14 @@ def _window(args, *, default_d: Optional[int] = None) -> Window:
     return Window(args.N, d)
 
 
-def _emit(payload: dict, args) -> None:
-    if args.format == "json":
-        print(json.dumps(payload, sort_keys=True, indent=2))
-
-
-def _series_lines(series: TruncatedSeries) -> list:
+def _series_output(header: str, series: TruncatedSeries) -> tuple:
+    """A series' cylq-cli/1 payload and its header and coefficient lines."""
+    payload = {
+        "schema": "cylq-cli/1",
+        "command": header,
+        "conventions": dict(CONVENTIONS),
+        "series": series_to_json(series),
+    }
     lines = []
     bivariate = any(z for z, _, _ in series.items())
     for z_deg, q_exp, c in series.items():
@@ -146,28 +153,11 @@ def _series_lines(series: TruncatedSeries) -> list:
             lines.append("z^%d q^%s: %d" % (z_deg, q_exp, c))
         else:
             lines.append("q^%s: %d" % (q_exp, c))
-    return lines or ["0"]
-
-
-def _print_series(series: TruncatedSeries, args, header: str) -> None:
-    if args.format == "json":
-        _emit(
-            {
-                "schema": "cylq-cli/1",
-                "command": header,
-                "conventions": dict(CONVENTIONS),
-                "series": series_to_json(series),
-            },
-            args,
-        )
-        return
     w = series.window
-    print(
-        "%s  [window q<%s z<=%s scale=%s]"
-        % (header, w.q_truncation, w.z_truncation, w.q_scale)
+    head = "%s  [window q<%s z<=%s scale=%s]" % (
+        header, w.q_truncation, w.z_truncation, w.q_scale
     )
-    for line in _series_lines(series):
-        print(line)
+    return payload, [head] + (lines or ["0"])
 
 
 # ---------------------------------------------------------------------------
@@ -197,13 +187,12 @@ def _require_profile(args) -> tuple:
     return args.profile
 
 
-def _cmd_series(args) -> int:
+def _cmd_series(args) -> tuple:
     series = _SUMS[args.sum](args, _window(args))
-    _print_series(series, args, "series %s" % args.sum)
-    return EXIT_OK
+    return (EXIT_OK, *_series_output("series %s" % args.sum, series))
 
 
-def _cmd_enumerate(args) -> int:
+def _cmd_enumerate(args) -> tuple:
     window = _window(args)
     if args.objects:
         # the largest weighted size below q^N on the weights' grid
@@ -215,94 +204,74 @@ def _cmd_enumerate(args) -> int:
             max_weighted_size=args.N - Fraction(1, grid),
             max_part=args.D,
         )
-        if args.format == "json":
-            _emit(
-                {
-                    "schema": "cylq-cli/1",
-                    "command": "enumerate-objects",
-                    "kind": args.kind,
-                    "profile": list(args.profile),
-                    "objects": [
-                        [list(diag) for diag in obj.diagonals] for obj in objs
-                    ],
-                },
-                args,
-            )
-        else:
-            print("%d objects" % len(objs))
-            for obj in objs:
-                print(" ; ".join(",".join(str(x) for x in d) for d in obj.diagonals))
-        return EXIT_OK
+        payload = {
+            "schema": "cylq-cli/1",
+            "command": "enumerate-objects",
+            "kind": args.kind,
+            "profile": list(args.profile),
+            "objects": [[list(diag) for diag in obj.diagonals] for obj in objs],
+        }
+        lines = ["%d objects" % len(objs)] + [
+            " ; ".join(",".join(str(x) for x in d) for d in obj.diagonals)
+            for obj in objs
+        ]
+        return EXIT_OK, payload, lines
     series = genfun_by_enumeration(
         args.kind, args.profile, args.weights, window=window
     )
     if args.collapse_z:
         series = series.collapse_z()
-    _print_series(series, args, "enumerate %s %s" % (args.kind, args.profile))
-    return EXIT_OK
+    header = "enumerate %s %s" % (args.kind, args.profile)
+    return (EXIT_OK, *_series_output(header, series))
 
 
-def _cmd_product(args) -> int:
+def _cmd_product(args) -> tuple:
     if args.kind == "cylindric":
-        spec = cp_product_spec(args.profile, args.weights, args.orientation)
+        orientation = args.orientation or "direct"
+        spec = cp_product_spec(args.profile, args.weights, orientation)
+    elif args.orientation is not None:
+        raise ValueError("--orientation applies only to --kind cylindric")
     elif args.kind == "skew-shifted":
         spec = dspp_product_spec(args.profile, args.weights)
+    elif args.weights is not None:
+        raise ValueError(
+            "symmetric products always use the standard weights of the doubled "
+            "cylinder; drop --weights"
+        )
     else:  # symmetric: profile is the half profile, weights are implied
         spec = scp_product_spec(args.profile)
     if args.spec_only:
-        if args.format == "json":
-            _emit(
-                {
-                    "schema": "cylq-cli/1",
-                    "command": "product-spec",
-                    "conventions": dict(CONVENTIONS),
-                    "product": spec.to_json(),
-                },
-                args,
-            )
-        else:
-            for label, pairs in (("num", spec.num), ("den", spec.den)):
-                print(
-                    "%s: %s"
-                    % (label, " ".join("(q^%s;q^%s)" % (e, m) for e, m in pairs))
-                    if pairs
-                    else "%s: 1" % label
-                )
-        return EXIT_OK
-    series = spec.expand(_window(args))
-    if args.format == "json":
-        _emit(
-            {
-                "schema": "cylq-cli/1",
-                "command": "product",
-                "conventions": dict(CONVENTIONS),
-                "product": spec.to_json(),
-                "series": series_to_json(series),
-            },
-            args,
-        )
-    else:
-        _print_series(series, args, "product %s %s" % (args.kind, args.profile))
-    return EXIT_OK
+        payload = {
+            "schema": "cylq-cli/1",
+            "command": "product-spec",
+            "conventions": dict(CONVENTIONS),
+            "product": spec.to_json(),
+        }
+        lines = [
+            "%s: %s" % (label, " ".join("(q^%s;q^%s)" % (e, m) for e, m in pairs))
+            if pairs
+            else "%s: 1" % label
+            for label, pairs in (("num", spec.num), ("den", spec.den))
+        ]
+        return EXIT_OK, payload, lines
+    payload, lines = _series_output(
+        "product %s %s" % (args.kind, args.profile), spec.expand(_window(args))
+    )
+    payload.update(command="product", product=spec.to_json())
+    return EXIT_OK, payload, lines
 
 
-def _cmd_system(args) -> int:
+def _cmd_system(args) -> tuple:
     system = build_system(args.kind, args.profile, args.weights, args.normalized)
-    if args.format == "json":
-        _emit(
-            {
-                "schema": "cylq-cli/1",
-                "command": "system",
-                "system": system_to_json(system),
-            },
-            args,
-        )
-    else:
-        print(system.pretty())
-    return EXIT_OK
+    payload = {
+        "schema": "cylq-cli/1",
+        "command": "system",
+        "system": system_to_json(system),
+    }
+    return EXIT_OK, payload, [system.pretty()]
 
 
-def _cmd_solve(args) -> int:
+def _cmd_solve(args) -> tuple:
     system = build_system(args.kind, args.profile, args.weights, args.normalized)
     window = _window(args, default_d=args.N)
     try:
@@ -315,25 +284,17 @@ def _cmd_solve(args) -> int:
             "profile %s is not part of the solved closure %s"
             % (args.select, sorted(solved))
         )
-    if args.format == "json":
-        _emit(
-            {
-                "schema": "cylq-cli/1",
-                "command": "solve",
-                "symbol": system.symbol(),
-                "solutions": {
-                    ",".join(str(x) for x in p): series_to_json(solved[p])
-                    for p in chosen
-                },
-            },
-            args,
-        )
-        return EXIT_OK
+    outputs = {}
     for p in chosen:
-        _print_series(
-            solved[p], args, "%s[%s]" % (system.symbol(), ",".join(map(str, p)))
-        )
-    return EXIT_OK
+        name = ",".join(str(x) for x in p)
+        outputs[name] = _series_output("%s[%s]" % (system.symbol(), name), solved[p])
+    payload = {
+        "schema": "cylq-cli/1",
+        "command": "solve",
+        "symbol": system.symbol(),
+        "solutions": {name: out["series"] for name, (out, _) in outputs.items()},
+    }
+    return EXIT_OK, payload, [line for _, lines in outputs.values() for line in lines]
 
 
 def _override_window(case, n: Optional[int], d: Optional[int]) -> Optional[Window]:
@@ -346,51 +307,33 @@ def _override_window(case, n: Optional[int], d: Optional[int]) -> Optional[Windo
     )
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> tuple:
     labels = sorted(set(args.case)) if args.case else list(registry())
     cases = [get_case(label) for label in labels]  # KeyError -> usage error
     windows = [_override_window(c, args.N, args.D) for c in cases]
-
-    def run(pair):
-        case, window = pair
-        return verify(case, window)
-
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            reports = list(pool.map(run, zip(cases, windows)))
-    else:
-        reports = [run(pair) for pair in zip(cases, windows)]
+    with ThreadPoolExecutor(max_workers=args.jobs) as pool:
+        reports = list(pool.map(verify, cases, windows))
 
     total = sum(len(r["comparisons"]) for r in reports)
     equal = sum(1 for r in reports for c in r["comparisons"] if c["equal"])
-    if args.format == "json":
-        print(
-            json.dumps(
-                {
-                    "schema": "cylq-cli/1",
-                    "command": "verify",
-                    "reports": reports,
-                    "comparisons_equal": equal,
-                    "comparisons_total": total,
-                },
-                sort_keys=True,
-                indent=2,
-            )
-        )
-    else:
-        for report in reports:
-            print(report_text(report))
-            print()
-        bounds = {r["window"]["q_truncation"] for r in reports}
-        tail = " through q^%d" % (bounds.pop() - 1) if len(bounds) == 1 else ""
-        print(
-            "%d/%d comparisons equal%s across %d case%s"
-            % (equal, total, tail, len(reports), "" if len(reports) == 1 else "s")
-        )
-    return EXIT_OK if equal == total else EXIT_UNEQUAL
+    payload = {
+        "schema": "cylq-cli/1",
+        "command": "verify",
+        "reports": reports,
+        "comparisons_equal": equal,
+        "comparisons_total": total,
+    }
+    lines = [text for report in reports for text in (report_text(report), "")]
+    bounds = {r["window"]["q_truncation"] for r in reports}
+    tail = " through q^%d" % (bounds.pop() - 1) if len(bounds) == 1 else ""
+    lines.append(
+        "%d/%d comparisons equal%s across %d case%s"
+        % (equal, total, tail, len(reports), "" if len(reports) == 1 else "s")
+    )
+    return (EXIT_OK if equal == total else EXIT_UNEQUAL), payload, lines
 
 
-def _cmd_fit(args) -> int:
+def _cmd_fit(args) -> tuple:
     if args.problem is not None:
         if args.problem == "-":
             raw = sys.stdin.read()
@@ -411,48 +354,42 @@ def _cmd_fit(args) -> int:
             integral=not args.rational,
         )
     report = fit_report(problem)
-    if args.format == "json":
-        print(json.dumps(report, sort_keys=True, indent=2))
+    if not report["feasible_shape"]:
+        lines = ["infeasible by shape: %s" % report["reason"]]
+    elif not report["solutions"]:
+        lines = ["no weight vectors found within the constraints"]
     else:
-        if not report["feasible_shape"]:
-            print("infeasible by shape: %s" % report["reason"])
-        elif not report["solutions"]:
-            print("no weight vectors found within the constraints")
-        else:
-            for sol in report["solutions"]:
-                print(
-                    "weights %s (forward check: %s)"
-                    % (
-                        ",".join(str(w) for w in sol["weights"]),
-                        "ok" if sol["forward_check"] else "FAILED",
-                    )
-                )
-    return EXIT_OK if report["feasible_shape"] else EXIT_USAGE
+        lines = [
+            "weights %s (forward check: %s)"
+            % (
+                ",".join(str(w) for w in sol["weights"]),
+                "ok" if sol["forward_check"] else "FAILED",
+            )
+            for sol in report["solutions"]
+        ]
+    return (EXIT_OK if report["feasible_shape"] else EXIT_USAGE), report, lines
 
 
-def _cmd_balance(args) -> int:
+def _cmd_balance(args) -> tuple:
     census = balance_census(args.max_width)
     balanced = sum(b for b, _ in census.values())
     total = sum(t for _, t in census.values())
-    if args.format == "json":
-        _emit(
-            {
-                "schema": "cylq-cli/1",
-                "command": "balance",
-                "census": {str(k): [b, t] for k, (b, t) in sorted(census.items())},
-                "balanced": balanced,
-                "total": total,
-            },
-            args,
-        )
+    payload = {
+        "schema": "cylq-cli/1",
+        "command": "balance",
+        "census": {str(k): [b, t] for k, (b, t) in sorted(census.items())},
+        "balanced": balanced,
+        "total": total,
+    }
+    lines = [
+        "width %d: %d/%d balanced" % (width, b, t)
+        for width, (b, t) in sorted(census.items())
+    ]
+    if balanced == total:
+        lines.append("all %d profiles balanced" % total)
     else:
-        for width, (b, t) in sorted(census.items()):
-            print("width %d: %d/%d balanced" % (width, b, t))
-        if balanced == total:
-            print("all %d profiles balanced" % total)
-        else:
-            print("%d/%d profiles balanced" % (balanced, total))
-    return EXIT_OK
+        lines.append("%d/%d profiles balanced" % (balanced, total))
+    return EXIT_OK, payload, lines
 
 
 # ---------------------------------------------------------------------------
@@ -499,7 +436,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = commands.add_parser("product", help="expand a chain's product side")
     p.add_argument("--kind", choices=("cylindric", "skew-shifted", "symmetric"),
                    required=True)
-    p.add_argument("--orientation", choices=ORIENTATIONS, default="direct")
+    p.add_argument("--orientation", choices=ORIENTATIONS)
     p.add_argument("--spec-only", action="store_true",
                    help="print the factor list without expanding")
     _add_common(p, profile=True)
@@ -526,7 +463,7 @@ def build_parser() -> argparse.ArgumentParser:
                    metavar="LABEL", help="case label (repeatable; default: all)")
     p.add_argument("--list", action="store_true", help="list case labels and exit")
     p.add_argument("--jobs", type=_positive_int, default=1)
-    p.add_argument("--format", choices=("text", "json"), default="text")
+    _add_common(p, window=False)
     p.add_argument("--N", type=_positive_int, default=None)
     p.add_argument("--D", type=_positive_int, default=None)
     p.set_defaults(func=_cmd_verify)
@@ -541,12 +478,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--allow-negative", action="store_true")
     p.add_argument("--rational", action="store_true",
                    help="allow non-integer weights")
-    p.add_argument("--format", choices=("text", "json"), default="text")
+    _add_common(p, window=False)
     p.set_defaults(func=_cmd_fit)
 
     p = commands.add_parser("balance", help="pair-exponent symmetry census")
     p.add_argument("--max-width", type=_positive_int, required=True)
-    p.add_argument("--format", choices=("text", "json"), default="text")
+    _add_common(p, window=False)
     p.set_defaults(func=_cmd_balance)
 
     return parser
@@ -560,13 +497,18 @@ def main(argv=None) -> int:
             print(label)
         return EXIT_OK
     try:
-        return args.func(args)
+        code, payload, lines = args.func(args)
     except KeyError as err:
         print("error: %s" % (err.args[0] if err.args else err), file=sys.stderr)
         return EXIT_USAGE
     except (ValueError, OSError, json.JSONDecodeError) as err:
         print("error: %s" % err, file=sys.stderr)
         return EXIT_USAGE
+    if args.format == "json":
+        print(json.dumps(payload, sort_keys=True, indent=2))
+    else:
+        print("\n".join(lines))
+    return code
 
 
 if __name__ == "__main__":

@@ -307,13 +307,7 @@ def _numeric_entries(problem: FitProblem, weights) -> tuple:
 
 
 def _forward_check(problem: FitProblem, weights) -> bool:
-    got = _numeric_entries(problem, weights)
-    if problem.kind == "cylindric":
-        return got == ((problem.targets[0][0], problem.targets[0][1]),)
-    return got == (
-        (problem.targets[0][0], problem.targets[0][1]),
-        (problem.targets[1][0], problem.targets[1][1]),
-    )
+    return _numeric_entries(problem, weights) == problem.targets
 
 
 def fit_weights(problem: FitProblem) -> list:
@@ -502,7 +496,7 @@ def discover_equivalences(
                     except ValueError:
                         continue  # zero/negative entry: no product to match
                     key = tuple(sorted(spec.expand(wq).coeffs.items()))
-                    buckets.setdefault(key, []).append((kind, profile, weights))
+                    buckets.setdefault(key, []).append((kind, profile, weights, spec))
     check_w = Window(check_q, check_q)
     wq_small = Window(check_q)
     groups = []
@@ -510,12 +504,7 @@ def discover_equivalences(
         if len(members) < min_members:
             continue
         kept = []
-        for kind, profile, weights in members:
-            spec = (
-                cp_product_spec(profile, weights)
-                if kind == "cylindric"
-                else dspp_product_spec(profile, weights)
-            )
+        for kind, profile, weights, spec in members:
             enum = genfun_by_enumeration(
                 kind, profile, weights, window=check_w
             ).collapse_z()

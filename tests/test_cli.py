@@ -93,6 +93,50 @@ def test_product_spec_only_json(capsys):
     assert payload["product"]["schema"].startswith("cylq-product")
 
 
+def test_product_json_carries_spec_and_series(capsys):
+    code, out, _ = run(
+        capsys, "product", "--kind", "cylindric", "--profile=-1,-1,1",
+        "--weights", "1,3,1", "--N", "7", "--format", "json",
+    )
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["command"] == "product"
+    assert payload["product"]["schema"].startswith("cylq-product")
+    assert payload["series"]["q_truncation"] == 7
+    assert "pochhammer" in payload["conventions"]
+
+
+def test_product_symmetric_refuses_weights(capsys):
+    # symmetric objects fix their weights, so --weights would be ignored
+    code, out, err = run(
+        capsys, "product", "--kind", "symmetric", "--profile=1,-1",
+        "--weights", "5,5,5", "--N", "6",
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: symmetric products") and "--weights" in err
+
+
+@pytest.mark.parametrize("kind", ["skew-shifted", "symmetric"])
+def test_product_orientation_is_cylindric_only(capsys, kind):
+    code, out, err = run(
+        capsys, "product", "--kind", kind, "--profile=1,-1",
+        "--orientation", "reflected", "--N", "6",
+    )
+    assert code == 2
+    assert out == ""
+    assert err == "error: --orientation applies only to --kind cylindric\n"
+
+
+def test_product_orientation_defaults_to_direct(capsys):
+    argv = ("product", "--kind", "cylindric", "--profile=-1,-1,1",
+            "--weights", "1,2,3", "--N", "7", "--spec-only")
+    _, default, _ = run(capsys, *argv)
+    _, direct, _ = run(capsys, *argv, "--orientation", "direct")
+    _, reflected, _ = run(capsys, *argv, "--orientation", "reflected")
+    assert default == direct != reflected
+
+
 def test_system_pretty_and_json(capsys):
     code, out, _ = run(capsys, "system", "--kind", "cylindric", "--profile=-1,1")
     assert code == 0
@@ -132,6 +176,79 @@ def test_solve_without_progress_is_usage_error(capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("error: fixed-point iteration made no progress at z-degree 1")
+
+
+def test_enumerate_json_objects(capsys):
+    argv = ("enumerate", "--kind", "skew-shifted", "--profile=1,-1",
+            "--N", "5", "--D", "3", "--objects")
+    _, text, _ = run(capsys, *argv)
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["command"] == "enumerate-objects"
+    assert payload["kind"] == "skew-shifted" and payload["profile"] == [1, -1]
+    assert len(payload["objects"]) == 15
+    listed = [" ; ".join(",".join(map(str, d)) for d in obj) for obj in payload["objects"]]
+    assert text.splitlines()[1:] == listed
+
+
+def test_solve_json_matches_text(capsys):
+    argv = ("solve", "--kind", "cylindric", "--profile=-1,1", "--N", "6")
+    _, text, _ = run(capsys, *argv)
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["command"] == "solve"
+    assert sorted(payload["solutions"]) == ["-1,1", "1,-1"]
+    for name, series in payload["solutions"].items():
+        assert series["schema"] == "cylq-series/1"
+        assert "%s[%s]  [window q<6" % (payload["symbol"], name) in text
+
+
+_JSON_COMMANDS = [
+    (("series", "--sum", "euler", "--N", "6"), "cylq-cli/1", "series euler"),
+    (("enumerate", "--kind", "cylindric", "--profile=-1,1", "--N", "4", "--D", "3"),
+     "cylq-cli/1", "enumerate cylindric (-1, 1)"),
+    (("enumerate", "--kind", "cylindric", "--profile=-1,1", "--N", "4", "--D", "3",
+      "--objects"), "cylq-cli/1", "enumerate-objects"),
+    (("product", "--kind", "cylindric", "--profile=-1,1", "--N", "5"),
+     "cylq-cli/1", "product"),
+    (("product", "--kind", "cylindric", "--profile=-1,1", "--N", "5", "--spec-only"),
+     "cylq-cli/1", "product-spec"),
+    (("system", "--kind", "cylindric", "--profile=-1,1"), "cylq-cli/1", "system"),
+    (("solve", "--kind", "cylindric", "--profile=-1,1", "--N", "5"), "cylq-cli/1", "solve"),
+    (("verify", "--case", "euler-sum", "--N", "10"), "cylq-cli/1", "verify"),
+    (("fit", "--kind", "cylindric", "--profile=-1,-1,1", "--target", "1,4,5@5"),
+     "cylq-fit-result/1", None),
+    (("balance", "--max-width", "2"), "cylq-cli/1", "balance"),
+]
+
+
+@pytest.mark.parametrize("argv,schema,command", _JSON_COMMANDS)
+def test_json_output_is_one_document(capsys, argv, schema, command):
+    code, out, err = run(capsys, *argv, "--format", "json")
+    assert code == 0 and err == ""
+    payload, end = json.JSONDecoder().raw_decode(out)
+    assert out[end:] == "\n"
+    assert payload["schema"] == schema
+    assert payload.get("command") == command
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["series", "--sum", "mod12", "--N", "6"],
+        ["verify", "--case", "no-such-case"],
+        ["fit", "--kind", "cylindric"],
+        ["solve", "--kind", "cylindric", "--profile=-1,1", "--N", "5", "--select=1,1"],
+    ],
+)
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_usage_error_leaves_stdout_empty(capsys, argv, fmt):
+    code, out, err = run(capsys, *argv, "--format", fmt)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
 
 
 # ---------------------------------------------------------------------------
@@ -284,6 +401,7 @@ def test_bad_profile_is_usage_error(capsys):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2, argv
+        assert capsys.readouterr().out == "", argv
 
 
 @pytest.mark.parametrize("command", ["system", "solve"])
