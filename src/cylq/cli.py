@@ -308,6 +308,10 @@ def _override_window(case, n: Optional[int], d: Optional[int]) -> Optional[Windo
 
 
 def _cmd_verify(args) -> tuple:
+    if args.list:
+        labels = list(registry())
+        return EXIT_OK, {"schema": "cylq-cli/1", "command": "verify-list",
+                         "labels": labels}, labels
     labels = sorted(set(args.case)) if args.case else list(registry())
     cases = [get_case(label) for label in labels]  # KeyError -> usage error
     windows = [_override_window(c, args.N, args.D) for c in cases]
@@ -492,10 +496,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "verify" and args.list:
-        for label in registry():
-            print(label)
-        return EXIT_OK
     try:
         code, payload, lines = args.func(args)
     except KeyError as err:

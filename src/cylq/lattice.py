@@ -25,22 +25,20 @@ Four object kinds share this machinery:
 The q-statistic is the weighted size sum_j a_j * |lam^j| and the
 z-statistic is the largest part.
 
-One walk lists chains: it takes every partition within the budget as the
-anchor, the diagonal of the heaviest weight, and then follows a list of
-steps (j, i, down), each placing at position j every neighbor of the
-diagonal at position i (below it when ``down`` is set).  A closed chain
-steps on around the cylinder from its anchor; an open chain steps right to
-its end and then left to its start.
+``enumerate_objects`` lists the objects one by one and is the oracle.  Its
+walk takes every partition within the budget as the anchor, the diagonal of
+the heaviest weight, and then follows a list of steps (j, i, down), each
+placing at position j every neighbor of the diagonal at position i (below
+it when ``down`` is set).  A closed chain steps on around the cylinder from
+its anchor; an open chain steps right to its end and then left to its start.
 
-``enumerate_objects`` lists the objects one by one and is the oracle.
-``genfun_by_enumeration`` counts them instead: its steps place every
-diagonal but the free ones (the closing diagonal of a closed chain, the
-ends of an open chain other than its anchor), and given its neighbors each
-coordinate of a free diagonal ranges over an independent interval, so
-those diagonals add a product of geometric polynomials.  The marked,
-diamond and signed families are counted by DPs over (previous part, marked
-sum).  Counting uses interlacing bounds only, never the solver's corner
-moves.
+``genfun_by_enumeration`` counts the objects instead, row by row: row i of
+a chain holds the i-th parts of all its diagonals, and interlacing bounds
+each row entrywise by the row before it.  A recursion over rows, memoised on
+the row (Stanley's transfer-matrix method), counts the chains in time
+polynomial in the window.  The marked, diamond and signed families are
+counted by DPs over (previous part, marked sum).  Counting uses interlacing
+bounds only, never the solver's corner moves.
 """
 
 from __future__ import annotations
@@ -460,9 +458,8 @@ def _walk(anchor, steps, aw, budget, part_cap, rows_cap, strict):
 
     Each step (j, i, down) puts at position j every neighbor of the diagonal
     at position i, below it when ``down`` is set and above it otherwise.
-    Yields (chain, scaled size of the placed diagonals); ``chain`` is one
-    positional list, overwritten in place by the next step, and positions
-    no step reaches hold None.
+    Yields (chain, scaled size); ``chain`` is one positional list,
+    overwritten in place by the next step.
     """
     chain = [None] * len(aw)
     end = len(steps)
@@ -485,20 +482,19 @@ def _walk(anchor, steps, aw, budget, part_cap, rows_cap, strict):
             yield from rec(0, used)
 
 
-def _closed_steps(delta, r: int, count: int) -> list:
-    """Steps around a closed chain to the ``count`` positions after r; the
-    link from position i to i+1 goes down when delta[i] = -1."""
+def _closed_steps(delta, r: int) -> list:
+    """Steps around a closed chain from position r to the h-1 positions
+    after it; the link from position i to i+1 goes down when delta[i] = -1."""
     h = len(delta)
     return [((r + k + 1) % h, (r + k) % h, delta[(r + k) % h] == -1)
-            for k in range(count)]
+            for k in range(h - 1)]
 
 
-def _open_steps(delta, t: int, first: int, last: int) -> list:
-    """Steps of an open chain from position t right to ``last``, then left
-    to ``first``; read backwards, link j-1 -> j goes down when
-    delta[j-1] = +1."""
-    return ([(j + 1, j, delta[j] == -1) for j in range(t, last)]
-            + [(j - 1, j, delta[j - 1] == 1) for j in range(t, first, -1)])
+def _open_steps(delta, t: int) -> list:
+    """Steps of an open chain from position t right to its end h, then left
+    to 0; read backwards, link j-1 -> j goes down when delta[j-1] = +1."""
+    return ([(j + 1, j, delta[j] == -1) for j in range(t, len(delta))]
+            + [(j - 1, j, delta[j - 1] == 1) for j in range(t, 0, -1)])
 
 
 def _closed_chains(delta, aw, budget, part_cap, rows_cap, strict):
@@ -508,7 +504,7 @@ def _closed_chains(delta, aw, budget, part_cap, rows_cap, strict):
     r = max(range(h), key=aw.__getitem__)
     c = (r - 1) % h  # the closing link runs from lam^c to lam^r
     above = is_above_strict if strict else is_above
-    for chain, used in _walk(r, _closed_steps(delta, r, h - 1), aw, budget,
+    for chain, used in _walk(r, _closed_steps(delta, r), aw, budget,
                              part_cap, rows_cap, strict):
         if above(chain[c], chain[r]) if delta[c] == -1 else above(chain[r], chain[c]):
             yield tuple(chain), used
@@ -518,163 +514,114 @@ def _open_chains(delta, aw, budget, part_cap, rows_cap):
     """Open chains, anchored at the heaviest weight a_t: yields (diagonals
     lam^0..lam^h, scaled size)."""
     t = max(range(len(aw)), key=aw.__getitem__)
-    for chain, used in _walk(t, _open_steps(delta, t, 0, len(delta)), aw, budget,
+    for chain, used in _walk(t, _open_steps(delta, t), aw, budget,
                              part_cap, rows_cap, False):
         yield tuple(chain), used
 
 
 # ---------------------------------------------------------------------------
-# chain counting: the free diagonals as interval products
+# chain counting: one row at a time
 # ---------------------------------------------------------------------------
 
 
-def _link_bounds(links, strict: bool, part_cap, rows_cap) -> list:
-    """Coordinate intervals [(lo, hi), ...] of a diagonal held by interlacing.
+def _count_rows(delta, aw, closed: bool, strict: bool, budget: int,
+                part_cap, rows_cap) -> dict:
+    """Counts {(largest part, scaled size): n} of chains, read row by row.
 
-    ``links`` lists (neighbor, above): the diagonal lies above the neighbor
-    when ``above`` is set, below it otherwise.  Every coordinate past the
-    list is 0.  Only the largest part can stay unbounded (hi None), when
-    every link puts the diagonal above its neighbor and part_cap is None.
+    Row i of a chain is v = (lam^0_i, lam^1_i, ...), one entry per weight.
+    Link j joins entries j and j+1, and entries h-1 and 0 when the chain is
+    closed.  With (hi, lo) its upper and lower entry, interlacing asks
+    v[hi] >= v[lo] within a row and u[hi] <= v[lo] of the next row u, both
+    strict under ``strict`` when the smaller side is positive.  So the
+    chains that go on after a row v are counted by G(v) = 1 + sum of
+    q^wt(u) G(u) over the nonzero rows u allowed after v (Stanley's
+    transfer-matrix method, EC1 4.7).  Every such u lies below v entrywise,
+    and only a constant row can follow itself: it adds the factor
+    1/(1 - q^wt(v)).  With ``rows_cap`` the rows still allowed join the
+    state instead.
     """
-    n = max(len(nbr) for nbr, _ in links) + 1
-    lows = [0] * n
-    his = [part_cap] + [None] * (n - 1)
-    for nbr, above in links:
-        nb = tuple(nbr) + (0,) * (n + 1 - len(nbr))
-        for i in range(n):
-            if above:  # nb_i <= c_i <= nb_(i-1)
-                lo, hi = nb[i], (nb[i - 1] if i else None)
-            else:      # nb_(i+1) <= c_i <= nb_i
-                lo, hi = nb[i + 1], nb[i]
-            if strict:  # strict between positive entries
-                lo = lo + 1 if lo else 0
-                if hi is not None:
-                    hi = hi - 1 if hi else 0
-            if lo > lows[i]:
-                lows[i] = lo
-            if hi is not None and (his[i] is None or hi < his[i]):
-                his[i] = hi
-    if rows_cap is not None:
-        for i in range(rows_cap, n):
-            his[i] = 0
-    return list(zip(lows, his))
+    n = len(aw)
+    if rows_cap is not None and all(aw) and rows_cap >= budget // min(aw):
+        rows_cap = None  # every nonzero row weighs at least min(aw)
+    links = [(j, (j + 1) % n) if x == -1 else ((j + 1) % n, j)
+             for j, x in enumerate(delta)]
+    wrap_hi, wrap_lo = links[-1]  # checked on full rows when the chain is closed
 
+    def rows(bound, cap) -> list:
+        """The nonzero rows u <= bound with wt(u) <= cap, as (u, wt(u)),
+        in increasing lexicographic order."""
+        out = []
+        row = [0] * n
 
-def _times_geometric(poly: list, w: int, lo: int, hi: int, cap: int) -> list:
-    """poly * sum_(c=lo..hi) q^(w c), dense in q and cut above q^cap."""
-    if lo > hi:
-        return []
-    if hi == 0:
-        return poly
-    if w == 0:
-        return [x * (hi - lo + 1) for x in poly]
-    out = [0] * min(cap + 1, len(poly) + w * hi)
-    top = len(out)
-    for i, x in enumerate(poly):
-        if x:
-            for e in range(i + w * lo, min(top, i + w * hi + 1), w):
-                out[e] += x
-    return out
-
-
-def _add_free_diagonals(counts: dict, z: int, used: int, budget: int, free) -> None:
-    """Add every filling of the free diagonals to counts {(z, size): n}.
-
-    The fixed diagonals have largest part z and scaled size used; ``free``
-    lists (weight, coordinate intervals) of diagonals whose coordinates
-    range independently.  The largest parts decide z, so they are split
-    out; all other coordinates only add to the size, as one product of
-    geometric polynomials.
-    """
-    remaining = budget - used
-    tops = {(z, 0): 1}  # (largest part, size of the largest parts): n
-    rest = [1]          # size distribution of the other coordinates
-    for w, bounds in free:
-        lo, hi = bounds[0]
-        if hi is None:
-            hi = remaining // w
-        grown: dict = {}
-        for (z0, e0), n in tops.items():
+        def place(k: int, used: int) -> None:
+            lo, hi = 0, bound[k]
+            if k:
+                p = row[k - 1]
+                if links[k - 1][0] == k - 1:  # row[k] <= p
+                    if strict and p:
+                        p -= 1
+                    if p < hi:
+                        hi = p
+                else:                         # row[k] >= p
+                    lo = p + 1 if strict and p else p
+            w = aw[k]
+            if w and (cap - used) // w < hi:
+                hi = (cap - used) // w
+            if k + 1 < n:
+                for c in range(lo, hi + 1):
+                    row[k] = c
+                    place(k + 1, used + w * c)
+                return
             for c in range(lo, hi + 1):
-                e = e0 + w * c
-                if e > remaining:
-                    break
-                key = (max(z0, c), e)
-                grown[key] = grown.get(key, 0) + n
-        tops = grown
-        for lo, hi in bounds[1:]:
-            rest = _times_geometric(rest, w, lo, hi, remaining)
-    for (z0, e0), n in tops.items():
-        for k, r in enumerate(rest[:remaining - e0 + 1]):
-            if r:
-                key = (z0, used + e0 + k)
-                counts[key] = counts.get(key, 0) + n * r
+                row[k] = c
+                a, b = row[wrap_hi], row[wrap_lo]
+                if not closed or a > b or (a == b and not (strict and b)):
+                    out.append((tuple(row), used + w * c))
 
+        place(0, 0)
+        del out[0]  # the zero row, which always comes first
+        return out
 
-def _largest(diagonals) -> int:
-    return max((t[0] for t in diagonals if t), default=0)
+    memo: dict = {}
 
+    def after(v, wv: int, left) -> list:
+        """G(v), dense in q up to q^(budget - wv); ``left`` rows may follow
+        (None: any number)."""
+        key = v if rows_cap is None else (v, left)
+        g = memo.get(key)
+        if g is not None:
+            return g
+        cap = budget - wv
+        g = [1] + [0] * cap
+        repeats = False
+        if left != 0:
+            bound = list(v)
+            for hi, lo in links:
+                bound[hi] = min(bound[hi], v[lo] - 1 if strict and v[lo] else v[lo])
+            nxt = None if left is None else left - 1
+            for u, wu in rows(bound, cap):
+                if u == v and left is None:
+                    repeats = True
+                else:
+                    _add_into(g, wu, after(u, wu, nxt), cap + 1)
+        if repeats:
+            for k in range(wv, cap + 1):
+                g[k] += g[k - wv]
+        memo[key] = g
+        return g
 
-def _count_anchor(counts, w: int, budget: int, part_cap, rows_cap, strict: bool) -> None:
-    """Width-1 closed chains: the only diagonal is the anchor, and it closes
-    on itself.
-
-    Every partition does so weakly, and none but the empty one strictly
-    (its largest part would have to exceed itself).  So the nonstrict count
-    is every partition within the caps, by a DP over (part value, rows used,
-    size): ``table[r]`` counts partitions into r parts no larger than the
-    current value by size, and the ones gaining a part equal to that value
-    are those whose largest part it is.
-    """
-    counts[(0, 0)] = counts.get((0, 0), 0) + 1
-    if strict:
-        return
-    top = budget // w if w else part_cap * rows_cap  # largest size in the budget
-    rows = top if rows_cap is None else min(rows_cap, top)
-    table = [[1]] + [[] for _ in range(rows)]
-    for v in range(1, (top if part_cap is None else min(part_cap, top)) + 1):
-        largest: list = []
-        for r in range(1, rows + 1):
-            _add_into(table[r], v, table[r - 1], top + 1)
-            _add_into(largest, v, table[r - 1], top + 1)
-        for size, n in enumerate(largest):
-            if n:
-                counts[(v, w * size)] = counts.get((v, w * size), 0) + n
-
-
-def _count_closed(counts, delta, aw, budget, part_cap, rows_cap, strict) -> None:
-    """Closed chains: list all but the diagonal closing on the anchor, count it."""
-    h = len(delta)
-    if h == 1:
-        _count_anchor(counts, aw[0], budget, part_cap, rows_cap, strict)
-        return
-    r = max(range(h), key=aw.__getitem__)
-    c, p = (r - 1) % h, (r - 2) % h
-    # the closing diagonal lam^c lies below lam^p when delta[p] = -1 and
-    # above lam^r when delta[c] = -1
-    for chain, used in _walk(r, _closed_steps(delta, r, h - 2), aw, budget,
-                             part_cap, rows_cap, strict):
-        bounds = _link_bounds(((chain[p], delta[p] == 1), (chain[r], delta[c] == -1)),
-                              strict, part_cap, rows_cap)
-        _add_free_diagonals(counts, _largest(chain), used, budget, ((aw[c], bounds),))
-
-
-def _count_open(counts, delta, aw, budget, part_cap, rows_cap) -> None:
-    """Open chains: list the inner diagonals, count each end but the anchor."""
-    h = len(delta)
-    t = max(range(h + 1), key=aw.__getitem__)
-    first = 0 if t == 0 else 1
-    last = h if t == h else h - 1
-    for chain, used in _walk(t, _open_steps(delta, t, first, last), aw, budget,
-                             part_cap, rows_cap, False):
-        free = []
-        if first == 1:  # lam^0 lies above lam^1 when delta[0] = -1
-            free.append((aw[0], _link_bounds(((chain[1], delta[0] == -1),),
-                                             False, part_cap, rows_cap)))
-        if last == h - 1:  # lam^h lies above lam^(h-1) when delta[h-1] = +1
-            free.append((aw[h], _link_bounds(((chain[h - 1], delta[h - 1] == 1),),
-                                             False, part_cap, rows_cap)))
-        _add_free_diagonals(counts, _largest(chain), used, budget, free)
+    counts: dict = {(0, 0): 1}
+    if rows_cap != 0:
+        top = [part_cap if part_cap is not None else budget // w for w in aw]
+        left = None if rows_cap is None else rows_cap - 1
+        # rows come smallest first, so without a rows cap every row after v
+        # is already memoised and the recursion stays shallow
+        for v, wv in rows(top, budget):
+            z = max(v)
+            for k, c in enumerate(after(v, wv, left)):
+                if c:
+                    counts[(z, wv + k)] = counts.get((z, wv + k), 0) + c
+    return counts
 
 
 # ---------------------------------------------------------------------------
@@ -691,8 +638,8 @@ def _resolve(kind, delta, weights):
     if kind == "symmetric":
         if weights is not None:
             raise ValueError(
-                "symmetric objects always use the standard size of the doubled "
-                "cylinder; pass weights=None"
+                "symmetric objects take no weights: they always use the standard "
+                "size of the doubled cylinder"
             )
         w = tuple(Fraction(x) for x in scp_weights(h))
     elif weights is None:
@@ -775,11 +722,8 @@ def genfun_by_enumeration(
     part_cap = window.z_truncation
     _zero_weight_guard(aw, part_cap, max_rows)
 
-    counts: dict = {}
-    if kind in ("cylindric", "distinct"):
-        _count_closed(counts, d, aw, budget, part_cap, max_rows, kind == "distinct")
-    else:  # skew-shifted, and symmetric through its half chains
-        _count_open(counts, d, aw, budget, part_cap, max_rows)
+    closed = kind in ("cylindric", "distinct")  # symmetric: its half chains
+    counts = _count_rows(d, aw, closed, kind == "distinct", budget, part_cap, max_rows)
     return TruncatedSeries(counts, window.q_truncation, window.z_truncation, scale)
 
 

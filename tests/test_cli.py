@@ -117,6 +117,17 @@ def test_product_symmetric_refuses_weights(capsys):
     assert err.startswith("error: symmetric products") and "--weights" in err
 
 
+def test_enumerate_symmetric_refuses_weights(capsys):
+    code, out, err = run(
+        capsys, "enumerate", "--kind", "symmetric", "--profile", "1,-1",
+        "--weights", "1,1,1", "--N", "4",
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: symmetric objects take no weights")
+    assert "weights=None" not in err
+
+
 @pytest.mark.parametrize("kind", ["skew-shifted", "symmetric"])
 def test_product_orientation_is_cylindric_only(capsys, kind):
     code, out, err = run(
@@ -286,6 +297,11 @@ def test_verify_list(capsys):
     assert code == 0
     labels = out.split()
     assert "rogers-ramanujan" in labels and labels == sorted(labels)
+    code, out, _ = run(capsys, "verify", "--list", "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["schema"] == "cylq-cli/1" and payload["command"] == "verify-list"
+    assert payload["labels"] == labels
 
 
 def test_verify_parallel_output_deterministic(capsys):
