@@ -466,10 +466,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--case", dest="case", action="append", default=[],
                    metavar="LABEL", help="case label (repeatable; default: all)")
     p.add_argument("--list", action="store_true", help="list case labels and exit")
-    p.add_argument("--jobs", type=_positive_int, default=1)
+    p.add_argument("--jobs", type=_positive_int, default=1, metavar="K",
+                   help="run the cases on K threads of one process; the output "
+                        "is unchanged, and the run is no faster")
     _add_common(p, window=False)
-    p.add_argument("--N", type=_positive_int, default=None)
-    p.add_argument("--D", type=_positive_int, default=None)
+    p.add_argument("--N", type=_positive_int, default=None,
+                   help="q-window of every case: coefficients below q^N "
+                        "(default: each case's own window)")
+    p.add_argument("--D", type=_positive_int, default=None,
+                   help="z-window bound of every case (default: each case's own)")
     p.set_defaults(func=_cmd_verify)
 
     p = commands.add_parser("fit", help="fit weights to a target product")

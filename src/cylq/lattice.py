@@ -34,11 +34,11 @@ its anchor; an open chain steps right to its end and then left to its start.
 
 ``genfun_by_enumeration`` counts the objects instead, row by row: row i of
 a chain holds the i-th parts of all its diagonals, and interlacing bounds
-each row entrywise by the row before it.  A recursion over rows, memoised on
-the row (Stanley's transfer-matrix method), counts the chains in time
-polynomial in the window.  The marked, diamond and signed families are
-counted by DPs over (previous part, marked sum).  Counting uses interlacing
-bounds only, never the solver's corner moves.
+each row entrywise by a bound taken from the row before it.  A recursion
+over rows, memoised on that bound (Stanley's transfer-matrix method), counts
+the chains in time polynomial in the window.  The marked, diamond and signed
+families are counted by DPs over (previous part, marked sum).  Counting uses
+interlacing bounds only, never the solver's corner moves.
 """
 
 from __future__ import annotations
@@ -420,7 +420,10 @@ def _scaled_weights(weights: tuple, extra_scale: int = 1) -> tuple[tuple, int]:
     return tuple(int(w * scale) for w in weights), scale
 
 
-def _zero_weight_guard(aw: tuple, part_cap, rows_cap) -> None:
+def _check_caps(aw: tuple, part_cap, rows_cap) -> None:
+    for name, cap in (("max_part", part_cap), ("max_rows", rows_cap)):
+        if cap is not None and (not isinstance(cap, int) or cap < 0):
+            raise ValueError("%s must be a nonnegative integer or None (got %r)" % (name, cap))
     if all(w == 0 for w in aw):
         if part_cap is None or rows_cap is None:
             raise ValueError(
@@ -532,13 +535,13 @@ def _count_rows(delta, aw, closed: bool, strict: bool, budget: int,
     Link j joins entries j and j+1, and entries h-1 and 0 when the chain is
     closed.  With (hi, lo) its upper and lower entry, interlacing asks
     v[hi] >= v[lo] within a row and u[hi] <= v[lo] of the next row u, both
-    strict under ``strict`` when the smaller side is positive.  So the
-    chains that go on after a row v are counted by G(v) = 1 + sum of
-    q^wt(u) G(u) over the nonzero rows u allowed after v (Stanley's
-    transfer-matrix method, EC1 4.7).  Every such u lies below v entrywise,
-    and only a constant row can follow itself: it adds the factor
-    1/(1 - q^wt(v)).  With ``rows_cap`` the rows still allowed join the
-    state instead.
+    strict under ``strict`` when the smaller side is positive.  So the rows
+    allowed after v are the nonzero rows u <= b(v), the bound that lowers
+    each v[hi] to v[lo], and the chains that go on after v are counted by
+    S(b(v)) = 1 + sum of q^wt(u) S(b(u)) over those u (Stanley's transfer-
+    matrix method, EC1 4.7), memoised on the bound, not on v.  Only for a
+    constant row is b(v) = v: it adds the factor 1/(1 - q^wt(v)).  With
+    ``rows_cap`` the rows still allowed join the key.
     """
     n = len(aw)
     if rows_cap is not None and all(aw) and rows_cap >= budget // min(aw):
@@ -582,45 +585,47 @@ def _count_rows(delta, aw, closed: bool, strict: bool, budget: int,
         del out[0]  # the zero row, which always comes first
         return out
 
-    memo: dict = {}
+    bounds: dict = {}  # each row's bound, computed once
+    below: dict = {}   # b -> [(b(u), wt(u)) for each row u under b], if capped
+    sums: dict = {}    # rows left -> {b: S(b)}
 
-    def after(v, wv: int, left) -> list:
-        """G(v), dense in q up to q^(budget - wv); ``left`` rows may follow
-        (None: any number)."""
-        key = v if rows_cap is None else (v, left)
-        g = memo.get(key)
-        if g is not None:
-            return g
-        cap = budget - wv
-        g = [1] + [0] * cap
-        repeats = False
+    def total(b, left) -> list:
+        """S(b) up to q^(budget - wt(b)); ``left`` rows may follow (None: any)."""
+        wb = sum(w * c for w, c in zip(aw, b))
+        s = [1] + [0] * (budget - wb)
         if left != 0:
-            bound = list(v)
-            for hi, lo in links:
-                bound[hi] = min(bound[hi], v[lo] - 1 if strict and v[lo] else v[lo])
+            after = below.get(b) or [(bounds[u], wu) for u, wu in rows(b, budget - wb)]
+            if rows_cap is not None:  # b comes back with fewer rows left
+                below[b] = after
+            # b(u) <= u <= b, so b(u) = b only for u = b, the last row under b
+            repeats = left is None and after and after[-1][0] == b
             nxt = None if left is None else left - 1
-            for u, wu in rows(bound, cap):
-                if u == v and left is None:
-                    repeats = True
-                else:
-                    _add_into(g, wu, after(u, wu, nxt), cap + 1)
-        if repeats:
-            for k in range(wv, cap + 1):
-                g[k] += g[k - wv]
-        memo[key] = g
-        return g
+            known = sums.setdefault(nxt, {})
+            for bu, wu in after[:-1] if repeats else after:
+                _add_into(s, wu, known.get(bu) or total(bu, nxt), len(s))
+            if repeats:
+                for k in range(wb, len(s)):
+                    s[k] += s[k - wb]
+        sums.setdefault(left, {})[b] = s
+        return s
 
     counts: dict = {(0, 0): 1}
     if rows_cap != 0:
         top = [part_cap if part_cap is not None else budget // w for w in aw]
         left = None if rows_cap is None else rows_cap - 1
-        # rows come smallest first, so without a rows cap every row after v
-        # is already memoised and the recursion stays shallow
+        known = sums.setdefault(left, {})
+        # rows come smallest first and every row under b(v) lies below v, so
+        # its bound is known; without a rows cap its sum is known too
         for v, wv in rows(top, budget):
+            b = list(v)
+            for hi, lo in links:
+                b[hi] = min(b[hi], v[lo] - 1 if strict and v[lo] else v[lo])
+            b = bounds[v] = tuple(b)
             z = max(v)
-            for k, c in enumerate(after(v, wv, left)):
+            for k, c in enumerate((known.get(b) or total(b, left))[:budget - wv + 1]):
                 if c:
                     counts[(z, wv + k)] = counts.get((z, wv + k), 0) + c
+    del total  # it holds itself, and so the memo, until a full collection
     return counts
 
 
@@ -642,10 +647,9 @@ def _resolve(kind, delta, weights):
                 "size of the doubled cylinder"
             )
         w = tuple(Fraction(x) for x in scp_weights(h))
-    elif weights is None:
-        w = tuple(Fraction(1) for _ in range(h if kind in ("cylindric", "distinct") else h + 1))
     else:
-        w = _check_weights(weights, h if kind in ("cylindric", "distinct") else h + 1)
+        n = h if kind in ("cylindric", "distinct") else h + 1
+        w = _check_weights((1,) * n if weights is None else weights, n)
     return kind, d, w
 
 
@@ -672,7 +676,7 @@ def enumerate_objects(
         raise ValueError("max_weighted_size must be nonnegative")
     aw, scale = _scaled_weights(w, lcm(1, budget_fr.denominator))
     budget = int(budget_fr * scale)
-    _zero_weight_guard(aw, max_part, max_rows)
+    _check_caps(aw, max_part, max_rows)
 
     out = []
     if kind in ("cylindric", "distinct"):
@@ -720,7 +724,7 @@ def genfun_by_enumeration(
     aw, scale = _scaled_weights(w, window.q_scale)
     budget = window.q_truncation * scale - 1
     part_cap = window.z_truncation
-    _zero_weight_guard(aw, part_cap, max_rows)
+    _check_caps(aw, part_cap, max_rows)
 
     closed = kind in ("cylindric", "distinct")  # symmetric: its half chains
     counts = _count_rows(d, aw, closed, kind == "distinct", budget, part_cap, max_rows)

@@ -430,6 +430,17 @@ def test_normalized_help_names_its_values(capsys, command):
     assert "true: require it" in text and "false: the unnormalized system" in text
 
 
+def test_verify_help_describes_jobs_and_windows(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--help"])
+    assert exc.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())
+    assert "--jobs K run the cases on K threads of one process" in text
+    assert "no faster" in text
+    assert "--N N q-window of every case" in text
+    assert "--D D z-window bound of every case" in text
+
+
 def test_bad_window_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["series", "--sum", "euler", "--N", "0"])

@@ -213,6 +213,16 @@ def test_zero_weight_needs_part_cap():
     genfun_by_enumeration("cylindric", (-1, 1), (0, 1), window=Window(6, 6))
 
 
+@pytest.mark.parametrize("caps", [{"max_rows": -1}, {"max_rows": 1.5},
+                                  {"max_part": -1}, {"max_part": 1.5}])
+def test_caps_must_be_nonnegative_integers(caps):
+    with pytest.raises(ValueError, match="nonnegative integer"):
+        enumerate_objects("cylindric", (1,), max_weighted_size=6, **caps)
+    if "max_rows" in caps:  # the part cap of a count is its z-window
+        with pytest.raises(ValueError, match="nonnegative integer"):
+            genfun_by_enumeration("cylindric", (1,), window=Window(6), **caps)
+
+
 def test_enumeration_matches_rotated_profile():
     # rotating profile and weights together leaves the series unchanged
     w = Window(10, 10)
@@ -400,8 +410,9 @@ def _counted(kind, delta, weights, window, max_rows) -> dict:
 
 
 def _weight_cases(kind, h):
-    # deep enough for chains with several repeated rows
-    deeper = [(None, Window(10))] if h <= 3 else []
+    # deep enough for chains with several repeated rows, and at width 4 for
+    # many rows sharing one bound
+    deeper = [(None, Window(10))]
     if kind == "symmetric":
         return [(None, Window(6))] + deeper
     n = h if kind in ("cylindric", "distinct") else h + 1
