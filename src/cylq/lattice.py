@@ -46,9 +46,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from operator import add
 from typing import Iterator, Optional, Sequence
 
-from .series import TruncatedSeries, Window, _add_into
+from .series import TruncatedSeries, Window, _from_rows
 
 __all__ = [
     "is_above",
@@ -528,8 +529,9 @@ def _open_chains(delta, aw, budget, part_cap, rows_cap):
 
 
 def _count_rows(delta, aw, closed: bool, strict: bool, budget: int,
-                part_cap, rows_cap) -> dict:
-    """Counts {(largest part, scaled size): n} of chains, read row by row.
+                part_cap, rows_cap) -> list:
+    """Counts of chains, read row by row, as dense rows: entry k of row z
+    counts the chains of largest part z and scaled size k <= ``budget``.
 
     Row i of a chain is v = (lam^0_i, lam^1_i, ...), one entry per weight.
     Link j joins entries j and j+1, and entries h-1 and 0 when the chain is
@@ -582,6 +584,7 @@ def _count_rows(delta, aw, closed: bool, strict: bool, budget: int,
                     out.append((tuple(row), used + w * c))
 
         place(0, 0)
+        del place  # it holds itself, and so ``out``, until a full collection
         del out[0]  # the zero row, which always comes first
         return out
 
@@ -601,15 +604,18 @@ def _count_rows(delta, aw, closed: bool, strict: bool, budget: int,
             repeats = left is None and after and after[-1][0] == b
             nxt = None if left is None else left - 1
             known = sums.setdefault(nxt, {})
+            # b(u) <= u and the weights are >= 0, so wt(b(u)) <= wt(u): S(b(u))
+            # reaches q^(budget - wt(u)) or further, past the end of s, and
+            # the slice keeps its length (a shorter source would shrink s)
             for bu, wu in after[:-1] if repeats else after:
-                _add_into(s, wu, known.get(bu) or total(bu, nxt), len(s))
+                s[wu:] = map(add, s[wu:], known.get(bu) or total(bu, nxt))
             if repeats:
                 for k in range(wb, len(s)):
                     s[k] += s[k - wb]
         sums.setdefault(left, {})[b] = s
         return s
 
-    counts: dict = {(0, 0): 1}
+    acc = [[1] + [0] * budget]  # acc[z][k]: chains of largest part z, size k
     if rows_cap != 0:
         top = [part_cap if part_cap is not None else budget // w for w in aw]
         left = None if rows_cap is None else rows_cap - 1
@@ -622,11 +628,12 @@ def _count_rows(delta, aw, closed: bool, strict: bool, budget: int,
                 b[hi] = min(b[hi], v[lo] - 1 if strict and v[lo] else v[lo])
             b = bounds[v] = tuple(b)
             z = max(v)
-            for k, c in enumerate((known.get(b) or total(b, left))[:budget - wv + 1]):
-                if c:
-                    counts[(z, wv + k)] = counts.get((z, wv + k), 0) + c
+            while len(acc) <= z:
+                acc.append([0] * (budget + 1))
+            r = acc[z]  # as in total: S(b(v)) reaches past the end of r
+            r[wv:] = map(add, r[wv:], known.get(b) or total(b, left))
     del total  # it holds itself, and so the memo, until a full collection
-    return counts
+    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -727,8 +734,8 @@ def genfun_by_enumeration(
     _check_caps(aw, part_cap, max_rows)
 
     closed = kind in ("cylindric", "distinct")  # symmetric: its half chains
-    counts = _count_rows(d, aw, closed, kind == "distinct", budget, part_cap, max_rows)
-    return TruncatedSeries(counts, window.q_truncation, window.z_truncation, scale)
+    rows = _count_rows(d, aw, closed, kind == "distinct", budget, part_cap, max_rows)
+    return _from_rows(rows, window.q_truncation, window.z_truncation, scale)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Tests for lattice objects, interlacing, and enumeration."""
 
+import gc
 import itertools
 from collections import Counter
 from fractions import Fraction as Fr
@@ -466,6 +467,39 @@ def test_counting_equals_listing_random(data):
     window = Window(data.draw(st.integers(1, 5)), z_cap, data.draw(st.sampled_from((1, 2))))
     args = (kind, delta, weights, window, max_rows)
     assert _counted(*args) == _listed(*args)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("max_rows", (None, 3))
+def test_counting_leaves_no_cyclic_garbage(kind, max_rows):
+    # the counter's recursive closures must not keep its rows and memo alive
+    gc.collect()
+    gc.disable()
+    try:
+        genfun_by_enumeration(kind, (1, -1, 1), window=Window(12), max_rows=max_rows)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("kind, delta, weights, window, max_rows", [
+    ("cylindric", (1, -1), (0, 1), Window(8, 3), None),  # a leading zero weight
+    ("skew-shifted", (-1, 1), (0, 1, 1), Window(7, 2), 3),
+    ("cylindric", (-1, 1, 1), (Fr(1, 2), 1, 1), Window(6, None, 2), None),
+    ("skew-shifted", (1,), (Fr(1, 2), 1), Window(5, 1, 2), None),
+    ("distinct", (1, -1, 1), None, Window(8), 0),
+    ("symmetric", (1, -1), None, Window(9, 2), 0),
+    ("symmetric", (-1, 1), None, Window(1), None),
+    ("cylindric", (1, 1), None, Window(6, 0), None),
+])
+def test_counted_series_is_normalised(kind, delta, weights, window, max_rows):
+    # no trailing zeros, no empty last row, nothing past the window
+    g = genfun_by_enumeration(kind, delta, weights, window=window, max_rows=max_rows)
+    want = TruncatedSeries(dict(g.coeffs), window.q_truncation, window.z_truncation,
+                           window.q_scale)
+    assert g._rows == want._rows
+    assert (g.q_truncation, g.z_truncation, g.q_scale) == (
+        window.q_truncation, window.z_truncation, window.q_scale)
 
 
 def _tuples_within(weights, budget, parts):
