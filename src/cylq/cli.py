@@ -491,7 +491,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_fit)
 
     p = commands.add_parser("balance", help="pair-exponent symmetry census")
-    p.add_argument("--max-width", type=_positive_int, required=True)
+    p.add_argument("--max-width", type=_positive_int, required=True, metavar="W",
+                   help="check every profile of width 1..W: 2^(W+1) - 2 profiles")
     _add_common(p, window=False)
     p.set_defaults(func=_cmd_balance)
 

@@ -80,25 +80,25 @@ def prefix_sums(weights: Sequence) -> tuple:
 
 
 def w3_entries(delta: Sequence[int], A: Sequence, orientation: str = "direct") -> list:
-    """Closed-chain exponents from A = (A_1, ..., A_h); includes A_h."""
+    """Closed-chain exponents from A = (A_1, ..., A_h), A_h first.  The A_j - A_i
+    depend on A only: ``balance_census`` computes them once per width and never
+    calls the traced ``is_balanced`` or ``w3_multiset`` per profile (8,190 spans)."""
     d = _check_profile(delta)
     if orientation not in ORIENTATIONS:
         raise ValueError("orientation must be one of %s" % (ORIENTATIONS,))
-    h = len(d)
-    if len(A) != h:
+    if len(A) != len(d):
         raise ValueError("need the h partial sums A_1..A_h")
-    total = A[h - 1]
-    entries = [total]
-    for i in range(1, h + 1):
-        for j in range(i + 1, h + 1):
-            if d[i - 1] == d[j - 1]:
-                continue
-            descent = d[i - 1] > d[j - 1]
-            direct = A[j - 1] - A[i - 1]
-            if orientation == "reflected":
-                descent = not descent
-            entries.append(direct if descent else total - direct)
-    return entries
+    return [A[-1], *_w3_pairs(d, _pair_diffs(A), A[-1], orientation == "reflected")]
+
+
+def _pair_diffs(A: Sequence) -> list:
+    """[(i, j, A_j - A_i)] over 0-based index pairs i < j, in W3 order."""
+    return [(i, j, A[j] - A[i]) for i in range(len(A)) for j in range(i + 1, len(A))]
+
+
+def _w3_pairs(d: tuple, diffs: list, total, reflected: bool) -> list:
+    """W3's pair entries: e on a descent (an ascent if reflected), else total - e."""
+    return [e if (d[i] > d[j]) != reflected else total - e for i, j, e in diffs if d[i] != d[j]]
 
 
 def w1_entries(delta: Sequence[int], A: Sequence) -> list:
@@ -266,11 +266,10 @@ def nonsymmetric_mirror_series(half_delta: Sequence[int], window: Window) -> Tru
     return scp * (ratio - one(window))
 
 
-def _balanced(d: tuple, A: Sequence[int]) -> bool:
-    """``is_balanced`` for a checked profile and integer partial sums A_1..A_h."""
-    pairs = w3_entries(d, A)[1:]  # drop the total-weight entry
-    total = A[-1]
-    return sorted(pairs) == sorted(total - e for e in pairs)
+def _balanced(d: tuple, diffs: list, total: int) -> bool:
+    """``is_balanced`` for a checked profile, ``_pair_diffs`` and total of integer A."""
+    pairs = sorted(_w3_pairs(d, diffs, total, False))
+    return pairs == [total - e for e in reversed(pairs)]
 
 
 def is_balanced(delta: Sequence[int], weights: Optional[Sequence] = None) -> bool:
@@ -283,17 +282,17 @@ def is_balanced(delta: Sequence[int], weights: Optional[Sequence] = None) -> boo
     d = _check_profile(delta)
     w = _check_weights(weights if weights is not None else (1,) * len(d), len(d))
     scale = lcm(*(x.denominator for x in w))
-    return _balanced(d, tuple(accumulate(x.numerator * (scale // x.denominator) for x in w)))
+    A = tuple(accumulate(x.numerator * (scale // x.denominator) for x in w))
+    return _balanced(d, _pair_diffs(A), A[-1])
 
 
 def balance_census(max_width: int) -> dict:
-    """{width: (#balanced, #profiles)} over all standard-weight profiles."""
+    """{width: (#balanced, #profiles)} over all standard-weight profiles; the pair
+    differences are computed once per width, with no traced call per profile."""
+    if type(max_width) is not int or max_width < 1:
+        raise ValueError("max_width must be an integer >= 1 (got %r)" % (max_width,))
     out = {}
     for h in range(1, max_width + 1):
-        A = range(1, h + 1)
-        good = total = 0
-        for d in product((-1, 1), repeat=h):
-            total += 1
-            good += _balanced(d, A)
-        out[h] = (good, total)
+        diffs = _pair_diffs(range(1, h + 1))
+        out[h] = (sum(_balanced(d, diffs, h) for d in product((-1, 1), repeat=h)), 2 ** h)
     return out

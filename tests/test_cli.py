@@ -408,6 +408,14 @@ def test_balance_json(capsys):
     assert payload["balanced"] == payload["total"] == 14
 
 
+def test_balance_help_describes_max_width(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["balance", "--help"])
+    assert exc.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())
+    assert "--max-width W check every profile of width 1..W: 2^(W+1) - 2 profiles" in text
+
+
 def test_bad_profile_is_usage_error(capsys):
     for argv in (
         ["enumerate", "--kind", "cylindric", "--profile", "0,2", "--N", "4"],

@@ -1,11 +1,13 @@
 """Tests for exponent multisets and product expansion."""
 
 import itertools
+import random
 from fractions import Fraction as Fr
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cylq.fitkit import _symbolic_prefix_sums
 from cylq.lattice import full_profile, genfun_by_enumeration
 from cylq.products import (
     ProductSpec,
@@ -19,6 +21,7 @@ from cylq.products import (
     prefix_sums,
     scp_product_spec,
     w1_w2_multisets,
+    w3_entries,
     w3_multiset,
 )
 from cylq.series import TruncatedSeries, Window, one, poch_product, qf, theta_sum
@@ -162,24 +165,79 @@ def test_product_spec_json():
     assert ProductSpec.from_json(spec2.to_json()) == spec2
 
 
+def oracle_w3_entries(d, A, orientation="direct"):
+    """The nested-loop W3 rule that ``w3_entries`` replaced, kept as its oracle."""
+    h = len(d)
+    total = A[h - 1]
+    entries = [total]
+    for i in range(1, h + 1):
+        for j in range(i + 1, h + 1):
+            if d[i - 1] == d[j - 1]:
+                continue
+            descent = d[i - 1] > d[j - 1]
+            direct = A[j - 1] - A[i - 1]
+            if orientation == "reflected":
+                descent = not descent
+            entries.append(direct if descent else total - direct)
+    return entries
+
+
 def oracle_is_balanced(delta, weights=None):
     """The balance check on the Fraction multiset that ``is_balanced``
     replaced, kept as its oracle."""
-    entries, modulus = w3_multiset(delta, weights)
-    pairs = list(entries)
-    pairs.remove(modulus)  # drop one copy of the total-weight entry
-    return sorted(pairs) == sorted(modulus - e for e in pairs)
+    A = prefix_sums(weights if weights is not None else (1,) * len(delta))
+    pairs = oracle_w3_entries(tuple(delta), A)[1:]  # drop the total-weight entry
+    return sorted(pairs) == sorted(A[-1] - e for e in pairs)
+
+
+def test_w3_entries_match_nested_loop_oracle():
+    rng = random.Random(14)
+    for h in range(1, 9):
+        weight_sets = [
+            tuple(range(1, h + 1)),  # standard, as integers
+            tuple(itertools.accumulate(rng.randint(1, 9) for _ in range(h))),
+            prefix_sums([Fr(rng.randint(1, 9), rng.randint(1, 6)) for _ in range(h)]),
+        ]
+        if h <= 5:
+            weight_sets.append(_symbolic_prefix_sums(h))  # fitkit's linear forms
+        for A in weight_sets:
+            for d in itertools.product((-1, 1), repeat=h):
+                for orientation in ("direct", "reflected"):
+                    got = w3_entries(d, A, orientation)
+                    expected = oracle_w3_entries(d, A, orientation)
+                    assert got == expected, (d, A, orientation)
+                    assert [type(x) for x in got] == [type(x) for x in expected]
+
+
+def test_w3_entries_input_checks():
+    with pytest.raises(ValueError, match="orientation"):
+        w3_entries((1, -1), (1, 2), "mirrored")
+    with pytest.raises(ValueError, match="partial sums"):
+        w3_entries((1, -1), (1, 2, 3))
 
 
 def test_balance_standard_weights():
-    census = balance_census(8)
+    census = balance_census(10)
     for h, (good, total) in census.items():
         assert good == total == 2 ** h
     oracle = {
         h: (sum(oracle_is_balanced(d) for d in itertools.product((-1, 1), repeat=h)), 2 ** h)
-        for h in range(1, 9)
+        for h in range(1, 11)
     }
     assert census == oracle
+
+
+def test_balance_census_width_14():
+    census = balance_census(14)
+    assert list(census) == list(range(1, 15))
+    assert all(good == total == 2 ** h for h, (good, total) in census.items())
+    assert sum(good for good, _ in census.values()) == 32766
+
+
+@pytest.mark.parametrize("max_width", [0, -1, True, False, 2.0, "3", None])
+def test_balance_census_refuses_non_positive_int(max_width):
+    with pytest.raises(ValueError, match="integer >= 1"):
+        balance_census(max_width)
 
 
 # weight vectors of width 8, cut to the profile's width: standard, equal,
