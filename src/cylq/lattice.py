@@ -43,6 +43,7 @@ interlacing bounds only, never the solver's corner moves.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -528,6 +529,16 @@ def _open_chains(delta, aw, budget, part_cap, rows_cap):
 # ---------------------------------------------------------------------------
 
 
+def _recursion_room(k: int = 0) -> int:
+    """How many nested Python calls still fit below the caller, found by
+    recursing until the interpreter refuses (frames it counts that the
+    frame chain does not show, such as calls made from C, included)."""
+    try:
+        return _recursion_room(k + 1)
+    except RecursionError:
+        return k
+
+
 def _count_rows(delta, aw, closed: bool, strict: bool, budget: int,
                 part_cap, rows_cap) -> list:
     """Counts of chains, read row by row, as dense rows: entry k of row z
@@ -548,6 +559,16 @@ def _count_rows(delta, aw, closed: bool, strict: bool, budget: int,
     n = len(aw)
     if rows_cap is not None and all(aw) and rows_cap >= budget // min(aw):
         rows_cap = None  # every nonzero row weighs at least min(aw)
+    if rows_cap is not None:
+        # a binding cap nests one ``total`` per row, and the last row lists
+        # its successors through n ``place`` calls
+        room = _recursion_room() - n - 2
+        if rows_cap > room:
+            raise ValueError(
+                "max_rows=%d binds below the window, and counting under it nests one "
+                "call per row: the recursion limit %d allows max_rows <= %d here"
+                % (rows_cap, sys.getrecursionlimit(), room)
+            )
     links = [(j, (j + 1) % n) if x == -1 else ((j + 1) % n, j)
              for j, x in enumerate(delta)]
     wrap_hi, wrap_lo = links[-1]  # checked on full rows when the chain is closed

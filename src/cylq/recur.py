@@ -36,12 +36,12 @@ import itertools
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
+from math import floor, lcm
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from .lattice import KINDS, _check_profile, _resolve
-from .series import (TruncatedSeries, Window, _UNIT_STEP, _add_into, _combine, _poch, _running,
-                     _strip, make_series, one, poch_finite, qf, zero, zf)
+from .series import (TruncatedSeries, Window, _UNIT_STEP, _add_into, _combine, _fit, _pack_q, _poch,
+                     _repack, _running, _strip, make_series, one, poch_finite, qf, zero, zf)
 
 __all__ = [
     "CheckReport",
@@ -1026,25 +1026,31 @@ def closed_form_width4(profile: Sequence[int]) -> CoefficientSequence:
 
 
 _WIDTH6_DATA = {
-    # profile: (exponent E(n, m), bracket entries, sign exponent offset)
+    # profile: (exponent E(n, m), prefactor groups, sign exponent offset);
+    # a group (k, terms) is q^(-k m) times the sum of c q^e over its terms
     (1, 1, 1): (
         lambda n, m: 3 * n * (n + 1) // 2 - 3 * m * (m + 1) - 1,
-        lambda n, m: ((0, 1), (3 * n + 1, -1), (3 * n - 6 * m, -1)),
+        lambda n: ((0, ((0, 1), (3 * n + 1, -1))), (6, ((3 * n, -1),))),
         1,
     ),
     (1, 1, -1): (
         lambda n, m: 3 * n * (n - 1) // 2 + 2 * n - 1 - 3 * m * (m + 1),
-        lambda n, m: ((0, 1), (3 * n + 1, -1), (3 * n - 6 * m, -1)),
+        lambda n: ((0, ((0, 1), (3 * n + 1, -1))), (6, ((3 * n, -1),))),
         1,
     ),
     (1, -1, 1): (
         lambda n, m: 3 * n * (n + 1) // 2 - 3 * m * (m + 1),
-        lambda n, m: ((0, 1),),
+        lambda n: ((0, ((0, 1),)),),
         0,
     ),
+    # the raw terms of sigma_prefactor_terms
     (-1, 1, 1): (
         lambda n, m: 3 * n * (n + 1) // 2 - 2 * n - 3 * m * (m + 1) - 1,
-        lambda n, m: sigma_prefactor_terms(n, m),
+        lambda n: (
+            (0, ((0, 1), (3 * n + 1, -1), (3 * n - 2, -1))),
+            (6, ((3 * n, -1), (3 * n - 3, -1), (6 * n - 2, 1))),
+            (12, ((6 * n - 3, 1),)),
+        ),
         1,
     ),
 }
@@ -1095,6 +1101,11 @@ def closed_form_width6(profile: Sequence[int]) -> CoefficientSequence:
     Individual prefactor entries may dip below the shift; the assembled
     value is always a genuine power series (enforced).  From ``n - 1`` to
     ``n`` each kept base gains one binomial, and even ``n`` adds one base.
+
+    ``B`` is stored as groups by their m-dependence, ``q^(-k m) G_k(n)`` for
+    k = 0, 6, 12, so each group's sum over m is taken once and then added
+    once per term of ``G_k``.  A one-term group, and any group while fewer
+    than three bases are kept, adds its parts directly.
     """
     p = _check_profile(profile)
     if p not in _WIDTH6_DATA:
@@ -1102,7 +1113,7 @@ def closed_form_width6(profile: Sequence[int]) -> CoefficientSequence:
             "closed forms cover the profiles (1,1,1), (1,1,-1), (1,-1,1) "
             "and (-1,1,1)"
         )
-    e_fn, br_fn, sign_off = _WIDTH6_DATA[p]
+    e_fn, groups_fn, sign_off = _WIDTH6_DATA[p]
 
     def values(window: Window):
         n_trunc = window.q_truncation
@@ -1123,10 +1134,20 @@ def closed_form_width6(profile: Sequence[int]) -> CoefficientSequence:
                 m = n // 2
                 top = _poch([(qf(6 * m - 5, 4, -1), 2)], [(qf(6 * m, 1), 1)], inner, top) if m else one(inner)
                 bases.append(top)
-            yield _combine(Window(n_trunc), [
-                (b, 0, e_fn(n, m) + be, (-1) ** (m + sign_off) * bc)
-                for m, b in enumerate(bases) for be, bc in br_fn(n, m)
-            ])
+            parts = []
+            for k, terms in groups_fn(n):
+                shifted = [(b, e_fn(n, m) - k * m, (-1) ** (m + sign_off)) for m, b in enumerate(bases)]
+                if len(terms) == 1 or len(bases) < 3:  # summing first saves an add at most
+                    parts += [(b, 0, e + ge, sign * gc) for b, e, sign in shifted for ge, gc in terms]
+                    continue
+                # the sum is needed below q^(N - low - min ge), and every base
+                # is exact that far: each shift e + ge is floor or more
+                low = min(e for _b, e, _sign in shifted)
+                cap = n_trunc - low - min(ge for ge, _gc in terms)
+                if cap > 0:
+                    total = _combine(Window(cap), [(b, 0, e - low, sign) for b, e, sign in shifted])
+                    parts += [(total, 0, low + ge, gc) for ge, gc in terms]
+            yield _combine(Window(n_trunc), parts)
 
     return CoefficientSequence(p, "width6-closed-form", _values_fn=values)
 
@@ -1286,6 +1307,28 @@ def check_closed_form(
     last ``order() + 1`` values of each target and the kept profile's
     value at 0, which must be the constant 1 (initial conditions are part
     of the check).  Mismatches are reported, never raised.
+
+    Each value is packed once, as it enters the sliding window, into the
+    integer P(h) = sum of c X^j over its terms c q^(j / d): Kronecker
+    substitution with X = 2^(8 * size), on a grid 1/d fine enough for
+    every value and every exponent of the relation.  The pack leaves the
+    window with its value.  A degree's residual is then one integer, R =
+    sum of c P(h) X^(e d) over the relation's terms c q^e h(n - lag), less
+    its inhomogeneous constants.  The slot size is the bytes of the largest
+    |coefficient| of any value so far plus those of the relation's weight
+    W (the sum of its |c|), so each coefficient r_i of the residual has
+    |r_i| <= W max |h| < X / 2 and sits in slot i of R with no carry.  The
+    low L slots of R are then zero exactly when r_i = 0 for i < L: a
+    nonzero sum of r_i X^i over i < L is below X^L in absolute value, so
+    it is no multiple of X^L.  L is d times the exactness bound that
+    :func:`_combine` would give the residual: the window, and each used
+    value's own window plus the integer part of its shift.  A value that
+    needs wider slots, or a finer grid, has the kept packs re-slotted by
+    strided byte copies, without converting a coefficient again.  Where
+    the test fails, or cannot run (a negative exponent, a value with a
+    z-degree above 0), :meth:`CoefficientRecurrence.evaluate` computes the
+    residual: every failure reported, and every error raised, comes from
+    it.
     """
     if window is None:
         window = Window(2 * (n_max + 2) ** 2 + 40)
@@ -1296,10 +1339,66 @@ def check_closed_form(
     order = recurrence.order()
     recent = {tgt: deque([nothing] * order, order + 1) for tgt in targets}
     value_fn = lambda tgt, m: recent[tgt][m - n - 1]  # h(m) for n - order <= m <= n
+    grid = lcm(
+        window.q_scale,
+        *(x.denominator for _t, _l, poly in recurrence.terms for a, b, _c in poly.entries for x in (a, b)),
+        *(Fraction(e).denominator for _d, qpoly in recurrence.inhom for e, _c in qpoly),
+    )
+    weight = sum(abs(c) for _t, _l, poly in recurrence.terms for _a, _b, c in poly.entries)
+    weight += max((sum(abs(c) for _e, c in qpoly) for _d, qpoly in recurrence.inhom), default=0)
+    # |c| < 2^(8 f - 1) makes weight * |c| < 2^(8 (f + spare) - 1)
+    spare = (weight.bit_length() + 7) // 8
+    # each kept value, packed as it enters in slots of size * (grid / q_scale)
+    # bytes, and repacked when a later value widens the slots or the grid
+    size = 1
+    packed = {tgt: deque([_pack_q(nothing, grid)] * order, order + 1) for tgt in targets}
+
+    def vanishes(n: int) -> bool:
+        """Whether the packed residual at degree n is zero below its bound;
+        False where the packs cannot tell."""
+        bits, total, bound = 8 * size, 0, window.q_truncation
+        for tgt, lag, poly in recurrence.terms:
+            h, pack = recent[tgt][-1 - lag], packed[tgt][-1 - lag]
+            if h.is_zero():
+                continue
+            if pack is None:  # h has a z-degree above 0
+                return False
+            for e, c in poly.instantiate(n).items():
+                if e < 0:
+                    return False
+                shifted = pack[0] << bits * int(e * grid)
+                if c == 1:
+                    total += shifted
+                elif c == -1:
+                    total -= shifted
+                else:
+                    total += c * shifted
+                if h.q_truncation is not None:
+                    bound = min(bound, h.q_truncation + floor(e))
+        for deg, qpoly in recurrence.inhom:
+            if deg == n:
+                for e, c in qpoly:
+                    if e < 0:
+                        return False
+                    total -= c << bits * int(e * grid)
+        return not total & ((1 << bits * grid * bound) - 1)
+
     failures, vacuous = [], []
     for n in range(min(recurrence.min_degree, 0), max(n_max, 0) + 1):
-        for tgt, values in streams.items():
-            recent[tgt].append(next(values) if n >= 0 else nothing)
+        arrivals = {tgt: next(values) if n >= 0 else nothing for tgt, values in streams.items()}
+        fits = {tgt: _fit(h) for tgt, h in arrivals.items()}
+        wider = max(size, *(fit + spare for fit in fits.values()))
+        finer = lcm(grid, *(h.q_scale for h in arrivals.values()))
+        if (wider, finer) != (size, grid):
+            for tgt in targets:  # the oldest pack leaves with the next append
+                packed[tgt] = deque([
+                    p and _repack(p, size * (grid // h.q_scale), wider * (finer // h.q_scale))
+                    for h, p in zip(recent[tgt], packed[tgt])
+                ], order + 1)
+            size, grid = wider, finer
+        for tgt, h in arrivals.items():
+            recent[tgt].append(h)
+            packed[tgt].append(_pack_q(h, size * (grid // h.q_scale)))
         if n == 0:
             init = recent[recurrence.profile][-1]
         if not recurrence.min_degree <= n <= n_max:
@@ -1307,6 +1406,8 @@ def check_closed_form(
         used_nonzero = any(not value_fn(tgt, n - lag).is_zero() for tgt, lag, _poly in recurrence.terms)
         if not used_nonzero and not any(deg == n for deg, _ in recurrence.inhom):
             vacuous.append(n)
+            continue
+        if vanishes(n):
             continue
         residual = recurrence.evaluate(n, value_fn, window)
         if not residual.is_zero():

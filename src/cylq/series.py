@@ -220,6 +220,40 @@ def _pack(rows, stride, size, half):
     return int.from_bytes(b"".join(chunks), "little") - _offset(len(rows) * stride, size, half)
 
 
+def _fit(s):
+    """The fewest bytes f for which every coefficient c of s has |c| < 2^(8 f - 1)."""
+    return max((max(max(r), -min(r)) for r in s._rows if r), default=0).bit_length() // 8 + 1
+
+
+def _pack_q(s, width):
+    """The pure q-series s as ``(integer, lead, length)``, or None if s has
+    a z-degree above 0: the integer is the sum of c X^j over its terms
+    c q^(j / q_scale), X = 2^(8 * width), for coefficients |c| < X / 2, and
+    only the ``length`` coefficients from index ``lead``, its first nonzero
+    one, are converted."""
+    if len(s._rows) > 1:
+        return None
+    if not s._rows:
+        return 0, 0, 0
+    row = s._rows[0]
+    lead = row.index(next(filter(None, row)))
+    tail = row[lead:]
+    return _pack([tail], len(tail), width, 1 << (8 * width - 1)) << 8 * width * lead, lead, len(tail)
+
+
+def _repack(packed, old, new):
+    """A series packed by :func:`_pack_q` in slots of ``old`` bytes, packed
+    again in slots of ``new`` >= ``old`` bytes: its slots, made unsigned,
+    are copied over by strided slices, not converted one by one."""
+    integer, lead, length = packed
+    half = 1 << (8 * old - 1)
+    buf = ((integer >> 8 * old * lead) + _offset(length, old, half)).to_bytes(length * old, "little")
+    wide = bytearray(length * new)
+    for i in range(old):
+        wide[i::new] = buf[i::old]
+    return (int.from_bytes(wide, "little") - _offset(length, new, half)) << 8 * new * lead, lead, length
+
+
 def _kronecker(a, b, qcap, zcap):
     """a * b as one integer product (Kronecker substitution).
 

@@ -2,6 +2,8 @@
 
 import gc
 import itertools
+import re
+import sys
 from collections import Counter
 from fractions import Fraction as Fr
 
@@ -222,6 +224,39 @@ def test_caps_must_be_nonnegative_integers(caps):
     if "max_rows" in caps:  # the part cap of a count is its z-window
         with pytest.raises(ValueError, match="nonnegative integer"):
             genfun_by_enumeration("cylindric", (1,), window=Window(6), **caps)
+
+
+def test_binding_cap_deeper_than_the_recursion_is_refused():
+    # a binding cap nests one call per row: refused before any work
+    with pytest.raises(ValueError, match=r"max_rows=1050 .*recursion limit \d+ allows max_rows <= \d+"):
+        genfun_by_enumeration("cylindric", (1,), window=Window(1100), max_rows=1050)
+    # a cap that does not bind never recurses that deep
+    capped = genfun_by_enumeration("cylindric", (1,), window=Window(30), max_rows=5000)
+    assert capped.agrees_with(genfun_by_enumeration("cylindric", (1,), window=Window(30)))
+
+
+@pytest.mark.parametrize("kind, delta, q", [
+    ("cylindric", (1,), 60), ("cylindric", (1, -1, 1), 60), ("distinct", (1, -1, 1, -1), 60),
+    ("symmetric", (1, -1), 60), ("skew-shifted", (1,), 60),
+])
+def test_binding_cap_at_the_recursion_room_counts(kind, delta, q):
+    # under a low recursion limit, the deepest cap the refusal allows counts
+    # (no RecursionError) and the next one is refused
+    depth, frame = 0, sys._getframe()
+    while frame:
+        depth, frame = depth + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 60)
+    try:
+        with pytest.raises(ValueError, match="max_rows") as refusal:
+            genfun_by_enumeration(kind, delta, window=Window(q), max_rows=q - 2)
+        room = int(re.search(r"max_rows <= (\d+)", str(refusal.value)).group(1))
+        assert 0 < room < q - 2
+        genfun_by_enumeration(kind, delta, window=Window(q), max_rows=room)
+        with pytest.raises(ValueError, match="max_rows=%d " % (room + 1)):
+            genfun_by_enumeration(kind, delta, window=Window(q), max_rows=room + 1)
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 def test_enumeration_matches_rotated_profile():

@@ -1,16 +1,20 @@
 """Tests for coupled q-difference systems, elimination and recurrences."""
 
 import json
+from collections import deque
 from fractions import Fraction
 from itertools import islice
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cylq.lattice import genfun_by_enumeration
 from cylq.recur import (
+    CheckReport,
     CoefficientRecurrence,
     CoefficientSequence,
     FunctionalTerm,
+    LinQPoly,
     _WIDTH6_DATA,
     build_system,
     check_closed_form,
@@ -533,8 +537,18 @@ def _oracle_width4(p):
     return value
 
 
+# the prefactor polynomial B(n, m) of each width-6 summand, term by term
+WIDTH6_BRACKETS = {
+    (1, 1, 1): lambda n, m: ((0, 1), (3 * n + 1, -1), (3 * n - 6 * m, -1)),
+    (1, 1, -1): lambda n, m: ((0, 1), (3 * n + 1, -1), (3 * n - 6 * m, -1)),
+    (1, -1, 1): lambda n, m: ((0, 1),),
+    (-1, 1, 1): sigma_prefactor_terms,
+}
+
+
 def _oracle_width6(p):
-    e_fn, br_fn, sign_off = _WIDTH6_DATA[p]
+    e_fn, _groups, sign_off = _WIDTH6_DATA[p]
+    br_fn = WIDTH6_BRACKETS[p]
 
     def value(n, window):
         n_trunc = window.q_truncation
@@ -604,3 +618,261 @@ def test_width6_valuation_bound_grows_along_parities():
     for p in W6:
         lows = [width6_min_exponent(p, n) for n in range(200)]
         assert all(lows[n] <= lows[n + 2] for n in range(2, 198)), p
+
+
+def test_width6_groups_expand_to_the_bracket():
+    # each group (k, terms) stands for q^(-k m) times its terms; expanded and
+    # combined they give the bracket's (exponent, coefficient) pairs, which
+    # for (-1,1,1) are those of sigma_prefactor_terms
+    def combined(pairs):
+        out = {}
+        for e, c in pairs:
+            out[e] = out.get(e, 0) + c
+        return tuple(sorted((e, c) for e, c in out.items() if c))
+
+    for p in W6:
+        _e_fn, groups_fn, _off = _WIDTH6_DATA[p]
+        for n in range(61):
+            for m in range(n // 2 + 1):
+                pairs = [(e - k * m, c) for k, terms in groups_fn(n) for e, c in terms]
+                assert combined(pairs) == combined(WIDTH6_BRACKETS[p](n, m)), (p, n, m)
+
+
+# -- the per-degree check, kept as the oracle of the packed one ---------------
+
+
+def oracle_check_closed_form(sequence, recurrence, n_max, window=None):
+    """``check_closed_form`` evaluating the residual at every degree."""
+    if window is None:
+        window = Window(2 * (n_max + 2) ** 2 + 40)
+    single = isinstance(sequence, CoefficientSequence)
+    targets = {recurrence.profile, *(tgt for tgt, _lag, _poly in recurrence.terms)}
+    streams = {tgt: (sequence if single else sequence[tgt]).values(window) for tgt in targets}
+    nothing = zero(Window(window.q_truncation, None, 1))  # h(n) for n < 0
+    order = recurrence.order()
+    recent = {tgt: deque([nothing] * order, order + 1) for tgt in targets}
+    value_fn = lambda tgt, m: recent[tgt][m - n - 1]  # h(m) for n - order <= m <= n
+    failures, vacuous = [], []
+    for n in range(min(recurrence.min_degree, 0), max(n_max, 0) + 1):
+        for tgt, values in streams.items():
+            recent[tgt].append(next(values) if n >= 0 else nothing)
+        if n == 0:
+            init = recent[recurrence.profile][-1]
+        if not recurrence.min_degree <= n <= n_max:
+            continue
+        used_nonzero = any(not value_fn(tgt, n - lag).is_zero() for tgt, lag, _poly in recurrence.terms)
+        if not used_nonzero and not any(deg == n for deg, _ in recurrence.inhom):
+            vacuous.append(n)
+            continue
+        residual = recurrence.evaluate(n, value_fn, window)
+        if not residual.is_zero():
+            diff = residual.first_difference(zero(residual.window))
+            failures.append((n, diff[1], diff[2]))
+    initial_ok = init.agrees_with(one(init.window))
+    return CheckReport(not failures and initial_ok, n_max, window, tuple(failures),
+                       tuple(vacuous), initial_ok, recurrence.min_degree)
+
+
+def _both(sequence, recurrence, n_max, window=None):
+    """The packed check's report, once the oracle is seen to give the same
+    report or raise the same error, and the packed check to evaluate the
+    residual at the failing degrees alone: its zero test is exact."""
+    evaluated, evaluate = [], CoefficientRecurrence.evaluate
+
+    def counted(self, n, value_fn, window):
+        evaluated.append(n)
+        return evaluate(self, n, value_fn, window)
+
+    outcomes = []
+    for check in (check_closed_form, oracle_check_closed_form):
+        CoefficientRecurrence.evaluate = counted if check is check_closed_form else evaluate
+        try:
+            outcomes.append(check(sequence, recurrence, n_max, window))
+        except ValueError as err:
+            outcomes.append(("ValueError", str(err)))
+        finally:
+            CoefficientRecurrence.evaluate = evaluate
+    assert outcomes[0] == outcomes[1]
+    if isinstance(outcomes[0], CheckReport):
+        assert evaluated == [n for n, _e, _c in outcomes[0].failures]
+    return outcomes[0]
+
+
+def test_packed_check_matches_oracle_on_every_closed_form_pair():
+    # every width-4 and width-6 form against every relation of its width;
+    # the crossed pairs fail, and their failure tuples must match too
+    pairs = [(closed_form_width4(p), width4_recurrence(r), 20) for p in W4 for r in W4]
+    pairs += [(closed_form_width6(p), width6_recurrence(r), 14) for p in W6 for r in W6]
+    reports = [_both(*pair) for pair in pairs]
+    assert sum(not rep.holds for rep in reports) == 18
+    assert all(rep.holds == (form.profile == rel.profile) for (form, rel, _n), rep in zip(pairs, reports))
+
+
+def test_packed_check_matches_oracle_on_derived_recurrences():
+    euler = to_coefficient_recurrences(build_system("cylindric", (1,), normalized=False))[(1,)]
+    assert _both(closed_form_euler(), euler, 12, Window(60)).holds
+    # values exact below q^40 in a check at q^60: the residual is known below q^40
+    short = list(islice(closed_form_euler().values(Window(40)), 13))
+    assert _both(CoefficientSequence((1,), "short", lambda n, w: short[n]), euler, 12, Window(60)).holds
+    doubled_values = [2 * h for h in islice(closed_form_euler().values(Window(60)), 13)]
+    doubled = CoefficientSequence((1,), "doubled", lambda n, w: doubled_values[n])
+    assert not _both(doubled, euler, 12, Window(60)).holds
+    goellnitz = to_coefficient_recurrences(eliminate(build_system("skew-shifted", (1, -1, 1)), (1, -1, 1)))
+    assert _both(closed_form_goellnitz(), goellnitz, 15, Window(300)).holds
+    # the coupled width-4 system against the closed forms, (-1,-1) sharing (1,1)
+    system = build_system("skew-shifted", (1, -1), (1, 2, 1))
+    forms = {p: closed_form_width4(p) for p in W4}
+    forms[(-1, -1)] = forms[(1, 1)]
+    for p, rec in to_coefficient_recurrences(system).items():
+        assert _both(forms, rec, 12, Window(120)).holds, p
+    # solver values in a smaller window than the check's, an inhomogeneous
+    # system, and fractional weights on the grids q^(1/2) and q^(1/6).  Both
+    # checks report one false failure on the last system: h[-1,+1](7) starts
+    # at q^(21/2), so it is zero in its window q^10, and evaluate skips it
+    # together with its bound, checking degree 7 up to q^11 (at Window(20, 8)
+    # the relation holds)
+    false_failure = {(-1, 1): ((7, Fraction(21, 2), -1),)}
+    for kind, seed, weights, window, known in [
+        ("distinct", (1, -1), (0, 1), Window(15, 12), {}),
+        ("cylindric", (-1, -1, 1), (Fraction(1, 2), 1, 1), Window(10, 8), {}),
+        ("skew-shifted", (1, -1), (Fraction(1, 2), 1, Fraction(1, 2)), Window(10, 8), {}),
+        ("cylindric", (1, -1), (Fraction(3, 2), Fraction(1, 3)), Window(10, 8), false_failure),
+    ]:
+        system = build_system(kind, seed, weights, normalized=False)
+        sol = solve_fixed_point(system, window)
+        sequences = {p: CoefficientSequence(p, "solver", lambda n, w, p=p: sol[p].z_slice(n)) for p in sol}
+        for p, rec in to_coefficient_recurrences(system).items():
+            report = _both(sequences, rec, window.z_truncation - rec.order(), Window(window.q_truncation + 5))
+            assert report.failures == known.get(p, ()), (kind, p)
+
+
+BIG = 2**200
+HALVES = st.sampled_from([Fraction(k, 2) for k in range(5)])
+
+
+@st.composite
+def recurrences_with_values(draw):
+    """A relation c0 h(n) + sum over lags >= 1 of C(n) h(n - lag) = I(n),
+    with c0 = +-1, integral and half-integral exponents, and the values it
+    determines from drawn initial ones (coefficients up to 2^200, leading
+    zeros, the grid q^(1/2)); then one value bumped or cut to a smaller window."""
+    order = draw(st.integers(1, 3))
+    n_max = order + draw(st.integers(0, 5))
+    window = Window(draw(st.integers(1, 24)), None, draw(st.sampled_from((1, 2))))
+    c0 = draw(st.sampled_from((1, -1)))
+    coefficient = st.integers(-3, 3).filter(bool)
+    rest = []
+    for lag in range(1, order + 1):
+        poly = LinQPoly.from_entries(draw(st.lists(st.tuples(HALVES, HALVES, coefficient), max_size=3)))
+        if not poly.is_zero():
+            rest.append(((1,), lag, poly))
+    inhom = tuple(
+        (deg, tuple(draw(st.lists(st.tuples(HALVES, coefficient), min_size=1, max_size=2))))
+        for deg in draw(st.sets(st.integers(order, n_max), max_size=2))
+    )
+    rest_relation = CoefficientRecurrence((1,), tuple(rest), inhom, order)
+    relation = CoefficientRecurrence(
+        (1,), (((1,), 0, LinQPoly.from_entries([(0, 0, c0)])), *rest), inhom, order)
+    top = window.q_truncation * 2 + 2
+    values = []
+    for n in range(order):
+        lead = draw(st.integers(0, top))
+        keys = draw(st.lists(st.integers(lead, top), max_size=6))
+        big = st.integers(-BIG, BIG) | st.integers(-3, 3)
+        values.append(TruncatedSeries({(0, k): draw(big) for k in keys}, window.q_truncation, None, 2))
+    for n in range(order, n_max + 1):
+        value_fn = lambda tgt, m: values[m] if m >= 0 else zero(window)
+        values.append(-c0 * rest_relation.evaluate(n, value_fn, window))
+    k = draw(st.integers(0, n_max))
+    change = draw(st.sampled_from(("bump", "cut", "none")))
+    if change == "bump":
+        e = Fraction(draw(st.integers(0, top)), 2)
+        bump = draw(st.sampled_from((1, -1, BIG, -BIG)))
+        values[k] = values[k] + make_series([(0, e, bump)], values[k].window)
+    elif change == "cut":
+        h = values[k]
+        cut = draw(st.integers(1, window.q_truncation))
+        values[k] = TruncatedSeries(dict(h.coeffs), cut, None, h.q_scale)
+    sequence = CoefficientSequence((1,), "drawn", lambda n, w: values[n] if n < len(values) else zero(w))
+    return sequence, relation, n_max, window
+
+
+@settings(max_examples=300)
+@given(recurrences_with_values())
+def test_packed_check_matches_oracle_on_drawn_relations(case):
+    _both(*case)
+
+
+def test_packed_check_raises_as_evaluate_does():
+    # a coefficient q^(n - 3) against the nonzero h(0) at degree 1
+    rec = CoefficientRecurrence((1,), (
+        ((1,), 0, LinQPoly.from_entries([(0, 0, 1)])),
+        ((1,), 1, LinQPoly.from_entries([(1, -3, 1)])),
+    ), (), 1)
+    outcome = _both(closed_form_euler(), rec, 4, Window(20))
+    assert outcome[0] == "ValueError" and "negative" in outcome[1]
+
+
+def _against_zero(values):
+    """h(n) = values[n] (zero past the list), and the relation h(n) = 0 from n = 1."""
+    seq = CoefficientSequence((1,), "given", lambda n, w: values[n] if n < len(values) else zero(w))
+    rec = CoefficientRecurrence((1,), (((1,), 0, LinQPoly.from_entries([(0, 0, 1)])),), (), 1)
+    return seq, rec
+
+
+def test_zero_test_reports_the_last_exponent_of_the_window():
+    window = Window(40)
+    for c in (1, -1, BIG):
+        seq, rec = _against_zero([one(window), make_series([(0, 39, c)], window)])
+        assert _both(seq, rec, 1, window).failures == ((1, 39, c),)
+
+
+def test_zero_test_ignores_what_lies_past_the_window():
+    # h(1) = q^40 in a wider window, and q * h(1) for h(1) = q^39: the
+    # residual lies at q^40, outside the window of the check
+    window = Window(40)
+    seq, rec = _against_zero([one(window), make_series([(0, 40, BIG)], Window(45))])
+    report = _both(seq, rec, 1, window)
+    assert report.failures == () and report.holds
+    shifted = CoefficientRecurrence((1,), (((1,), 0, LinQPoly.from_entries([(0, 1, 1)])),), (), 1)
+    seq, _rec = _against_zero([one(window), make_series([(0, 39, 1)], window)])
+    assert _both(seq, shifted, 1, window).holds
+
+
+def test_zero_test_does_not_alias_at_the_slot_boundary():
+    # h(0..2) = M and h(3) = M - q against h(n) + h(n-1) + h(n-2) + h(n-3):
+    # M = 2^14 needs 2 bytes and the weight 4 one more, and in slots of 2
+    # bytes the two terms of the residual 4M - q = 2^16 - q would cancel
+    window = Window(10)
+    m = 2**14
+    values = [make_series([(0, 0, m)], window)] * 3 + [make_series([(0, 0, m), (0, 1, -1)], window)]
+    seq = CoefficientSequence((1,), "given", lambda n, w: values[n] if n < 4 else zero(w))
+    unit = LinQPoly.from_entries([(0, 0, 1)])
+    rec = CoefficientRecurrence((1,), tuple(((1,), lag, unit) for lag in range(4)), (), 3)
+    assert _both(seq, rec, 3, window).failures == ((3, 0, 2**16),)
+
+
+def test_values_with_a_z_degree_are_evaluated():
+    # the packs hold pure q-series: a value with a z^1 row sends the degrees
+    # that use it to the series residual, which reports or passes as before
+    window = Window(20)
+    bivariate = make_series([(0, 3, 1), (1, 2, 5)], window)
+    seq, rec = _against_zero([one(window), bivariate])
+    assert [n for n, _e, _c in _both(seq, rec, 1, window).failures] == [1]
+    steady = CoefficientRecurrence((1,), (
+        ((1,), 0, LinQPoly.from_entries([(0, 0, 1)])),
+        ((1,), 1, LinQPoly.from_entries([(0, 0, -1)])),
+    ), (), 1)
+    same = CoefficientSequence((1,), "same", lambda n, w: bivariate)
+    assert check_closed_form(same, steady, 4, window).failures == ()
+
+
+def test_shipped_checks_take_the_packed_path(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("evaluate called")
+
+    monkeypatch.setattr(CoefficientRecurrence, "evaluate", refuse)
+    for p in W4:
+        assert check_closed_form(closed_form_width4(p), width4_recurrence(p), 12).holds, p
+    for p in W6:
+        assert check_closed_form(closed_form_width6(p), width6_recurrence(p), 10).holds, p
