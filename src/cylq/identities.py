@@ -782,6 +782,7 @@ def _run_schmidt_refined(window: Window) -> list:
     d_cap = _z_cap(window, n_trunc - 1)
     w = Window(n_trunc, d_cap)
     wd = Window(min(n_trunc, 15), min(d_cap, 15))  # diamonds grow fastest
+    wd_note = "" if wd == w else "checked in q<%d z<=%d only" % (wd.q_truncation, wd.z_truncation)
     out = []
 
     strict_odd = schmidt_genfun("distinct", w, "odd")
@@ -873,6 +874,7 @@ def _run_schmidt_refined(window: Window) -> list:
             _ENUM("partition diamonds, z^largest q^(anchor sum)"),
             poch_product([zf(1, 1, 1, -1)], [zf(1, 1, 1)] * 3, wd),
             _PROD("(-zq;q)_inf / (zq;q)_inf^3"),
+            note=wd_note,
         )
     )
     out.append(
@@ -882,6 +884,7 @@ def _run_schmidt_refined(window: Window) -> list:
             _ENUM("partition diamonds, z^largest q^(anchor sum)"),
             genfun_by_enumeration("skew-shifted", (1, -1), (0, 1, 0), window=wd),
             _ENUM("open chain (1,-1), weights (0,1,0)"),
+            note=wd_note,
         )
     )
     return out

@@ -43,7 +43,6 @@ interlacing bounds only, never the solver's corner moves.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -529,16 +528,6 @@ def _open_chains(delta, aw, budget, part_cap, rows_cap):
 # ---------------------------------------------------------------------------
 
 
-def _recursion_room(k: int = 0) -> int:
-    """How many nested Python calls still fit below the caller, found by
-    recursing until the interpreter refuses (frames it counts that the
-    frame chain does not show, such as calls made from C, included)."""
-    try:
-        return _recursion_room(k + 1)
-    except RecursionError:
-        return k
-
-
 def _count_rows(delta, aw, closed: bool, strict: bool, budget: int,
                 part_cap, rows_cap) -> list:
     """Counts of chains, read row by row, as dense rows: entry k of row z
@@ -552,23 +541,19 @@ def _count_rows(delta, aw, closed: bool, strict: bool, budget: int,
     allowed after v are the nonzero rows u <= b(v), the bound that lowers
     each v[hi] to v[lo], and the chains that go on after v are counted by
     S(b(v)) = 1 + sum of q^wt(u) S(b(u)) over those u (Stanley's transfer-
-    matrix method, EC1 4.7), memoised on the bound, not on v.  Only for a
-    constant row is b(v) = v: it adds the factor 1/(1 - q^wt(v)).  With
-    ``rows_cap`` the rows still allowed join the key.
+    matrix method, EC1 4.7), memoised on the bound, not on v.  Rows are
+    listed smallest first and every u under b(v) comes before v, so one
+    pass in that order finds each S(b(u)) already known.  Only for a
+    constant row is b(v) = v: it adds the factor 1/(1 - q^wt(v)).  A
+    binding ``rows_cap`` R is taken one level at a time instead: S_L(b),
+    the chains of at most L more rows, comes from S_(L-1) of the bounds
+    below b, each the bound of a listed row, over R - 1 levels from
+    S_0 = 1, each on the bounds that chains meet R - 1 - L rows down.  No
+    call depth grows with the window or the cap.
     """
     n = len(aw)
     if rows_cap is not None and all(aw) and rows_cap >= budget // min(aw):
         rows_cap = None  # every nonzero row weighs at least min(aw)
-    if rows_cap is not None:
-        # a binding cap nests one ``total`` per row, and the last row lists
-        # its successors through n ``place`` calls
-        room = _recursion_room() - n - 2
-        if rows_cap > room:
-            raise ValueError(
-                "max_rows=%d binds below the window, and counting under it nests one "
-                "call per row: the recursion limit %d allows max_rows <= %d here"
-                % (rows_cap, sys.getrecursionlimit(), room)
-            )
     links = [(j, (j + 1) % n) if x == -1 else ((j + 1) % n, j)
              for j, x in enumerate(delta)]
     wrap_hi, wrap_lo = links[-1]  # checked on full rows when the chain is closed
@@ -609,51 +594,57 @@ def _count_rows(delta, aw, closed: bool, strict: bool, budget: int,
         del out[0]  # the zero row, which always comes first
         return out
 
-    bounds: dict = {}  # each row's bound, computed once
-    below: dict = {}   # b -> [(b(u), wt(u)) for each row u under b], if capped
-    sums: dict = {}    # rows left -> {b: S(b)}
-
-    def total(b, left) -> list:
-        """S(b) up to q^(budget - wt(b)); ``left`` rows may follow (None: any)."""
-        wb = sum(w * c for w, c in zip(aw, b))
-        s = [1] + [0] * (budget - wb)
-        if left != 0:
-            after = below.get(b) or [(bounds[u], wu) for u, wu in rows(b, budget - wb)]
-            if rows_cap is not None:  # b comes back with fewer rows left
-                below[b] = after
-            # b(u) <= u <= b, so b(u) = b only for u = b, the last row under b
-            repeats = left is None and after and after[-1][0] == b
-            nxt = None if left is None else left - 1
-            known = sums.setdefault(nxt, {})
-            # b(u) <= u and the weights are >= 0, so wt(b(u)) <= wt(u): S(b(u))
-            # reaches q^(budget - wt(u)) or further, past the end of s, and
-            # the slice keeps its length (a shorter source would shrink s)
-            for bu, wu in after[:-1] if repeats else after:
-                s[wu:] = map(add, s[wu:], known.get(bu) or total(bu, nxt))
-            if repeats:
-                for k in range(wb, len(s)):
-                    s[k] += s[k - wb]
-        sums.setdefault(left, {})[b] = s
-        return s
-
     acc = [[1] + [0] * budget]  # acc[z][k]: chains of largest part z, size k
-    if rows_cap != 0:
-        top = [part_cap if part_cap is not None else budget // w for w in aw]
-        left = None if rows_cap is None else rows_cap - 1
-        known = sums.setdefault(left, {})
-        # rows come smallest first and every row under b(v) lies below v, so
-        # its bound is known; without a rows cap its sum is known too
-        for v, wv in rows(top, budget):
-            b = list(v)
-            for hi, lo in links:
-                b[hi] = min(b[hi], v[lo] - 1 if strict and v[lo] else v[lo])
-            b = bounds[v] = tuple(b)
-            z = max(v)
-            while len(acc) <= z:
-                acc.append([0] * (budget + 1))
-            r = acc[z]  # as in total: S(b(v)) reaches past the end of r
-            r[wv:] = map(add, r[wv:], known.get(b) or total(b, left))
-    del total  # it holds itself, and so the memo, until a full collection
+    if rows_cap == 0:
+        return acc
+    listed = rows([part_cap if part_cap is not None else budget // w for w in aw], budget)
+    bounds: dict = {}  # each row's bound
+    sums: dict = {}    # b -> S(b) up to q^(budget - wt(b)); under a cap S_0(b) = 1
+    below: dict = {}   # b -> [(b(u), wt(u)) for each row u under b], if capped
+    for v, _wv in listed:
+        b = list(v)
+        for hi, lo in links:
+            b[hi] = min(b[hi], v[lo] - 1 if strict and v[lo] else v[lo])
+        b = bounds[v] = tuple(b)
+        if b in sums:
+            continue
+        wb = sum(w * c for w, c in zip(aw, b))
+        s = sums[b] = [1] + [0] * (budget - wb)
+        after = [(bounds[u], wu) for u, wu in rows(b, budget - wb)]
+        if rows_cap is not None:
+            below[b] = after
+            continue
+        # b(u) <= u <= b, so b(u) = b only for u = b, the last row under b
+        repeats = after and after[-1][0] == b
+        # b(u) <= u and the weights are >= 0, so wt(b(u)) <= wt(u): S(b(u))
+        # reaches q^(budget - wt(u)) or further, past the end of s, and the
+        # slice keeps its length (a shorter source would shrink s)
+        for bu, wu in after[:-1] if repeats else after:
+            s[wu:] = map(add, s[wu:], sums[bu])
+        if repeats:
+            for k in range(wb, len(s)):
+                s[k] += s[k - wb]
+    if rows_cap is not None:
+        # met[j]: the bounds chains meet j rows down, as a memo would
+        # meet them: those of every listed row, the bounds under those, ...
+        met, need = [], below.keys()
+        for _ in range(rows_cap - 1):
+            met.append(need)
+            need = {bu for b in need for bu, _wu in below[b]}
+        start = sums
+        for need in reversed(met):  # S_L(b) from the S_(L-1) below it
+            level = {}
+            for b in need:
+                s = level[b] = start[b][:]
+                for bu, wu in below[b]:
+                    s[wu:] = map(add, s[wu:], sums[bu])
+            sums = level
+    for v, wv in listed:
+        z = max(v)
+        while len(acc) <= z:
+            acc.append([0] * (budget + 1))
+        r = acc[z]  # as for s: S(b(v)) reaches past the end of r
+        r[wv:] = map(add, r[wv:], sums[bounds[v]])
     return acc
 
 

@@ -843,15 +843,16 @@ class CoefficientRecurrence:
         ``value_fn(target, m)`` must return the coefficient series
         ``h_target(m)`` (the zero series for ``m < 0``).  Coefficients
         multiplying a nonzero value must instantiate to nonnegative
-        exponents; a negative exponent against a nonzero value raises.
+        exponents; a negative exponent against a nonzero value raises.  A
+        value that is zero in its window adds nothing, but it still bounds
+        where the residual is exact: at its window plus its shift.
         """
         parts = []
         for tgt, lag, poly in self.terms:
             hv = value_fn(tgt, n - lag)
-            if hv.is_zero():
-                continue
+            nonzero = not hv.is_zero()  # a zero value adds nothing but its bound
             for e, c in poly.instantiate(n).items():
-                if e < 0:
+                if e < 0 and nonzero:
                     raise ValueError(
                         "coefficient exponent q^%s is negative at degree %d "
                         "while h_%s(%d) is nonzero" % (e, n, tgt, n - lag)
@@ -1321,21 +1322,22 @@ def check_closed_form(
     low L slots of R are then zero exactly when r_i = 0 for i < L: a
     nonzero sum of r_i X^i over i < L is below X^L in absolute value, so
     it is no multiple of X^L.  L is d times the exactness bound that
-    :func:`_combine` would give the residual: the window, and each used
-    value's own window plus the integer part of its shift.  A value that
-    needs wider slots, or a finer grid, has the kept packs re-slotted by
-    strided byte copies, without converting a coefficient again.  Where
-    the test fails, or cannot run (a negative exponent, a value with a
-    z-degree above 0), :meth:`CoefficientRecurrence.evaluate` computes the
-    residual: every failure reported, and every error raised, comes from
-    it.
+    :func:`_combine` would give the residual: the window, and each value's
+    own window plus the integer part of its shift, a value zero in its
+    window included (h(n) for n < 0 is exactly zero, with no window).  A
+    value that needs wider slots, or a finer grid, has the kept packs
+    re-slotted by strided byte copies, without converting a coefficient
+    again.  Where the test fails, or cannot run (a negative exponent, a
+    value with a z-degree above 0), :meth:`CoefficientRecurrence.evaluate`
+    computes the residual: every failure reported, and every error raised,
+    comes from it.
     """
     if window is None:
         window = Window(2 * (n_max + 2) ** 2 + 40)
     single = isinstance(sequence, CoefficientSequence)
     targets = {recurrence.profile, *(tgt for tgt, _lag, _poly in recurrence.terms)}
     streams = {tgt: (sequence if single else sequence[tgt]).values(window) for tgt in targets}
-    nothing = zero(Window(window.q_truncation, None, 1))  # h(n) for n < 0
+    nothing = zero(Window(None))  # h(n) for n < 0, exactly zero
     order = recurrence.order()
     recent = {tgt: deque([nothing] * order, order + 1) for tgt in targets}
     value_fn = lambda tgt, m: recent[tgt][m - n - 1]  # h(m) for n - order <= m <= n
@@ -1359,14 +1361,13 @@ def check_closed_form(
         bits, total, bound = 8 * size, 0, window.q_truncation
         for tgt, lag, poly in recurrence.terms:
             h, pack = recent[tgt][-1 - lag], packed[tgt][-1 - lag]
-            if h.is_zero():
-                continue
             if pack is None:  # h has a z-degree above 0
                 return False
+            nonzero = not h.is_zero()  # a zero value adds nothing but its bound
             for e, c in poly.instantiate(n).items():
-                if e < 0:
+                if e < 0 and nonzero:
                     return False
-                shifted = pack[0] << bits * int(e * grid)
+                shifted = pack[0] << bits * int(e * grid) if nonzero else 0
                 if c == 1:
                     total += shifted
                 elif c == -1:

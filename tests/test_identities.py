@@ -97,6 +97,15 @@ def test_every_case_reports_at_smallest_window(window):
         json.dumps(rep)
 
 
+def test_schmidt_refined_notes_the_window_of_its_diamonds():
+    """The diamond comparisons run in at most q<15 z<=15 and say so."""
+    for window, note in [(None, "checked in q<15 z<=15 only"), (Window(21, 10), "checked in q<15 z<=10 only"),
+                         (Window(15, 12), ""), (Window(12, 10), "")]:
+        notes = [(c["label"].startswith("diamonds"), c["note"])
+                 for c in verify("schmidt-refined", window)["comparisons"]]
+        assert notes == [(False, "")] * 8 + [(True, note)] * 2
+
+
 def test_report_shape_and_conventions():
     rep = verify("mixed-weighted-pair", Window(8))
     assert rep["schema"] == "cylq-report/1"
