@@ -127,8 +127,9 @@ class _Eliminator:
         return True
 
 
-def _solve_all(equations, nvars: int, bound: Fraction, integral: bool, nonneg: bool):
-    """All solutions of the system, enumerating free weights when needed.
+def _solve_all(elim: _Eliminator, bound: Fraction, integral: bool, nonneg: bool):
+    """All solutions of the consistent reduced system, enumerating free
+    weights when needed.
 
     Unique solutions are always returned.  Underdetermined systems are
     enumerated over integers 0..floor(bound) per free weight, which is
@@ -136,10 +137,7 @@ def _solve_all(equations, nvars: int, bound: Fraction, integral: bool, nonneg: b
     modulus; without both constraints the family is unbounded and no
     members are returned.
     """
-    elim = _Eliminator(nvars)
-    for coeffs, rhs in equations:
-        if not elim.add(coeffs, rhs):
-            return []
+    nvars = elim.nvars
     free = [c for c in range(nvars) if c not in elim.rows]
 
     def complete(free_values) -> tuple:
@@ -273,22 +271,17 @@ def _shape_reason(problem: FitProblem) -> Optional[str]:
 def _symbolic_groups(problem: FitProblem):
     """(forms, values) per target multiset, plus modulus equations."""
     d = problem.profile
-    h = len(d)
+    nvars = len(d) if problem.kind == "cylindric" else len(d) + 1
+    A = _symbolic_prefix_sums(nvars)
     if problem.kind == "cylindric":
-        nvars = h
-        A = _symbolic_prefix_sums(nvars)
         groups = [(w3_entries(d, A), problem.targets[0][0])]
-        total = A[-1]
-        modulus_eqs = [(total.coeffs, problem.targets[0][1] - total.const)]
     else:
-        nvars = h + 1
-        A = _symbolic_prefix_sums(nvars)
         groups = [
             (w1_entries(d, A), problem.targets[0][0]),
             (w2_entries(d, A), problem.targets[1][0]),
         ]
-        total = A[-1]
-        modulus_eqs = [(total.coeffs, problem.targets[0][1] - total.const)]
+    total = A[-1]
+    modulus_eqs = [(total.coeffs, problem.targets[0][1] - total.const)]
     ordered = [
         (sorted(forms, key=_Affine.unknowns), Counter(values))
         for forms, values in groups
@@ -329,32 +322,27 @@ def fit_weights(problem: FitProblem) -> list:
     bound = problem.targets[0][1]
     solutions = set()
 
-    def descend(g: int, i: int, elim: _Eliminator, eqs: list) -> None:
+    def descend(g: int, i: int, elim: _Eliminator) -> None:
+        # elim holds the modulus equations and every matched equation so far
         if g == len(groups):
-            for x in _solve_all(
-                modulus_eqs + eqs, nvars, bound, problem.integral, problem.nonnegative
-            ):
-                solutions.add(x)
+            solutions.update(_solve_all(elim, bound, problem.integral, problem.nonnegative))
             return
         forms, counter = groups[g]
         if i == len(forms):
-            descend(g + 1, 0, elim, eqs)
+            descend(g + 1, 0, elim)
             return
         form = forms[i]
         for value in sorted(counter):
             if counter[value] == 0:
                 continue
             branch = elim.copy()
-            equation = (form.coeffs, value - form.const)
-            if not branch.add(*equation):
+            if not branch.add(form.coeffs, value - form.const):
                 continue
             counter[value] -= 1
-            eqs.append(equation)
-            descend(g, i + 1, branch, eqs)
-            eqs.pop()
+            descend(g, i + 1, branch)
             counter[value] += 1
 
-    descend(0, 0, base, [])
+    descend(0, 0, base)
 
     out = []
     for x in solutions:

@@ -55,7 +55,6 @@ from .recur import (
     sigma_prefactor_terms,
     solve_fixed_point,
     width4_recurrence,
-    width6_min_exponent,
     width6_recurrence,
 )
 from .series import (
@@ -65,14 +64,11 @@ from .series import (
     _combine,
     _poch,
     _running,
-    gauss_binomial,
-    inv_poch_finite,
     one,
     poch_infinite,
     poch_product,
     qf,
     theta_sum,
-    zero,
     zf,
 )
 
@@ -147,18 +143,16 @@ def sum_double_mod7(window: Window) -> TruncatedSeries:
     the outer loop.
     """
     n_trunc = _require_q(window)
-    w = Window(n_trunc)
-    total = zero(w)
+    parts = []
     n1 = 0
     while 3 * n1 * n1 < 4 * n_trunc:
-        base = inv_poch_finite(qf(1, 1), n1, w)
         for n2 in range(2 * n1 + 1):
             e = n1 * n1 + n2 * n2 - n1 * n2 + n1 + n2
-            if e >= n_trunc:
-                continue
-            total = total + (base * gauss_binomial(2 * n1, n2, w)).times_monomial(0, e)
+            if e < n_trunc:  # (q;q)_2n1 / ((q;q)_n1 (q;q)_n2 (q;q)_(2n1-n2))
+                pairs = [(qf(1, 1), n1), (qf(1, 1), n2), (qf(1, 1), 2 * n1 - n2)]
+                parts.append((_poch([(qf(1, 1), 2 * n1)], pairs, Window(n_trunc - e)), 0, e, 1))
         n1 += 1
-    return total
+    return _combine(Window(n_trunc), parts)
 
 
 def sum_alternating_mod4(window: Window) -> TruncatedSeries:
@@ -219,16 +213,12 @@ def sum_goellnitz(variant: str, window: Window) -> TruncatedSeries:
 def sum_mod12(profile: Sequence[int], window: Window) -> TruncatedSeries:
     """The period-12 double sum for a width-3 open chain profile.
 
-    Sums the closed-form coefficient values ``h(n)`` over all ``n`` that
-    can touch the window: ``width6_min_exponent`` bounds the q-valuation
-    of ``h(n)`` and grows along each parity class from ``n = 2``, so once
-    two consecutive degrees clear the window no later one contributes.
+    Sums the closed-form coefficient values ``h(n)`` of
+    :func:`closed_form_width6`: its stream ends where no later value
+    touches the window.
     """
     w = Window(_require_q(window))
-    seq = closed_form_width6(profile)
-    low = lambda n: width6_min_exponent(seq.profile, n)
-    stop = next(n for n in itertools.count(2) if min(low(n), low(n + 1)) >= w.q_truncation)
-    return _combine(w, [(h, 0, 0, 1) for h in itertools.islice(seq.values(w), stop)])
+    return _combine(w, [(h, 0, 0, 1) for h in closed_form_width6(profile).values(w)])
 
 
 def sum_schmidt_distinct_odd(window: Window) -> TruncatedSeries:

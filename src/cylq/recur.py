@@ -40,8 +40,8 @@ from math import floor, lcm
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from .lattice import KINDS, _check_profile, _resolve
-from .series import (TruncatedSeries, Window, _UNIT_STEP, _add_into, _combine, _fit, _pack_q, _poch,
-                     _repack, _running, _strip, make_series, one, poch_finite, qf, zero, zf)
+from .series import (TruncatedSeries, Window, _UNIT_STEP, _add_into, _combine, _fit, _min_bound, _pack_q,
+                     _poch, _repack, _running, _strip, make_series, one, poch_finite, qf, zero, zf)
 
 __all__ = [
     "CheckReport",
@@ -837,6 +837,32 @@ class CoefficientRecurrence:
     def order(self) -> int:
         return max((lag for _t, lag, _c in self.terms), default=0)
 
+    def _walk(self, n: int, value_fn: Callable, window: Window):
+        """The relation at degree ``n``: its terms ``(target, lag, value,
+        exponent, coefficient)``, its inhomogeneous constants ``(exponent,
+        coefficient)``, and the bound below which their sum is exact: the
+        window, and each value's window plus the floor of its shift, a value
+        zero in its window included.  A negative exponent against a nonzero
+        value, or in a constant, raises."""
+        terms, bound = [], window.q_truncation
+        for tgt, lag, poly in self.terms:
+            h = value_fn(tgt, n - lag)
+            nonzero = not h.is_zero()  # a zero value adds nothing but its bound
+            for e, c in poly.instantiate(n).items():
+                if e < 0 and nonzero:
+                    raise ValueError(
+                        "coefficient exponent q^%s is negative at degree %d "
+                        "while h_%s(%d) is nonzero" % (e, n, tgt, n - lag)
+                    )
+                terms.append((tgt, lag, h, e, c))
+                if h.q_truncation is not None:
+                    bound = _min_bound(bound, h.q_truncation + floor(e))
+        inhom = [(e, c) for deg, qpoly in self.inhom if deg == n for e, c in qpoly]
+        for e, _c in inhom:
+            if e < 0:
+                raise ValueError("inhomogeneous exponent q^%s is negative at degree %d" % (e, n))
+        return terms, inhom, bound
+
     def evaluate(self, n: int, value_fn: Callable, window: Window) -> TruncatedSeries:
         """The relation's residual at degree ``n`` (zero iff it holds).
 
@@ -845,24 +871,16 @@ class CoefficientRecurrence:
         multiplying a nonzero value must instantiate to nonnegative
         exponents; a negative exponent against a nonzero value raises.  A
         value that is zero in its window adds nothing, but it still bounds
-        where the residual is exact: at its window plus its shift.
+        where the residual is exact: at its window plus its shift.  A
+        degree whose bound is 0 or less compares nothing, and raises.
         """
-        parts = []
-        for tgt, lag, poly in self.terms:
-            hv = value_fn(tgt, n - lag)
-            nonzero = not hv.is_zero()  # a zero value adds nothing but its bound
-            for e, c in poly.instantiate(n).items():
-                if e < 0 and nonzero:
-                    raise ValueError(
-                        "coefficient exponent q^%s is negative at degree %d "
-                        "while h_%s(%d) is nonzero" % (e, n, tgt, n - lag)
-                    )
-                parts.append((hv, 0, e, c))
-        for deg, qpoly in self.inhom:
-            if deg == n:
-                base = one(window)
-                parts += [(base, 0, e, -c) for e, c in qpoly]
-        return _combine(window, parts)
+        terms, inhom, bound = self._walk(n, value_fn, window)
+        if bound is not None and bound <= 0:
+            raise ValueError(
+                "the residual at degree %d is exact below q^%d only: it compares nothing" % (n, bound)
+            )
+        parts = [(h, 0, e, c) for _t, _l, h, e, c in terms]
+        return _combine(window, parts + [(one(window), 0, e, -c) for e, c in inhom])
 
     def coefficient(self, target: tuple, lag: int) -> LinQPoly:
         for tgt, lg, poly in self.terms:
@@ -957,8 +975,11 @@ class CoefficientSequence:
     ``h(n) = 0`` for ``n < 0``; every sequence built here has ``h(0) = 1``.
     ``values(window)`` iterates ``h(0), h(1), ...`` exactly within the
     window and ``value(n, window)`` is its item ``n``.  The closed forms
-    build each value from the factors kept for the one before; a sequence
-    given a per-degree ``value_fn(n, window)`` maps it over ``n``.
+    build each value from the factors kept for the one before, and their
+    stream may end: it stops where no later value touches the window, so
+    every value past its end is zero in the window (``value`` reads it as
+    ``zero(Window(N))``).  A sequence given a per-degree ``value_fn(n,
+    window)`` maps it over every ``n`` and never ends.
     """
 
     profile: tuple
@@ -971,15 +992,13 @@ class CoefficientSequence:
             raise ValueError("closed-form evaluation needs a finite q-window")
         if self._values_fn is None:
             return (self._value_fn(n, window) for n in itertools.count())
-        # _values_fn stops where every later value vanishes in the window
-        zeros = iter(lambda: zero(Window(window.q_truncation)), None)
-        return itertools.chain(self._values_fn(window), zeros)
+        return self._values_fn(window)
 
     def value(self, n: int, window: Window) -> TruncatedSeries:
         values = self.values(window)  # refuses an unbounded window first
         if n < 0:
             return zero(Window(window.q_truncation, None, 1))
-        return next(itertools.islice(values, n, None))
+        return next(itertools.islice(values, n, None), zero(Window(window.q_truncation)))
 
 
 def _running_values(step):
@@ -1044,7 +1063,7 @@ _WIDTH6_DATA = {
         lambda n: ((0, ((0, 1),)),),
         0,
     ),
-    # the raw terms of sigma_prefactor_terms
+    # the seven-term prefactor that sigma_prefactor_terms expands
     (-1, 1, 1): (
         lambda n, m: 3 * n * (n + 1) // 2 - 2 * n - 3 * m * (m + 1) - 1,
         lambda n: (
@@ -1060,19 +1079,12 @@ _WIDTH6_DATA = {
 def sigma_prefactor_terms(n: int, m: int) -> tuple:
     """The seven-term prefactor polynomial of the (-1,+1,+1) summand,
     as combined ``(exponent, coefficient)`` pairs (exponents may be
-    negative; the full summand is still a power series)."""
-    raw = (
-        (0, 1),
-        (3 * n + 1, -1),
-        (3 * n - 2, -1),
-        (3 * n - 6 * m, -1),
-        (3 * n - 6 * m - 3, -1),
-        (6 * n - 6 * m - 2, 1),
-        (6 * n - 12 * m - 3, 1),
-    )
+    negative; the full summand is still a power series): the groups that
+    :func:`closed_form_width6` sums, expanded at ``m``."""
     agg: dict = {}
-    for e, c in raw:
-        agg[e] = agg.get(e, 0) + c
+    for k, terms in _WIDTH6_DATA[(-1, 1, 1)][1](n):
+        for e, c in terms:
+            agg[e - k * m] = agg.get(e - k * m, 0) + c
     return tuple(sorted((e, c) for e, c in agg.items() if c))
 
 
@@ -1286,7 +1298,7 @@ class CheckReport:
     n_max: int
     window: Window
     failures: tuple  # (degree, q-exponent, residual coefficient)
-    vacuous: tuple  # degrees where every referenced value vanished in-window
+    vacuous: tuple  # degrees where every referenced value vanished in-window, or nothing is exact
     initial_ok: bool
     start_degree: int = 0  # first degree covered by the relation
 
@@ -1304,10 +1316,12 @@ def check_closed_form(
     profiles to sequences (for coupled relations).  All values are
     evaluated in one shared window (default: ``q^(2(n_max+2)^2 + 40)``,
     generous for every family shipped here).  Each sequence is read once,
-    in order, through ``values(window)``, keeping a sliding window of the
-    last ``order() + 1`` values of each target and the kept profile's
-    value at 0, which must be the constant 1 (initial conditions are part
-    of the check).  Mismatches are reported, never raised.
+    in order, through ``values(window)``, zero in the window past the end
+    of its stream, keeping a sliding window of the last ``order() + 1``
+    values of each target and the kept profile's value at 0, which must be
+    the constant 1 (initial conditions are part of the check).  Mismatches
+    are reported, never raised.  A degree whose residual is exact only
+    below ``q^0`` or less compares nothing and is listed as vacuous.
 
     Each value is packed once, as it enters the sliding window, into the
     integer P(h) = sum of c X^j over its terms c q^(j / d): Kronecker
@@ -1321,16 +1335,16 @@ def check_closed_form(
     |r_i| <= W max |h| < X / 2 and sits in slot i of R with no carry.  The
     low L slots of R are then zero exactly when r_i = 0 for i < L: a
     nonzero sum of r_i X^i over i < L is below X^L in absolute value, so
-    it is no multiple of X^L.  L is d times the exactness bound that
-    :func:`_combine` would give the residual: the window, and each value's
-    own window plus the integer part of its shift, a value zero in its
-    window included (h(n) for n < 0 is exactly zero, with no window).  A
-    value that needs wider slots, or a finer grid, has the kept packs
-    re-slotted by strided byte copies, without converting a coefficient
-    again.  Where the test fails, or cannot run (a negative exponent, a
-    value with a z-degree above 0), :meth:`CoefficientRecurrence.evaluate`
-    computes the residual: every failure reported, and every error raised,
-    comes from it.
+    it is no multiple of X^L.  L is d times the exactness bound of the
+    relation's term walk, which :meth:`CoefficientRecurrence.evaluate`
+    shares: the window, and each value's own window plus the integer part
+    of its shift, a value zero in its window included (h(n) for n < 0 is
+    exactly zero, with no window).  The walk also raises for a negative
+    exponent.  A value that needs wider slots, or a finer grid, has the
+    kept packs re-slotted by strided byte copies, without converting a
+    coefficient again.  Where the test fails, or cannot run (a value with
+    a z-degree above 0), :meth:`CoefficientRecurrence.evaluate` computes
+    the residual: every failure reported comes from it.
     """
     if window is None:
         window = Window(2 * (n_max + 2) ** 2 + 40)
@@ -1355,38 +1369,31 @@ def check_closed_form(
     size = 1
     packed = {tgt: deque([_pack_q(nothing, grid)] * order, order + 1) for tgt in targets}
 
-    def vanishes(n: int) -> bool:
-        """Whether the packed residual at degree n is zero below its bound;
-        False where the packs cannot tell."""
-        bits, total, bound = 8 * size, 0, window.q_truncation
-        for tgt, lag, poly in recurrence.terms:
-            h, pack = recent[tgt][-1 - lag], packed[tgt][-1 - lag]
+    def vanishes(terms, inhom, bound) -> bool:
+        """Whether the packed residual of the walked terms is zero below
+        the bound; False where the packs cannot tell."""
+        bits, total = 8 * size, 0
+        for tgt, lag, _h, e, c in terms:
+            pack = packed[tgt][-1 - lag]
             if pack is None:  # h has a z-degree above 0
                 return False
-            nonzero = not h.is_zero()  # a zero value adds nothing but its bound
-            for e, c in poly.instantiate(n).items():
-                if e < 0 and nonzero:
-                    return False
-                shifted = pack[0] << bits * int(e * grid) if nonzero else 0
-                if c == 1:
-                    total += shifted
-                elif c == -1:
-                    total -= shifted
-                else:
-                    total += c * shifted
-                if h.q_truncation is not None:
-                    bound = min(bound, h.q_truncation + floor(e))
-        for deg, qpoly in recurrence.inhom:
-            if deg == n:
-                for e, c in qpoly:
-                    if e < 0:
-                        return False
-                    total -= c << bits * int(e * grid)
+            if not pack[0]:  # a zero value adds nothing
+                continue
+            shifted = pack[0] << bits * int(e * grid)
+            if c == 1:
+                total += shifted
+            elif c == -1:
+                total -= shifted
+            else:
+                total += c * shifted
+        for e, c in inhom:
+            total -= c << bits * int(e * grid)
         return not total & ((1 << bits * grid * bound) - 1)
 
+    ended = zero(Window(window.q_truncation))  # every value past a stream's end
     failures, vacuous = [], []
     for n in range(min(recurrence.min_degree, 0), max(n_max, 0) + 1):
-        arrivals = {tgt: next(values) if n >= 0 else nothing for tgt, values in streams.items()}
+        arrivals = {tgt: next(values, ended) if n >= 0 else nothing for tgt, values in streams.items()}
         fits = {tgt: _fit(h) for tgt, h in arrivals.items()}
         wider = max(size, *(fit + spare for fit in fits.values()))
         finer = lcm(grid, *(h.q_scale for h in arrivals.values()))
@@ -1404,16 +1411,16 @@ def check_closed_form(
             init = recent[recurrence.profile][-1]
         if not recurrence.min_degree <= n <= n_max:
             continue
+        terms, inhom, bound = recurrence._walk(n, value_fn, window)
         used_nonzero = any(not value_fn(tgt, n - lag).is_zero() for tgt, lag, _poly in recurrence.terms)
-        if not used_nonzero and not any(deg == n for deg, _ in recurrence.inhom):
+        if bound <= 0 or not used_nonzero and not any(deg == n for deg, _ in recurrence.inhom):
             vacuous.append(n)
-            continue
-        if vanishes(n):
-            continue
-        residual = recurrence.evaluate(n, value_fn, window)
-        if not residual.is_zero():
-            diff = residual.first_difference(zero(residual.window))
-            failures.append((n, diff[1], diff[2]))
+        elif not vanishes(terms, inhom, bound):
+            residual = recurrence.evaluate(n, value_fn, window)
+            if not residual.is_zero():
+                diff = residual.first_difference(zero(residual.window))
+                failures.append((n, diff[1], diff[2]))
+        del terms  # its values leave with the sliding window, not a degree later
     initial_ok = init.agrees_with(one(init.window))
     return CheckReport(not failures and initial_ok, n_max, window, tuple(failures),
                        tuple(vacuous), initial_ok, recurrence.min_degree)

@@ -11,6 +11,7 @@ from cylq.identities import (
     registry,
     report_text,
     sum_alternating_mod4,
+    sum_double_mod7,
     sum_euler,
     sum_goellnitz,
     sum_mod12,
@@ -28,8 +29,8 @@ from cylq.lattice import (
     signed_distinct_genfun,
 )
 from cylq.recur import closed_form_width6, width6_min_exponent
-from cylq.series import (TruncatedSeries, Window, inv_poch_finite, one, poch_finite, poch_product, qf,
-                         zero, zf)
+from cylq.series import (TruncatedSeries, Window, gauss_binomial, inv_poch_finite, one, poch_finite,
+                         poch_product, qf, zero, zf)
 
 EXPECTED_LABELS = {
     "coefficient-recurrences",
@@ -271,6 +272,22 @@ def oracle_mod12(profile, window):
         if n >= 4 and floor_bound(n) >= n_trunc and floor_bound(n + 1) >= n_trunc:
             return total
         total = total + h
+    return total
+
+
+def oracle_double_mod7(window):
+    n_trunc = window.q_truncation
+    w = Window(n_trunc)
+    total = zero(w)
+    n1 = 0
+    while 3 * n1 * n1 < 4 * n_trunc:
+        base = inv_poch_finite(qf(1, 1), n1, w)
+        for n2 in range(2 * n1 + 1):
+            e = n1 * n1 + n2 * n2 - n1 * n2 + n1 + n2
+            if e < n_trunc:
+                total = total + (base * gauss_binomial(2 * n1, n2, w)).times_monomial(0, e)
+        n1 += 1
+    return total
 
 
 def oracle_schmidt_distinct_odd(window):
@@ -309,6 +326,7 @@ SUM_ORACLES = [
     *[("goellnitz-" + v, partial(sum_goellnitz, v), partial(oracle_goellnitz, v), False)
       for v in ("GG1", "LG1", "GG2", "LG2")],
     *[("mod12-" + ",".join(map(str, p)), partial(sum_mod12, p), partial(oracle_mod12, p), False) for p in W6],
+    ("double-mod7", sum_double_mod7, oracle_double_mod7, False),
     ("alternating-mod4", sum_alternating_mod4, oracle_alternating_mod4, True),
     ("schmidt-distinct-odd", sum_schmidt_distinct_odd, oracle_schmidt_distinct_odd, True),
     ("schmidt-distinct-even", sum_schmidt_distinct_even, oracle_schmidt_distinct_even, True),
@@ -363,6 +381,19 @@ def test_mod12_stopping_rule_matches_brute_force():
             if width6_min_exponent(profile, n) < 20:
                 brute = brute + seq.value(n, w)
         assert sum_mod12(profile, w).first_difference(brute) is None
+
+
+def test_sum_mod12_is_the_sum_of_its_stream():
+    # the closed form's stream ends where sum_mod12 stops: summing the whole
+    # stream by plain additions gives the same series and window
+    for profile in W6:
+        for n_trunc in range(1, 81):
+            w = Window(n_trunc)
+            total = zero(w)
+            for h in closed_form_width6(profile).values(w):
+                total = total + h
+            got = sum_mod12(profile, w)
+            assert (got.window, got._rows) == (total.window, total._rows), (profile, n_trunc)
 
 
 def test_sum_mod12_rejects_infinite_window():

@@ -3,7 +3,7 @@
 import json
 from collections import deque
 from fractions import Fraction
-from itertools import islice
+from itertools import count, islice
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -542,7 +542,10 @@ WIDTH6_BRACKETS = {
     (1, 1, 1): lambda n, m: ((0, 1), (3 * n + 1, -1), (3 * n - 6 * m, -1)),
     (1, 1, -1): lambda n, m: ((0, 1), (3 * n + 1, -1), (3 * n - 6 * m, -1)),
     (1, -1, 1): lambda n, m: ((0, 1),),
-    (-1, 1, 1): sigma_prefactor_terms,
+    (-1, 1, 1): lambda n, m: (
+        (0, 1), (3 * n + 1, -1), (3 * n - 2, -1), (3 * n - 6 * m, -1),
+        (3 * n - 6 * m - 3, -1), (6 * n - 6 * m - 2, 1), (6 * n - 12 * m - 3, 1),
+    ),
 }
 
 
@@ -593,23 +596,43 @@ def _exact(s):
                          ids=["_".join((c[0].label, *map(str, c[0].profile))) for c in ORACLE_CASES])
 def test_running_values_equal_the_from_scratch_oracle(form, oracle, shift, n_max):
     # every degree in q^1, q^2, the criterion-11 window and the windows of
-    # the coefficient-recurrences case (n <= 10, 12, 16)
+    # the coefficient-recurrences case (n <= 10, 12, 16); where the stream
+    # ends before n_max, the oracle's later values are zero
     for N in (1, 2, *(2 * (k + 2) ** 2 + 40 for k in (n_max, 10, 12, 16))):
         window = Window(N)
         got = list(islice(form.values(window), n_max + 1))
-        assert [_exact(h) for h in got] == [_exact(oracle(n, window)) for n in range(n_max + 1)], N
+        assert [_exact(h) for h in got] == [_exact(oracle(n, window)) for n in range(len(got))], N
+        assert all(oracle(n, window).is_zero() for n in range(len(got), n_max + 1)), N
     # h(n) turns zero in the windows at or below its shift
     for n in sorted({*range(11), *range(10, n_max + 1, 5), n_max}):
         for N in (shift(n) - 1, shift(n), shift(n) + 1):
             if N >= 1:
                 window = Window(N)
-                got = list(islice(form.values(window), n + 2))
                 for k in range(max(n - 1, 0), n + 2):
-                    assert _exact(got[k]) == _exact(oracle(k, window)), (N, k)
+                    assert _exact(form.value(k, window)) == _exact(oracle(k, window)), (N, k)
     window = Window(100)
+    stream = list(form.values(window))
     for n in (0, 1, n_max):
-        assert _exact(form.value(n, window)) == _exact(next(islice(form.values(window), n, None)))
+        want = stream[n] if n < len(stream) else zero(window)
+        assert _exact(form.value(n, window)) == _exact(want)
     assert form.value(-1, window) == zero(window)
+
+
+@pytest.mark.parametrize("form, oracle, shift, n_max", ORACLE_CASES,
+                         ids=["_".join((c[0].label, *map(str, c[0].profile))) for c in ORACLE_CASES])
+def test_streams_end_where_no_later_value_touches_the_window(form, oracle, shift, n_max):
+    # a running form stops at its first shift at or past q^N, a width-6 form
+    # once two consecutive degrees from n = 2 on clear the window; past the
+    # end every value is zero in the window
+    for N in range(1, 81):
+        window = Window(N)
+        ended = len(list(form.values(window)))
+        if form.label == "width6-closed-form":
+            assert ended == next(n for n in count(2) if min(shift(n), shift(n + 1)) >= N), N
+        else:
+            assert ended == next(n for n in count() if shift(n) >= N), N
+        for n in range(ended, ended + 3):
+            assert _exact(form.value(n, window)) == _exact(zero(window)) == _exact(oracle(n, window)), (N, n)
 
 
 def test_width6_valuation_bound_grows_along_parities():
@@ -622,8 +645,9 @@ def test_width6_valuation_bound_grows_along_parities():
 
 def test_width6_groups_expand_to_the_bracket():
     # each group (k, terms) stands for q^(-k m) times its terms; expanded and
-    # combined they give the bracket's (exponent, coefficient) pairs, which
-    # for (-1,1,1) are those of sigma_prefactor_terms
+    # combined they give the bracket's (exponent, coefficient) pairs, the
+    # literal terms written out above (sigma_prefactor_terms expands the
+    # same groups, so it cannot serve as their check)
     def combined(pairs):
         out = {}
         for e, c in pairs:
@@ -655,7 +679,7 @@ def oracle_check_closed_form(sequence, recurrence, n_max, window=None):
     failures, vacuous = [], []
     for n in range(min(recurrence.min_degree, 0), max(n_max, 0) + 1):
         for tgt, values in streams.items():
-            recent[tgt].append(next(values) if n >= 0 else nothing)
+            recent[tgt].append(next(values, zero(Window(window.q_truncation))) if n >= 0 else nothing)
         if n == 0:
             init = recent[recurrence.profile][-1]
         if not recurrence.min_degree <= n <= n_max:
@@ -664,7 +688,13 @@ def oracle_check_closed_form(sequence, recurrence, n_max, window=None):
         if not used_nonzero and not any(deg == n for deg, _ in recurrence.inhom):
             vacuous.append(n)
             continue
-        residual = recurrence.evaluate(n, value_fn, window)
+        try:
+            residual = recurrence.evaluate(n, value_fn, window)
+        except ValueError as err:  # a residual exact nowhere is no check
+            if "compares nothing" not in str(err):
+                raise
+            vacuous.append(n)
+            continue
         if not residual.is_zero():
             diff = residual.first_difference(zero(residual.window))
             failures.append((n, diff[1], diff[2]))
@@ -825,6 +855,35 @@ def test_packed_check_matches_oracle_on_drawn_relations(case):
     _both(*case)
 
 
+def _cut_at_one(e):
+    """h(n) - q^e h(n - 1) from n = 2, with h(0) = 1, h(1) zero in the
+    window q^2 and h(2) = 1 + q: at degree 2 the residual is exact below
+    q^(2 + e) only."""
+    rec = CoefficientRecurrence((1,), (
+        ((1,), 0, LinQPoly.from_entries([(0, 0, 1)])),
+        ((1,), 1, LinQPoly.from_entries([(0, e, -1)])),
+    ), (), 2)
+    values = [one(Window(20)), zero(Window(2)), make_series([(0, 0, 1), (0, 1, 1)], Window(20))]
+    return CoefficientSequence((1,), "cut", lambda n, w: values[n] if n < 3 else zero(w)), rec, values
+
+
+def test_a_residual_exact_nowhere_is_vacuous():
+    # q^(-3) against h(1) zero in q^2 bounds the residual at q^(-1), and
+    # q^(-2) at q^0: neither degree compares anything
+    for e in (-3, -2):
+        seq, rec, _values = _cut_at_one(e)
+        assert _both(seq, rec, 2, Window(20)) == CheckReport(True, 2, Window(20), (), (2,), True, 2), e
+    seq, rec, _values = _cut_at_one(-1)  # exact below q^1: 1 + q - 0 fails at q^0
+    assert _both(seq, rec, 2, Window(20)).failures == ((2, 0, 1),)
+
+
+def test_evaluate_refuses_a_residual_exact_nowhere():
+    for e, bound in ((-3, -1), (-2, 0)):
+        _seq, rec, values = _cut_at_one(e)
+        with pytest.raises(ValueError, match=r"degree 2 is exact below q\^%d only" % bound):
+            rec.evaluate(2, lambda tgt, m: values[m], Window(20))
+
+
 def test_packed_check_raises_as_evaluate_does():
     # a coefficient q^(n - 3) against the nonzero h(0) at degree 1
     rec = CoefficientRecurrence((1,), (
@@ -833,6 +892,10 @@ def test_packed_check_raises_as_evaluate_does():
     ), (), 1)
     outcome = _both(closed_form_euler(), rec, 4, Window(20))
     assert outcome[0] == "ValueError" and "negative" in outcome[1]
+    # an inhomogeneous constant q^(-1) at degree 1
+    rec = CoefficientRecurrence((1,), rec.terms[:1], ((1, ((-1, 1),)),), 1)
+    assert _both(closed_form_euler(), rec, 4, Window(20)) == (
+        "ValueError", "inhomogeneous exponent q^-1 is negative at degree 1")
 
 
 def _against_zero(values):
