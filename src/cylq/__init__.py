@@ -18,19 +18,38 @@ Layers (each ``from cylq import ...``-able):
 - ``fitkit``: inverse problems - fitting weights to target products,
   profile conversions, equivalence discovery.
 - ``cli``: the ``cylq`` command-line front end over all of the above.
+
+Layers load on first use: ``import cylq`` imports none of them.  A layer's
+name (``cylq.recur``, ``from cylq import cli``) imports that module and the
+layers it needs.  Any other public name imports the layers in the order
+above until one lists the name in its ``__all__``, and is that layer's
+object; ``__all__`` is those lists in order, plus ``__version__``.
 """
 
-from . import series, lattice, products, recur, identities, fitkit
-from .series import *  # noqa: F401,F403
-from .lattice import *  # noqa: F401,F403
-from .products import *  # noqa: F401,F403
-from .recur import *  # noqa: F401,F403
-from .identities import *  # noqa: F401,F403
-from .fitkit import *  # noqa: F401,F403
+import sys
 
 __version__ = "0.1.0"
 
-__all__ = [
-    *series.__all__, *lattice.__all__, *products.__all__,
-    *recur.__all__, *identities.__all__, *fitkit.__all__, "__version__",
-]
+_LAYERS = ("series", "lattice", "products", "recur", "identities", "fitkit")
+
+
+def _load(name: str):
+    module = "%s.%s" % (__name__, name)
+    __import__(module)  # the import statement's path, which -X importtime reports
+    return sys.modules[module]
+
+
+def __getattr__(name: str):
+    if name in _LAYERS or name == "cli":
+        return _load(name)
+    if name == "__all__":
+        return [n for layer in _LAYERS for n in _load(layer).__all__] + ["__version__"]
+    if not name.startswith("_"):  # no layer lists a private name
+        for layer in map(_load, _LAYERS):
+            if name in layer.__all__:
+                return getattr(layer, name)
+    raise AttributeError("module %r has no attribute %r" % (__name__, name))
+
+
+def __dir__():
+    return sorted({*globals(), *_LAYERS, "cli", *__getattr__("__all__")})

@@ -14,7 +14,11 @@ Subcommands::
 Each subcommand returns ``(exit code, payload, lines)``: the payload is
 its JSON document, the lines its text form.  ``main`` is the one place
 that prints; it writes the payload for ``--format json`` and the lines
-otherwise.  A usage error goes to stderr and leaves stdout empty.
+otherwise.  A usage error goes to stderr and leaves stdout empty.  The
+module itself loads only what the parser needs (``series``, ``lattice``
+and ``products``); each subcommand imports the layers it calls when it
+runs, so ``balance`` never loads ``recur`` and ``verify`` never loads
+``fitkit``.
 
 Exit codes: 0 success; 1 any verification inequality; 2 usage or
 infeasibility errors.  Output is deterministic for a fixed invocation,
@@ -27,37 +31,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from math import lcm
 from typing import Optional
 
-from .fitkit import FitProblem, fit_report
-from .identities import (
-    CONVENTIONS,
-    get_case,
-    registry,
-    report_text,
-    sum_alternating_mod4,
-    sum_double_mod7,
-    sum_euler,
-    sum_goellnitz,
-    sum_mod12,
-    sum_rogers_ramanujan,
-    sum_schmidt_distinct_even,
-    sum_schmidt_distinct_odd,
-    sum_signed_distinct_mod2,
-    verify,
-)
-from .lattice import KINDS, enumerate_objects, genfun_by_enumeration
-from .products import (
-    ORIENTATIONS,
-    balance_census,
-    cp_product_spec,
-    dspp_product_spec,
-    scp_product_spec,
-)
-from .recur import build_system, solve_fixed_point, system_to_json
+from .lattice import KINDS
+from .products import CONVENTIONS, ORIENTATIONS
 from .series import TruncatedSeries, Window, series_to_json
 
 EXIT_OK = 0
@@ -164,20 +143,22 @@ def _series_output(header: str, series: TruncatedSeries) -> tuple:
 # subcommands
 # ---------------------------------------------------------------------------
 
+#: Each named sum as a call on the ``identities`` layer, which
+#: ``_cmd_series`` imports when it runs.
 _SUMS = {
-    "euler": lambda args, w: sum_euler(w),
-    "rogers-ramanujan-1": lambda args, w: sum_rogers_ramanujan(0, w),
-    "rogers-ramanujan-2": lambda args, w: sum_rogers_ramanujan(1, w),
-    "double-mod7": lambda args, w: sum_double_mod7(w),
-    "alternating-mod4": lambda args, w: sum_alternating_mod4(w),
-    "signed-distinct-mod2": lambda args, w: sum_signed_distinct_mod2(w),
-    "goellnitz-GG1": lambda args, w: sum_goellnitz("GG1", w),
-    "goellnitz-LG1": lambda args, w: sum_goellnitz("LG1", w),
-    "goellnitz-GG2": lambda args, w: sum_goellnitz("GG2", w),
-    "goellnitz-LG2": lambda args, w: sum_goellnitz("LG2", w),
-    "mod12": lambda args, w: sum_mod12(_require_profile(args), w),
-    "schmidt-distinct-odd": lambda args, w: sum_schmidt_distinct_odd(w),
-    "schmidt-distinct-even": lambda args, w: sum_schmidt_distinct_even(w),
+    "euler": lambda ids, args, w: ids.sum_euler(w),
+    "rogers-ramanujan-1": lambda ids, args, w: ids.sum_rogers_ramanujan(0, w),
+    "rogers-ramanujan-2": lambda ids, args, w: ids.sum_rogers_ramanujan(1, w),
+    "double-mod7": lambda ids, args, w: ids.sum_double_mod7(w),
+    "alternating-mod4": lambda ids, args, w: ids.sum_alternating_mod4(w),
+    "signed-distinct-mod2": lambda ids, args, w: ids.sum_signed_distinct_mod2(w),
+    "goellnitz-GG1": lambda ids, args, w: ids.sum_goellnitz("GG1", w),
+    "goellnitz-LG1": lambda ids, args, w: ids.sum_goellnitz("LG1", w),
+    "goellnitz-GG2": lambda ids, args, w: ids.sum_goellnitz("GG2", w),
+    "goellnitz-LG2": lambda ids, args, w: ids.sum_goellnitz("LG2", w),
+    "mod12": lambda ids, args, w: ids.sum_mod12(_require_profile(args), w),
+    "schmidt-distinct-odd": lambda ids, args, w: ids.sum_schmidt_distinct_odd(w),
+    "schmidt-distinct-even": lambda ids, args, w: ids.sum_schmidt_distinct_even(w),
 }
 
 
@@ -188,11 +169,15 @@ def _require_profile(args) -> tuple:
 
 
 def _cmd_series(args) -> tuple:
-    series = _SUMS[args.sum](args, _window(args))
+    from . import identities
+
+    series = _SUMS[args.sum](identities, args, _window(args))
     return (EXIT_OK, *_series_output("series %s" % args.sum, series))
 
 
 def _cmd_enumerate(args) -> tuple:
+    from .lattice import enumerate_objects, genfun_by_enumeration
+
     window = _window(args)
     if args.objects:
         # the largest weighted size below q^N on the weights' grid
@@ -226,6 +211,8 @@ def _cmd_enumerate(args) -> tuple:
 
 
 def _cmd_product(args) -> tuple:
+    from .products import cp_product_spec, dspp_product_spec, scp_product_spec
+
     if args.kind == "cylindric":
         orientation = args.orientation or "direct"
         spec = cp_product_spec(args.profile, args.weights, orientation)
@@ -262,6 +249,8 @@ def _cmd_product(args) -> tuple:
 
 
 def _cmd_system(args) -> tuple:
+    from .recur import build_system, system_to_json
+
     system = build_system(args.kind, args.profile, args.weights, args.normalized)
     payload = {
         "schema": "cylq-cli/1",
@@ -272,6 +261,8 @@ def _cmd_system(args) -> tuple:
 
 
 def _cmd_solve(args) -> tuple:
+    from .recur import build_system, solve_fixed_point
+
     system = build_system(args.kind, args.profile, args.weights, args.normalized)
     window = _window(args, default_d=args.N)
     try:
@@ -308,10 +299,15 @@ def _override_window(case, n: Optional[int], d: Optional[int]) -> Optional[Windo
 
 
 def _cmd_verify(args) -> tuple:
+    from .identities import get_case, registry, report_text, verify
+
     if args.list:
         labels = list(registry())
         return EXIT_OK, {"schema": "cylq-cli/1", "command": "verify-list",
                          "labels": labels}, labels
+    # imported after the layers, it reuses memory their compiling freed
+    from concurrent.futures import ThreadPoolExecutor
+
     labels = sorted(set(args.case)) if args.case else list(registry())
     cases = [get_case(label) for label in labels]  # KeyError -> usage error
     windows = [_override_window(c, args.N, args.D) for c in cases]
@@ -338,6 +334,8 @@ def _cmd_verify(args) -> tuple:
 
 
 def _cmd_fit(args) -> tuple:
+    from .fitkit import FitProblem, fit_report
+
     if args.problem is not None:
         if args.problem == "-":
             raw = sys.stdin.read()
@@ -375,6 +373,8 @@ def _cmd_fit(args) -> tuple:
 
 
 def _cmd_balance(args) -> tuple:
+    from .products import balance_census
+
     census = balance_census(args.max_width)
     balanced = sum(b for b, _ in census.values())
     total = sum(t for _, t in census.values())

@@ -30,22 +30,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
-from .lattice import (
-    count_distinct_by_marked_sum,
-    count_partitions_by_hook,
-    full_profile,
-    genfun_by_enumeration,
-    schmidt_genfun,
-    scp_weights,
-    signed_distinct_genfun,
-)
-from .products import (
-    ProductSpec,
-    cp_product,
-    dspp_product,
-    nonsymmetric_mirror_series,
-    scp_product_spec,
-)
+# recur first: compiling it is the largest transient of these imports, and
+# the fewer modules it lands on, the lower a fresh process's peak memory
 from .recur import (
     build_system,
     check_closed_form,
@@ -56,6 +42,23 @@ from .recur import (
     solve_fixed_point,
     width4_recurrence,
     width6_recurrence,
+)
+from .lattice import (
+    count_distinct_by_marked_sum,
+    count_partitions_by_hook,
+    full_profile,
+    genfun_by_enumeration,
+    schmidt_genfun,
+    scp_weights,
+    signed_distinct_genfun,
+)
+from .products import (
+    CONVENTIONS,
+    ProductSpec,
+    cp_product,
+    dspp_product,
+    nonsymmetric_mirror_series,
+    scp_product_spec,
 )
 from .series import (
     TruncatedSeries,
@@ -92,14 +95,6 @@ __all__ = [
     "sum_signed_distinct_mod2",
     "verify",
 ]
-
-#: Conventions every report embeds, so a stored report stays
-#: interpretable: the finite Pochhammer symbol starts at j = 0, and the
-#: sign-discordant product entries are taken in direct chain order.
-CONVENTIONS = {
-    "pochhammer": "standard: (a;q)_n = prod_{j=0}^{n-1} (1 - a q^j)",
-    "w3_inequality": "direct: discordant-pair entries use in-order gaps",
-}
 
 GOELLNITZ_VARIANTS = ("GG1", "LG1", "GG2", "LG2")
 
@@ -1245,31 +1240,30 @@ def _run_width6_forms(window: Window) -> list:
     Window(1),  # windows are chosen per degree by the checker
 )
 def _run_coefficient_recurrences(window: Window) -> list:
-    n_max4 = 12
-    n_max6 = 10
+    # fixed degrees, each check in the window check_closed_form derives from
+    # them: every note names the degrees and the window actually used
+    families = (
+        (4, ((1, 1), (1, -1), (-1, 1)), 12, closed_form_width4, width4_recurrence, "three"),
+        (6, ((1, 1, 1), (1, 1, -1), (1, -1, 1), (-1, 1, 1)), 10, closed_form_width6,
+         width6_recurrence, "four"),
+    )
     out = []
-    for d in ((1, 1), (1, -1), (-1, 1)):
-        rep = check_closed_form(closed_form_width4(d), width4_recurrence(d), n_max4)
-        out.append(
-            _flag_comparison(
-                "width-4 recurrence, profile %s, n <= %d" % (d, n_max4),
-                _CLOSED("width-4 closed form"),
-                Side("three-term uncoupled recurrence", "recurrence"),
-                rep.holds and rep.initial_ok and not rep.vacuous,
-                "" if rep.holds else "failures at %s" % (rep.failures[:3],),
+    for width, profiles, n_max, form, relation, terms in families:
+        for d in profiles:
+            rep = check_closed_form(form(d), relation(d), n_max)
+            note = "checked degrees %d..%d in q<%d, whatever the case window" % (
+                rep.start_degree, n_max, rep.window.q_truncation)
+            if not rep.holds:
+                note += "; failures at %s" % (rep.failures[:3],)
+            out.append(
+                _flag_comparison(
+                    "width-%d recurrence, profile %s, n <= %d" % (width, d, n_max),
+                    _CLOSED("width-%d closed form" % width),
+                    Side("%s-term uncoupled recurrence" % terms, "recurrence"),
+                    rep.holds and rep.initial_ok and not rep.vacuous,
+                    note,
+                )
             )
-        )
-    for d in ((1, 1, 1), (1, 1, -1), (1, -1, 1), (-1, 1, 1)):
-        rep = check_closed_form(closed_form_width6(d), width6_recurrence(d), n_max6)
-        out.append(
-            _flag_comparison(
-                "width-6 recurrence, profile %s, n <= %d" % (d, n_max6),
-                _CLOSED("width-6 closed form"),
-                Side("four-term uncoupled recurrence", "recurrence"),
-                rep.holds and rep.initial_ok and not rep.vacuous,
-                "" if rep.holds else "failures at %s" % (rep.failures[:3],),
-            )
-        )
     return out
 
 

@@ -64,6 +64,15 @@ __all__ = [
 
 ORIENTATIONS = ("direct", "reflected")
 
+#: Conventions every report and CLI payload embeds, so a stored one stays
+#: interpretable: the finite Pochhammer symbol starts at j = 0, and the
+#: sign-discordant product entries are taken in direct chain order.
+#: ``identities`` lists it among its exports.
+CONVENTIONS = {
+    "pochhammer": "standard: (a;q)_n = prod_{j=0}^{n-1} (1 - a q^j)",
+    "w3_inequality": "direct: discordant-pair entries use in-order gaps",
+}
+
 
 def prefix_sums(weights: Sequence) -> tuple:
     """Partial sums A_1..A_n of the weights a_0..a_(n-1)."""

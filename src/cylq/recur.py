@@ -281,6 +281,12 @@ def _pretty_exp(e: Fraction) -> str:
     return str(e.numerator) if e.denominator == 1 else "(%s)" % e
 
 
+def _exact(x) -> Union[int, Fraction]:
+    """``x`` as an exact number: an ``int`` where it is integral."""
+    x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
+
+
 def _pretty_profile(p: tuple) -> str:
     return ",".join("%+d" % x for x in p)
 
@@ -776,9 +782,12 @@ class LinQPoly:
 
     @staticmethod
     def from_entries(entries: Iterable) -> "LinQPoly":
+        """Collect like terms; an integral ``alpha`` or ``beta`` is kept as an
+        ``int`` (equal to, and hashing like, its ``Fraction``), so the
+        exponents of :meth:`instantiate` stay ints wherever they can."""
         agg: dict = {}
         for a, b, c in entries:
-            key = (Fraction(a), Fraction(b))
+            key = (_exact(a), _exact(b))
             agg[key] = agg.get(key, 0) + int(c)
         return LinQPoly(
             tuple((a, b, c) for (a, b), c in sorted(agg.items()) if c)
@@ -807,7 +816,7 @@ class LinQPoly:
                 if b == 0:
                     expo = an
                 else:
-                    expo = "%s%+s" % (an, b)
+                    expo = "%s%s%s" % (an, "+" if b > 0 else "-", _pretty_exp(abs(b)))
             atom = "q^(%s)" % expo if expo != "0" else "1"
             if abs(c) != 1:
                 atom = "%d*%s" % (abs(c), atom)
@@ -995,6 +1004,8 @@ class CoefficientSequence:
         return self._values_fn(window)
 
     def value(self, n: int, window: Window) -> TruncatedSeries:
+        """Item ``n`` of ``values(window)``.  Each call starts the stream
+        over from ``h(0)``: to read several values, read one stream."""
         values = self.values(window)  # refuses an unbounded window first
         if n < 0:
             return zero(Window(window.q_truncation, None, 1))

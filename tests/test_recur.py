@@ -3,7 +3,7 @@
 import json
 from collections import deque
 from fractions import Fraction
-from itertools import count, islice
+from itertools import chain, count, islice, repeat
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -172,14 +172,19 @@ def test_symmetric_kind_solver_and_half_chain_agree():
     assert enum.agrees_with(open_enum)
 
 
+def _first_values(seq, count: int, window: Window) -> list:
+    """h(0), ..., h(count - 1) read from one stream, zero in the window
+    past its end (as ``value`` reads them, without a stream per value)."""
+    return list(islice(chain(seq.values(window), repeat(zero(window))), count))
+
+
 def test_width4_solver_matches_closed_forms_and_products():
     window = Window(26, 10)
     sol = solve_fixed_point(build_system("skew-shifted", (1, -1), (1, 2, 1)), window)
     qwin = Window(26)
     for p in ((1, 1), (1, -1), (-1, 1)):
-        seq = closed_form_width4(p)
-        for n in range(11):
-            assert sol[p].z_slice(n).agrees_with(seq.value(n, qwin)), (p, n)
+        for n, h in enumerate(_first_values(closed_form_width4(p), 11, qwin)):
+            assert sol[p].z_slice(n).agrees_with(h), (p, n)
     # reversal symmetry of the open chain
     assert sol[(-1, -1)].agrees_with(sol[(1, 1)])
     products = {
@@ -196,18 +201,16 @@ def test_width6_solver_matches_closed_forms():
     sol = solve_fixed_point(build_system("skew-shifted", (1, -1, 1), (1, 2, 2, 1)), window)
     qwin = Window(40)
     for p in ((1, 1, 1), (1, 1, -1), (1, -1, 1), (-1, 1, 1)):
-        seq = closed_form_width6(p)
-        for n in range(11):
-            assert sol[p].z_slice(n).agrees_with(seq.value(n, qwin)), (p, n)
+        for n, h in enumerate(_first_values(closed_form_width6(p), 11, qwin)):
+            assert sol[p].z_slice(n).agrees_with(h), (p, n)
 
 
 def test_goellnitz_solver_matches_closed_form():
     window = Window(24, 10)
     sol = solve_fixed_point(build_system("skew-shifted", (1, -1, 1)), window)
-    seq = closed_form_goellnitz()
     qwin = Window(24)
-    for n in range(11):
-        assert sol[(1, -1, 1)].z_slice(n).agrees_with(seq.value(n, qwin))
+    for n, h in enumerate(_first_values(closed_form_goellnitz(), 11, qwin)):
+        assert sol[(1, -1, 1)].z_slice(n).agrees_with(h), n
 
 
 def test_schmidt_even_chain_has_distinct_product():
@@ -414,6 +417,18 @@ def test_pretty_output_mentions_prefactors():
     assert "H[+1,-1]" in text
     rec = width4_recurrence((1, -1))
     assert "h[+1,-1]" in rec.pretty()
+
+
+def test_linqpoly_pretty_signs_every_offset():
+    poly = LinQPoly.from_entries([(1, 2, 1), (2, -3, -1), (3, Fraction(1, 2), 2),
+                                  (1, Fraction(-3, 2), 1), (Fraction(1, 2), 0, 1), (0, 5, -1)])
+    assert poly.pretty() == (
+        "-q^(5) + q^((1/2)*n) + q^(n-(3/2)) + q^(n+2) - q^(2*n-3) + 2*q^(3*n+(1/2))"
+    )
+    # integral parts are kept as ints, equal to the Fractions they came from
+    assert all(type(x) is int for a, b, _c in poly.entries for x in (a, b) if x.denominator == 1)
+    assert poly == LinQPoly.from_entries([(Fraction(a), Fraction(b), c) for a, b, c in poly.entries])
+    assert poly.instantiate(4) == {5: -2, Fraction(5, 2): 1, 6: 1, 2: 1, Fraction(25, 2): 2}
 
 
 def test_functional_term_validation():
