@@ -40,8 +40,9 @@ from math import floor, lcm
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from .lattice import KINDS, _check_profile, _resolve
-from .series import (TruncatedSeries, Window, _UNIT_STEP, _add_into, _combine, _fit, _min_bound, _pack_q,
-                     _poch, _repack, _running, _strip, make_series, one, poch_finite, qf, zero, zf)
+from .series import (TruncatedSeries, Window, _UNIT_STEP, _add_into, _combine, _doublings, _fit, _from_pack,
+                     _min_bound, _pack_q, _poch, _repack, _reslot, _running, _strip, _times_binomials,
+                     make_series, one, poch_finite, qf, zero, zf)
 
 __all__ = [
     "CheckReport",
@@ -1087,16 +1088,22 @@ _WIDTH6_DATA = {
 }
 
 
-def sigma_prefactor_terms(n: int, m: int) -> tuple:
-    """The seven-term prefactor polynomial of the (-1,+1,+1) summand,
-    as combined ``(exponent, coefficient)`` pairs (exponents may be
-    negative; the full summand is still a power series): the groups that
-    :func:`closed_form_width6` sums, expanded at ``m``."""
+def _width6_prefactor(profile: tuple, n: int, m: int) -> tuple:
+    """The prefactor polynomial ``B(n, m)`` of the profile's summand as
+    combined ``(exponent, coefficient)`` pairs: its groups expanded at ``m``."""
     agg: dict = {}
-    for k, terms in _WIDTH6_DATA[(-1, 1, 1)][1](n):
+    for k, terms in _WIDTH6_DATA[profile][1](n):
         for e, c in terms:
             agg[e - k * m] = agg.get(e - k * m, 0) + c
     return tuple(sorted((e, c) for e, c in agg.items() if c))
+
+
+def sigma_prefactor_terms(n: int, m: int) -> tuple:
+    """The seven-term prefactor polynomial of the (-1,+1,+1) summand,
+    as combined ``(exponent, coefficient)`` pairs (exponents may be
+    negative; the full summand is still a power series), as
+    :func:`closed_form_width6` expands it."""
+    return _width6_prefactor((-1, 1, 1), n, m)
 
 
 def sigma_prefactor_factored(n: int, m: int) -> tuple:
@@ -1126,10 +1133,22 @@ def closed_form_width6(profile: Sequence[int]) -> CoefficientSequence:
     value is always a genuine power series (enforced).  From ``n - 1`` to
     ``n`` each kept base gains one binomial, and even ``n`` adds one base.
 
-    ``B`` is stored as groups by their m-dependence, ``q^(-k m) G_k(n)`` for
-    k = 0, 6, 12, so each group's sum over m is taken once and then added
-    once per term of ``G_k``.  A one-term group, and any group while fewer
-    than three bases are kept, adds its parts directly.
+    The bases ``P(m) / (q^3;q^3)_(n-2m)``, with ``P(m) = (-q,-q^5;q^6)_m /
+    (q^6;q^6)_m``, and the running ``P(m)`` are held as non-negative packs:
+    Kronecker integers, one coefficient per slot of ``size`` bytes, kept to
+    the slots the window needs.  A factor ``1 + q^a`` is one shift-add, and
+    ``1 / (1 - q^e)`` is the product of ``1 + q^s`` for s = e, 2e, 4e, ...
+    below the window.  The value ``h(n)`` is then one signed sum of
+    ``c * q^e * base`` over the terms of every ``B(n, m)``, decoded once.
+
+    The headroom H is the bit length of the largest degree's weight: its
+    number of bases times the sum of the prefactor's ``|c|``.  After every
+    add each slot of each pack is tested against its top H + 1 bits, so
+    every slot stays below ``2^(8 size - 1 - H)`` and no add carries from
+    one slot into the next.  Every coefficient of the signed sum is then
+    below ``2^(8 size - 1)`` in absolute value and decodes exactly.  Where
+    the test trips, the packs are re-slotted one byte wider and the degree
+    is done again.
     """
     p = _check_profile(profile)
     if p not in _WIDTH6_DATA:
@@ -1148,30 +1167,38 @@ def closed_form_width6(profile: Sequence[int]) -> CoefficientSequence:
             lows.append(width6_min_exponent(p, len(lows)))
         # a base serves every later degree: keep it below q^(N - floors[n])
         floors = list(itertools.accumulate(reversed(lows), min))[::-1]
-        bases = []  # P(m) / (q^3;q^3)_(n-2m) with P(m) = (-q,-q^5;q^6)_m / (q^6;q^6)_m
-        for n, floor in enumerate(floors):
-            if n_trunc <= floor:
-                return
-            inner = Window(n_trunc - floor)
-            bases = [_poch([], [(qf(3 * (n - 2 * m), 1), 1)], inner, b) for m, b in enumerate(bases)]
+        last = sum(floor < n_trunc for floor in floors) - 1
+        weight = (last // 2 + 1) * sum(abs(c) for _k, terms in groups_fn(last) for _e, c in terms)
+        headroom = weight.bit_length()
+        size = (headroom + 9) // 8  # the slots hold 1 below the guard
+        bases, top = [], 1
+        for n in range(last + 1):
+            slots = n_trunc - floors[n]
+            work = [(b, _doublings(3 * (n - 2 * m), slots)) for m, b in enumerate(bases)]
             if n % 2 == 0:  # P(m) = P(m-1) (1 + q^(6m-5)) (1 + q^(6m-1)) / (1 - q^(6m))
                 m = n // 2
-                top = _poch([(qf(6 * m - 5, 4, -1), 2)], [(qf(6 * m, 1), 1)], inner, top) if m else one(inner)
-                bases.append(top)
-            parts = []
-            for k, terms in groups_fn(n):
-                shifted = [(b, e_fn(n, m) - k * m, (-1) ** (m + sign_off)) for m, b in enumerate(bases)]
-                if len(terms) == 1 or len(bases) < 3:  # summing first saves an add at most
-                    parts += [(b, 0, e + ge, sign * gc) for b, e, sign in shifted for ge, gc in terms]
-                    continue
-                # the sum is needed below q^(N - low - min ge), and every base
-                # is exact that far: each shift e + ge is floor or more
-                low = min(e for _b, e, _sign in shifted)
-                cap = n_trunc - low - min(ge for ge, _gc in terms)
-                if cap > 0:
-                    total = _combine(Window(cap), [(b, 0, e - low, sign) for b, e, sign in shifted])
-                    parts += [(total, 0, low + ge, gc) for ge, gc in terms]
-            yield _combine(Window(n_trunc), parts)
+                work.append((top, (6 * m - 5, 6 * m - 1, *_doublings(6 * m, slots)) if m else ()))
+            while (bases := _times_binomials(work, size, slots, headroom)) is None:
+                # a slot reached the guard: redo the degree in slots one byte wider
+                wider = lambda b: _reslot(b & (1 << 8 * size * slots) - 1, size, size + 1, slots)
+                work, top, size = [(wider(b), shifts) for b, shifts in work], wider(top), size + 1
+            if n % 2 == 0:
+                top = bases[-1]
+            parts = [(b, e_fn(n, m) + e, (-1) ** (m + sign_off) * c)
+                     for m, b in enumerate(bases) for e, c in _width6_prefactor(p, n, m)]
+            origin = min(0, *(e for _b, e, _c in parts))
+            width = min(n_trunc, slots + min(e for _b, e, _c in parts))
+            total = 0
+            for b, e, c in parts:
+                if e < width:
+                    b <<= 8 * size * (e - origin)
+                    if c == 1:
+                        total += b
+                    elif c == -1:
+                        total -= b
+                    else:
+                        total += c * b
+            yield _from_pack(total, size, origin, width)
 
     return CoefficientSequence(p, "width6-closed-form", _values_fn=values)
 

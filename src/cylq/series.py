@@ -32,6 +32,8 @@ those; Pochhammer symbols multiply and divide by their binomials in place.
 
 from __future__ import annotations
 
+import sys
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, chain, count
@@ -241,17 +243,113 @@ def _pack_q(s, width):
     return _pack([tail], len(tail), width, 1 << (8 * width - 1)) << 8 * width * lead, lead, len(tail)
 
 
+def _reslot(unsigned, old, new, length):
+    """The ``length`` slots of an unsigned pack moved from ``old``-byte to
+    ``new``-byte slots by strided byte copies, not converted one by one:
+    zero-filled where wider, cut to their low bytes where narrower."""
+    if old == new:
+        return unsigned
+    buf = unsigned.to_bytes(length * old, "little")
+    wide = bytearray(length * new)
+    for i in range(min(old, new)):
+        wide[i::new] = buf[i::old]
+    return int.from_bytes(wide, "little")
+
+
 def _repack(packed, old, new):
     """A series packed by :func:`_pack_q` in slots of ``old`` bytes, packed
     again in slots of ``new`` >= ``old`` bytes: its slots, made unsigned,
-    are copied over by strided slices, not converted one by one."""
+    are moved by :func:`_reslot`."""
     integer, lead, length = packed
     half = 1 << (8 * old - 1)
-    buf = ((integer >> 8 * old * lead) + _offset(length, old, half)).to_bytes(length * old, "little")
-    wide = bytearray(length * new)
-    for i in range(old):
-        wide[i::new] = buf[i::old]
-    return (int.from_bytes(wide, "little") - _offset(length, new, half)) << 8 * new * lead, lead, length
+    wide = _reslot((integer >> 8 * old * lead) + _offset(length, old, half), old, new, length)
+    return (wide - _offset(length, new, half)) << 8 * new * lead, lead, length
+
+
+# Non-negative packs of pure q-series, operated on in place of their rows:
+# coefficient j in slot j of ``size`` bytes, from q^0, no offset.  Each
+# slot stays below 2^(8 size - 1 - H) for a headroom H the caller fixes,
+# so that up to 2^H of them add, with either sign, to a balanced slot.
+
+
+def _guard(slots, size, headroom):
+    """The top ``headroom + 1`` bits of each of ``slots`` slots of ``size``
+    bytes: a pack clear of them has every slot below 2^(8 size - 1 - H)."""
+    return _offset(slots, size, ((1 << headroom + 1) - 1) << 8 * size - 1 - headroom)
+
+
+def _doublings(e, slots):
+    """The shifts e, 2e, 4e, ... below ``slots``: below q^slots, 1 / (1 - q^e)
+    is the product of (1 + q^s) over them."""
+    shifts = []
+    while e < slots:
+        shifts.append(e)
+        e *= 2
+    return shifts
+
+
+def _times_binomials(work, size, slots, headroom):
+    """Each pack of ``work``, a list of ``(pack, shifts)``, times (1 + q^s)
+    for each of its shifts, ``P + (P << s bits)``, kept to its low
+    ``slots`` slots; None as soon as a slot reaches the guard of
+    :func:`_guard`.
+
+    With H the headroom, every slot is below 2^(8 size - 1 - H) before an
+    add, so below 2^(8 size - H) after it, and none carries into the next:
+    the guard test after each add keeps the slots the true coefficients.
+    A test only at the end would not: a slot that wrapped leaves a small
+    digit behind.
+    """
+    bits, guard = 8 * size, _guard(slots, size, headroom)
+    mask = (1 << bits * slots) - 1
+    done = []
+    for packed, shifts in work:
+        for s in shifts:
+            packed = packed + (packed << bits * s) & mask
+            if packed & guard:
+                return None
+        done.append(packed)
+    return done
+
+
+#: Array typecodes of signed machine integers, by their size in bytes.
+_WORDS = {array(code).itemsize: code for code in "qlihb"}
+
+
+def _unpack(packed, size, length):
+    """The low ``length`` slots of a pack as a row, for slots that hold
+    balanced digits |c| < 2^(8 size - 1), as a signed sum of packs does.
+
+    Where every digit fits in a machine word of 1, 2, 4 or 8 bytes, the
+    slots are moved to such words by :func:`_reslot` and read as one array:
+    made unsigned by an offset, then signed again by flipping each word's
+    top bit.  Wider digits are read one slot at a time.
+    """
+    word = min((w for w in _WORDS if w >= size), default=8)
+    half, low = 1 << 8 * word - 1, 1 << 8 * min(size, word) - 1
+    unsigned = (packed + _offset(length, size, low)) & (1 << 8 * size * length) - 1
+    if size > word and unsigned & _offset(length, size, (1 << 8 * size) - (1 << 8 * word)):
+        low = 1 << 8 * size - 1
+        buf = ((packed + _offset(length, size, low)) & (1 << 8 * size * length) - 1).to_bytes(length * size, "little")
+        return [int.from_bytes(buf[p:p + size], "little") - low for p in range(0, length * size, size)]
+    words = _reslot(unsigned, size, word, length) + _offset(length, word, half - low)
+    digits = array(_WORDS[word], (words ^ _offset(length, word, half)).to_bytes(length * word, "little"))
+    if sys.byteorder == "big":
+        digits.byteswap()
+    return digits.tolist()
+
+
+def _from_pack(packed, size, origin, width):
+    """The pure q-series, exact below q^width, whose coefficient of q^j is
+    slot j - origin of a pack of balanced digits.  As for :func:`_combine`,
+    the slots below -origin stand for negative exponents and must be zero;
+    the slots below the first nonzero one are not read."""
+    bits = 8 * size
+    lead = ((packed & -packed).bit_length() - 1) // bits if packed else width - origin
+    if lead < -origin:
+        raise ValueError("negative q-exponent %s is outside the ring" % (lead + origin))
+    skip = min(lead + origin, width)
+    return _from_rows([[0] * skip + _unpack(packed >> bits * lead, size, width - skip)], width, None, 1)
 
 
 def _kronecker(a, b, qcap, zcap):

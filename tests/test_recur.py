@@ -611,9 +611,13 @@ def _exact(s):
                          ids=["_".join((c[0].label, *map(str, c[0].profile))) for c in ORACLE_CASES])
 def test_running_values_equal_the_from_scratch_oracle(form, oracle, shift, n_max):
     # every degree in q^1, q^2, the criterion-11 window and the windows of
-    # the coefficient-recurrences case (n <= 10, 12, 16); where the stream
-    # ends before n_max, the oracle's later values are zero
-    for N in (1, 2, *(2 * (k + 2) ** 2 + 40 for k in (n_max, 10, 12, 16))):
+    # the coefficient-recurrences case (n <= 10, 12, 16), and a width-6 form
+    # in every window through q^80, where its packs start narrow and widen;
+    # where the stream ends before n_max, the oracle's later values are zero
+    windows = {1, 2, *(2 * (k + 2) ** 2 + 40 for k in (n_max, 10, 12, 16))}
+    if form.label == "width6-closed-form":
+        windows.update(range(1, 81))
+    for N in sorted(windows):
         window = Window(N)
         got = list(islice(form.values(window), n_max + 1))
         assert [_exact(h) for h in got] == [_exact(oracle(n, window)) for n in range(len(got))], N

@@ -27,8 +27,9 @@ from cylq.series import (
     zero,
     zf,
 )
-from cylq.series import (_UNIT_STEP, _UNWINDOWED_LIMIT, _combine, _div_binomial, _from_rows,
-                         _min_bound, _mul_binomial, _poch, _running)
+from cylq.series import (_UNIT_STEP, _UNWINDOWED_LIMIT, _combine, _div_binomial, _doublings, _from_pack,
+                         _from_rows, _guard, _min_bound, _mul_binomial, _pack, _poch, _reslot, _running,
+                         _times_binomials, _unpack)
 
 W = Window(24)
 WB = Window(16, 8)
@@ -552,6 +553,68 @@ def test_binomial_primitives_match_repeated_products(data, w):
         quotient = oracle_mul(quotient, oracle_invert(binomial))
     assert _state(_from_rows(rows, *bounds)) == _state(product)
     assert _state(_from_rows(divided, *bounds)) == _state(quotient)
+
+
+# -- non-negative packs: the shift-add binomials and the signed decode ---------
+
+
+@given(st.data(), st.lists(st.integers(0, 9), min_size=1, max_size=300), st.integers(0, 3))
+def test_packed_binomials_match_the_row_kernel(data, row, headroom):
+    # from 1-byte slots, widened a byte at a time wherever the guard trips
+    slots, rows = len(row), [list(row)]
+    size, packed = 1, _pack([row], slots, 1, 1 << 7)
+    for _ in range(data.draw(st.integers(1, 6))):
+        divide, e = data.draw(st.booleans()), data.draw(st.integers(1, slots + 1))
+        if divide:
+            _div_binomial(rows, 0, e, 1, slots, None)
+        else:
+            _mul_binomial(rows, 0, e, -1, slots, None)
+        shifts = _doublings(e, slots) if divide else (e,)
+        while (out := _times_binomials([(packed, shifts)], size, slots, headroom)) is None:
+            packed, size = _reslot(packed, size, size + 1, slots), size + 1
+        packed, = out
+        assert packed < 1 << 8 * size * slots and not packed & _guard(slots, size, headroom)
+    assert _unpack(packed, size, slots) == rows[0] + [0] * (slots - len(rows[0]))
+
+
+def test_a_slot_that_wrapped_is_widened_never_decoded():
+    # t = (X, 0) packs to digits (0, 1): a slot that reaches X carries into
+    # the next and leaves digits that look small, so a test at the end passes
+    assert _unpack(1 << 8, 1, 2) == [0, 1]
+    row, slots = [100, 100, 0], 3
+    packed = _pack([row], slots, 1, 1 << 7)
+    unguarded = packed
+    for s in (1, 1):
+        unguarded = unguarded + (unguarded << 8 * s) & (1 << 8 * slots) - 1
+    assert not unguarded & _guard(slots, 1, 0)
+    assert _unpack(unguarded, 1, slots) == [100, 44, 45]
+    # the guard trips at the first add past 2^7 (200), before any carry
+    assert _times_binomials([(packed, (1,))], 1, slots, 0) is None
+    assert _times_binomials([(packed, (1, 1))], 1, slots, 0) is None
+    wide, = _times_binomials([(_reslot(packed, 1, 2, slots), (1, 1))], 2, slots, 0)
+    assert _unpack(wide, 2, slots) == [100, 300, 300]
+
+
+@given(st.data(), st.integers(1, 40), st.integers(1, 30))
+def test_packed_signed_sums_decode_as_combine(data, n_trunc, slots):
+    # each part is c q^e base, e possibly negative; cancelling copies of the
+    # negative parts leave the sum a power series, and without them
+    # _combine's negative-exponent error must come back unchanged
+    digit = st.integers(0, 9) | st.integers(0, 2**80)
+    bases = data.draw(st.lists(st.lists(digit, min_size=slots, max_size=slots), min_size=1, max_size=4))
+    parts = data.draw(st.lists(st.tuples(st.integers(0, len(bases) - 1), st.integers(-5, 45),
+                                         st.sampled_from((1, -1, 2, -3))), min_size=1, max_size=8))
+    if data.draw(st.booleans()):
+        parts += [(i, e, -c) for i, e, c in parts if e < 0]
+    headroom = sum(abs(c) for _i, _e, c in parts).bit_length()
+    size = (max(map(max, bases)).bit_length() + headroom + 8) // 8
+    origin = min(0, *(e for _i, e, _c in parts))
+    total = sum(c * (_pack([bases[i]], slots, size, 1 << 8 * size - 1) << 8 * size * (e - origin))
+                for i, e, c in parts)
+    width = min(n_trunc, slots + min(e for _i, e, _c in parts))
+    series_of = [make_series([(0, j, x) for j, x in enumerate(b)], Window(slots)) for b in bases]
+    assert _outcome(_from_pack, total, size, origin, width) == _outcome(
+        _combine, Window(n_trunc), [(series_of[i], 0, e, c) for i, e, c in parts])
 
 
 @given(series())
