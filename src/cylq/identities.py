@@ -118,7 +118,7 @@ def sum_euler(window: Window) -> TruncatedSeries:
     """``sum_n q^n / (q;q)_n``: partitions graded by number of parts."""
     w = Window(_require_q(window))
     step = lambda n: ([], [(qf(n, 1), 1)], 0, n, 1) if n else _UNIT_STEP
-    return _combine(w, list(_running(step, w)))
+    return _combine(w, _running(step, w))
 
 
 def sum_rogers_ramanujan(shift: int, window: Window) -> TruncatedSeries:
@@ -127,7 +127,7 @@ def sum_rogers_ramanujan(shift: int, window: Window) -> TruncatedSeries:
         raise ValueError("shift must be 0 or 1")
     w = Window(_require_q(window))
     step = lambda n: ([], [(qf(n, 1), 1)], 0, n * n + shift * n, 1) if n else _UNIT_STEP
-    return _combine(w, list(_running(step, w)))
+    return _combine(w, _running(step, w))
 
 
 def sum_double_mod7(window: Window) -> TruncatedSeries:
@@ -180,7 +180,7 @@ def sum_signed_distinct_mod2(window: Window) -> TruncatedSeries:
     step = lambda n: (
         [(qf(2 * n + 1, 1), 1), (qf(2 * n, 1, -1), 1)], [(qf(4 * n, 2), 2)], 0, 2 * n * n + n, (-1) ** n
     ) if n else ([(qf(1, 1), 1)], [(qf(2, 1), 1)], 0, 0, 1)
-    return _combine(w, list(_running(step, w)))
+    return _combine(w, _running(step, w))
 
 
 def sum_goellnitz(variant: str, window: Window) -> TruncatedSeries:
@@ -202,7 +202,7 @@ def sum_goellnitz(variant: str, window: Window) -> TruncatedSeries:
     step = lambda n: (
         [(qf(max(2 * n - 1 - 2 * lg2, 1), 1, -1), 1)], [(qf(2 * n, 1), 1)], 0, n * n + shift * n - lg2, 1
     ) if n else _UNIT_STEP
-    return _combine(w, list(_running(step, w)))
+    return _combine(w, _running(step, w))
 
 
 def sum_mod12(profile: Sequence[int], window: Window) -> TruncatedSeries:
@@ -213,7 +213,7 @@ def sum_mod12(profile: Sequence[int], window: Window) -> TruncatedSeries:
     touches the window.
     """
     w = Window(_require_q(window))
-    return _combine(w, [(h, 0, 0, 1) for h in closed_form_width6(profile).values(w)])
+    return _combine(w, ((h, 0, 0, 1) for h in closed_form_width6(profile).values(w)))
 
 
 def sum_schmidt_distinct_odd(window: Window) -> TruncatedSeries:
@@ -221,7 +221,7 @@ def sum_schmidt_distinct_odd(window: Window) -> TruncatedSeries:
     n_trunc = _require_q(window)
     w = Window(n_trunc, _z_cap(window, n_trunc))
     step = lambda n: ([], [(zf(1, n, 1), 2)], 2 * n, n * n + n, 1) if n else ([], [(zf(1, 1, 1), 1)], 0, 0, 1)
-    return _combine(w, list(_running(step, w)))
+    return _combine(w, _running(step, w))
 
 
 def sum_schmidt_distinct_even(window: Window) -> TruncatedSeries:
@@ -229,7 +229,7 @@ def sum_schmidt_distinct_even(window: Window) -> TruncatedSeries:
     n_trunc = _require_q(window)
     w = Window(n_trunc, _z_cap(window, n_trunc))
     step = lambda n: ([], [(zf(1, n - 1, 1), 2)], 2 * n - 1, n * n - n, 1) if n else _UNIT_STEP
-    return _combine(w, list(_running(step, w)))
+    return _combine(w, _running(step, w))
 
 
 # ---------------------------------------------------------------------------

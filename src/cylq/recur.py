@@ -40,9 +40,9 @@ from math import floor, lcm
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from .lattice import KINDS, _check_profile, _resolve
-from .series import (TruncatedSeries, Window, _UNIT_STEP, _add_into, _combine, _doublings, _fit, _from_pack,
-                     _min_bound, _pack_q, _poch, _repack, _reslot, _running, _strip, _times_binomials,
-                     make_series, one, poch_finite, qf, zero, zf)
+from .series import (TruncatedSeries, Window, _UNIT_STEP, _add_into, _combine, _doublings, _from_pack, _from_rows,
+                     _magnitude, _min_bound, _pack_q, _poch, _running, _shift_sum, _slot_size, _strip,
+                     _times_binomials, _widen, make_series, one, poch_finite, qf, zero, zf)
 
 __all__ = [
     "CheckReport",
@@ -589,13 +589,7 @@ def solve_fixed_point(system: FunctionalSystem, window: Window) -> dict:
         for p in profiles:
             tables[p].append(cur[p])
 
-    out = {}
-    for p in profiles:
-        coeffs = {
-            (nn, qn): v for nn, row in enumerate(tables[p]) for qn, v in enumerate(row) if v
-        }
-        out[p] = TruncatedSeries(coeffs, n_trunc, d_trunc, scale)
-    return out
+    return {p: _from_rows(tables[p], n_trunc, d_trunc, scale) for p in profiles}
 
 
 # ---------------------------------------------------------------------------
@@ -1134,21 +1128,14 @@ def closed_form_width6(profile: Sequence[int]) -> CoefficientSequence:
     ``n`` each kept base gains one binomial, and even ``n`` adds one base.
 
     The bases ``P(m) / (q^3;q^3)_(n-2m)``, with ``P(m) = (-q,-q^5;q^6)_m /
-    (q^6;q^6)_m``, and the running ``P(m)`` are held as non-negative packs:
-    Kronecker integers, one coefficient per slot of ``size`` bytes, kept to
-    the slots the window needs.  A factor ``1 + q^a`` is one shift-add, and
-    ``1 / (1 - q^e)`` is the product of ``1 + q^s`` for s = e, 2e, 4e, ...
-    below the window.  The value ``h(n)`` is then one signed sum of
-    ``c * q^e * base`` over the terms of every ``B(n, m)``, decoded once.
-
-    The headroom H is the bit length of the largest degree's weight: its
-    number of bases times the sum of the prefactor's ``|c|``.  After every
-    add each slot of each pack is tested against its top H + 1 bits, so
-    every slot stays below ``2^(8 size - 1 - H)`` and no add carries from
-    one slot into the next.  Every coefficient of the signed sum is then
-    below ``2^(8 size - 1)`` in absolute value and decodes exactly.  Where
-    the test trips, the packs are re-slotted one byte wider and the degree
-    is done again.
+    (q^6;q^6)_m``, and the running ``P(m)`` are held as non-negative
+    Kronecker packs (see ``series``), kept to the slots the window needs.
+    A factor ``1 + q^a`` is one shift-add, and ``1 / (1 - q^e)`` is the
+    product of ``1 + q^s`` for s = e, 2e, 4e, ... below the window.  The
+    value ``h(n)`` is then one signed sum of ``c * q^e * base`` over the
+    terms of every ``B(n, m)``, decoded once.  The guard's headroom is the
+    bit length of the largest degree's weight, its number of bases times
+    the sum of the prefactor's ``|c|``, so every such sum decodes exactly.
     """
     p = _check_profile(profile)
     if p not in _WIDTH6_DATA:
@@ -1169,35 +1156,20 @@ def closed_form_width6(profile: Sequence[int]) -> CoefficientSequence:
         floors = list(itertools.accumulate(reversed(lows), min))[::-1]
         last = sum(floor < n_trunc for floor in floors) - 1
         weight = (last // 2 + 1) * sum(abs(c) for _k, terms in groups_fn(last) for _e, c in terms)
-        headroom = weight.bit_length()
-        size = (headroom + 9) // 8  # the slots hold 1 below the guard
+        size = _slot_size(weight, 1)  # the running P(0) is 1
         bases, top = [], 1
         for n in range(last + 1):
             slots = n_trunc - floors[n]
             work = [(b, _doublings(3 * (n - 2 * m), slots)) for m, b in enumerate(bases)]
-            if n % 2 == 0:  # P(m) = P(m-1) (1 + q^(6m-5)) (1 + q^(6m-1)) / (1 - q^(6m))
-                m = n // 2
-                work.append((top, (6 * m - 5, 6 * m - 1, *_doublings(6 * m, slots)) if m else ()))
-            while (bases := _times_binomials(work, size, slots, headroom)) is None:
-                # a slot reached the guard: redo the degree in slots one byte wider
-                wider = lambda b: _reslot(b & (1 << 8 * size * slots) - 1, size, size + 1, slots)
-                work, top, size = [(wider(b), shifts) for b, shifts in work], wider(top), size + 1
-            if n % 2 == 0:
-                top = bases[-1]
+            m = n // 2  # at even n, P(m) = P(m-1) (1 + q^(6m-5)) (1 + q^(6m-1)) / (1 - q^(6m))
+            work.append((top, (6 * m - 5, 6 * m - 1, *_doublings(6 * m, slots)) if m and n % 2 == 0 else ()))
+            packs, size = _times_binomials(work, size, slots, weight.bit_length())
+            bases, top = packs[:m + 1], packs[-1]
             parts = [(b, e_fn(n, m) + e, (-1) ** (m + sign_off) * c)
                      for m, b in enumerate(bases) for e, c in _width6_prefactor(p, n, m)]
             origin = min(0, *(e for _b, e, _c in parts))
             width = min(n_trunc, slots + min(e for _b, e, _c in parts))
-            total = 0
-            for b, e, c in parts:
-                if e < width:
-                    b <<= 8 * size * (e - origin)
-                    if c == 1:
-                        total += b
-                    elif c == -1:
-                        total -= b
-                    else:
-                        total += c * b
+            total = _shift_sum([(b, e - origin, c) for b, e, c in parts if e < width], size)
             yield _from_pack(total, size, origin, width)
 
     return CoefficientSequence(p, "width6-closed-form", _values_fn=values)
@@ -1362,27 +1334,25 @@ def check_closed_form(
     below ``q^0`` or less compares nothing and is listed as vacuous.
 
     Each value is packed once, as it enters the sliding window, into the
-    integer P(h) = sum of c X^j over its terms c q^(j / d): Kronecker
-    substitution with X = 2^(8 * size), on a grid 1/d fine enough for
-    every value and every exponent of the relation.  The pack leaves the
-    window with its value.  A degree's residual is then one integer, R =
-    sum of c P(h) X^(e d) over the relation's terms c q^e h(n - lag), less
-    its inhomogeneous constants.  The slot size is the bytes of the largest
-    |coefficient| of any value so far plus those of the relation's weight
-    W (the sum of its |c|), so each coefficient r_i of the residual has
-    |r_i| <= W max |h| < X / 2 and sits in slot i of R with no carry.  The
-    low L slots of R are then zero exactly when r_i = 0 for i < L: a
-    nonzero sum of r_i X^i over i < L is below X^L in absolute value, so
-    it is no multiple of X^L.  L is d times the exactness bound of the
-    relation's term walk, which :meth:`CoefficientRecurrence.evaluate`
-    shares: the window, and each value's own window plus the integer part
-    of its shift, a value zero in its window included (h(n) for n < 0 is
-    exactly zero, with no window).  The walk also raises for a negative
-    exponent.  A value that needs wider slots, or a finer grid, has the
-    kept packs re-slotted by strided byte copies, without converting a
-    coefficient again.  Where the test fails, or cannot run (a value with
-    a z-degree above 0), :meth:`CoefficientRecurrence.evaluate` computes
-    the residual: every failure reported comes from it.
+    integer P(h) = sum of c X^j over its terms c q^(j / d): a Kronecker
+    pack (see ``series``) on a grid 1/d fine enough for every value and
+    every exponent of the relation, in slots that the slot rule sizes for
+    the relation's weight W (the sum of its |c|) over every value so far.
+    The pack leaves the window with its value.  A degree's residual is
+    then one integer, R = sum of c P(h) X^(e d) over the relation's terms
+    c q^e h(n - lag), less its inhomogeneous constants, whose slot i holds
+    the residual's coefficient r_i.  The low L slots of R are zero exactly
+    when r_i = 0 for i < L: a nonzero sum of r_i X^i over i < L is below
+    X^L in absolute value, so it is no multiple of X^L.  L is d times the
+    exactness bound of the relation's term walk, which
+    :meth:`CoefficientRecurrence.evaluate` shares: the window, and each
+    value's own window plus the integer part of its shift, a value zero in
+    its window included (h(n) for n < 0 is exactly zero, with no window).
+    The walk also raises for a negative exponent.  A value that needs
+    wider slots, or a finer grid, has the kept packs widened without
+    converting a coefficient again.  Where the test fails, or cannot run
+    (a value with a z-degree above 0), :meth:`CoefficientRecurrence.evaluate`
+    computes the residual: every failure reported comes from it.
     """
     if window is None:
         window = Window(2 * (n_max + 2) ** 2 + 40)
@@ -1400,45 +1370,30 @@ def check_closed_form(
     )
     weight = sum(abs(c) for _t, _l, poly in recurrence.terms for _a, _b, c in poly.entries)
     weight += max((sum(abs(c) for _e, c in qpoly) for _d, qpoly in recurrence.inhom), default=0)
-    # |c| < 2^(8 f - 1) makes weight * |c| < 2^(8 (f + spare) - 1)
-    spare = (weight.bit_length() + 7) // 8
     # each kept value, packed as it enters in slots of size * (grid / q_scale)
-    # bytes, and repacked when a later value widens the slots or the grid
+    # bytes, and widened when a later value widens the slots or the grid
     size = 1
-    packed = {tgt: deque([_pack_q(nothing, grid)] * order, order + 1) for tgt in targets}
+    packed = {tgt: deque([0] * order, order + 1) for tgt in targets}
 
     def vanishes(terms, inhom, bound) -> bool:
         """Whether the packed residual of the walked terms is zero below
         the bound; False where the packs cannot tell."""
-        bits, total = 8 * size, 0
-        for tgt, lag, _h, e, c in terms:
-            pack = packed[tgt][-1 - lag]
-            if pack is None:  # h has a z-degree above 0
-                return False
-            if not pack[0]:  # a zero value adds nothing
-                continue
-            shifted = pack[0] << bits * int(e * grid)
-            if c == 1:
-                total += shifted
-            elif c == -1:
-                total -= shifted
-            else:
-                total += c * shifted
-        for e, c in inhom:
-            total -= c << bits * int(e * grid)
-        return not total & ((1 << bits * grid * bound) - 1)
+        parts = [(packed[tgt][-1 - lag], int(e * grid), c) for tgt, lag, _h, e, c in terms]
+        if any(pack is None for pack, _e, _c in parts):  # h has a z-degree above 0
+            return False
+        total = _shift_sum(parts + [(1, int(e * grid), -c) for e, c in inhom], size)
+        return not total & ((1 << 8 * size * grid * bound) - 1)
 
     ended = zero(Window(window.q_truncation))  # every value past a stream's end
     failures, vacuous = [], []
     for n in range(min(recurrence.min_degree, 0), max(n_max, 0) + 1):
         arrivals = {tgt: next(values, ended) if n >= 0 else nothing for tgt, values in streams.items()}
-        fits = {tgt: _fit(h) for tgt, h in arrivals.items()}
-        wider = max(size, *(fit + spare for fit in fits.values()))
+        wider = max(size, *(_slot_size(weight, _magnitude(h._rows)) for h in arrivals.values()))
         finer = lcm(grid, *(h.q_scale for h in arrivals.values()))
         if (wider, finer) != (size, grid):
             for tgt in targets:  # the oldest pack leaves with the next append
                 packed[tgt] = deque([
-                    p and _repack(p, size * (grid // h.q_scale), wider * (finer // h.q_scale))
+                    p and _widen(p, size * (grid // h.q_scale), wider * (finer // h.q_scale), len(h._rows[0]))
                     for h, p in zip(recent[tgt], packed[tgt])
                 ], order + 1)
             size, grid = wider, finer

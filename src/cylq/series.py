@@ -36,7 +36,7 @@ import sys
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, chain, count
+from itertools import accumulate, count
 from math import gcd, lcm
 from operator import add, mul, sub
 from types import MappingProxyType
@@ -207,13 +207,37 @@ def _inverse_row(f, qcap):
     return g
 
 
+# Kronecker packs.  A pack in slots of ``size`` bytes is the integer sum of
+# c_j X^j, X = 2^(8 size), over balanced digits |c_j| < X / 2; it is read
+# back by adding X / 2 to every slot, so a negative digit's borrow from the
+# slot above is repaid.  Sums, shifts and products of packs are packs while
+# no digit leaves that range, which the slot rule ensures: slots of s bytes
+# hold any signed sum of weight W (the sum of its |c|) over digits of
+# magnitude at most M when 8 s >= bits(W) + bits(max(M, 1)) + 1, for then
+# W M < X / 2.  A non-negative pack clear of its guard, the top H + 1 bits
+# of each slot, is a balanced pack whose digits are below 2^(8 s - 1 - H),
+# so up to 2^H of them add, with either sign, to a balanced pack.
+
+
 def _offset(slots, size, half):
     """``half`` in each of ``slots`` slots of ``size`` bytes."""
     return int.from_bytes(half.to_bytes(size, "little") * slots, "little")
 
 
-def _pack(rows, stride, size, half):
-    """Coefficient j of row k in slot k * stride + j, stored plus ``half``."""
+def _slot_size(weight, magnitude):
+    """The fewest bytes whose slots the slot rule lets hold any signed sum
+    of weight ``weight`` over digits of magnitude at most ``magnitude``."""
+    return (weight.bit_length() + max(magnitude, 1).bit_length() + 8) // 8
+
+
+def _magnitude(rows):
+    """The largest |c| over the rows, 0 if they are empty."""
+    return max((max(max(r), -min(r)) for r in rows if r), default=0)
+
+
+def _pack(rows, stride, size):
+    """Coefficient j of row k in slot k * stride + j."""
+    half = 1 << 8 * size - 1
     pad = half.to_bytes(size, "little")
     chunks = []
     for row in rows:
@@ -222,103 +246,12 @@ def _pack(rows, stride, size, half):
     return int.from_bytes(b"".join(chunks), "little") - _offset(len(rows) * stride, size, half)
 
 
-def _fit(s):
-    """The fewest bytes f for which every coefficient c of s has |c| < 2^(8 f - 1)."""
-    return max((max(max(r), -min(r)) for r in s._rows if r), default=0).bit_length() // 8 + 1
-
-
-def _pack_q(s, width):
-    """The pure q-series s as ``(integer, lead, length)``, or None if s has
-    a z-degree above 0: the integer is the sum of c X^j over its terms
-    c q^(j / q_scale), X = 2^(8 * width), for coefficients |c| < X / 2, and
-    only the ``length`` coefficients from index ``lead``, its first nonzero
-    one, are converted."""
-    if len(s._rows) > 1:
-        return None
-    if not s._rows:
-        return 0, 0, 0
-    row = s._rows[0]
-    lead = row.index(next(filter(None, row)))
-    tail = row[lead:]
-    return _pack([tail], len(tail), width, 1 << (8 * width - 1)) << 8 * width * lead, lead, len(tail)
-
-
-def _reslot(unsigned, old, new, length):
-    """The ``length`` slots of an unsigned pack moved from ``old``-byte to
-    ``new``-byte slots by strided byte copies, not converted one by one:
-    zero-filled where wider, cut to their low bytes where narrower."""
-    if old == new:
-        return unsigned
-    buf = unsigned.to_bytes(length * old, "little")
-    wide = bytearray(length * new)
-    for i in range(min(old, new)):
-        wide[i::new] = buf[i::old]
-    return int.from_bytes(wide, "little")
-
-
-def _repack(packed, old, new):
-    """A series packed by :func:`_pack_q` in slots of ``old`` bytes, packed
-    again in slots of ``new`` >= ``old`` bytes: its slots, made unsigned,
-    are moved by :func:`_reslot`."""
-    integer, lead, length = packed
-    half = 1 << (8 * old - 1)
-    wide = _reslot((integer >> 8 * old * lead) + _offset(length, old, half), old, new, length)
-    return (wide - _offset(length, new, half)) << 8 * new * lead, lead, length
-
-
-# Non-negative packs of pure q-series, operated on in place of their rows:
-# coefficient j in slot j of ``size`` bytes, from q^0, no offset.  Each
-# slot stays below 2^(8 size - 1 - H) for a headroom H the caller fixes,
-# so that up to 2^H of them add, with either sign, to a balanced slot.
-
-
-def _guard(slots, size, headroom):
-    """The top ``headroom + 1`` bits of each of ``slots`` slots of ``size``
-    bytes: a pack clear of them has every slot below 2^(8 size - 1 - H)."""
-    return _offset(slots, size, ((1 << headroom + 1) - 1) << 8 * size - 1 - headroom)
-
-
-def _doublings(e, slots):
-    """The shifts e, 2e, 4e, ... below ``slots``: below q^slots, 1 / (1 - q^e)
-    is the product of (1 + q^s) over them."""
-    shifts = []
-    while e < slots:
-        shifts.append(e)
-        e *= 2
-    return shifts
-
-
-def _times_binomials(work, size, slots, headroom):
-    """Each pack of ``work``, a list of ``(pack, shifts)``, times (1 + q^s)
-    for each of its shifts, ``P + (P << s bits)``, kept to its low
-    ``slots`` slots; None as soon as a slot reaches the guard of
-    :func:`_guard`.
-
-    With H the headroom, every slot is below 2^(8 size - 1 - H) before an
-    add, so below 2^(8 size - H) after it, and none carries into the next:
-    the guard test after each add keeps the slots the true coefficients.
-    A test only at the end would not: a slot that wrapped leaves a small
-    digit behind.
-    """
-    bits, guard = 8 * size, _guard(slots, size, headroom)
-    mask = (1 << bits * slots) - 1
-    done = []
-    for packed, shifts in work:
-        for s in shifts:
-            packed = packed + (packed << bits * s) & mask
-            if packed & guard:
-                return None
-        done.append(packed)
-    return done
-
-
 #: Array typecodes of signed machine integers, by their size in bytes.
 _WORDS = {array(code).itemsize: code for code in "qlihb"}
 
 
 def _unpack(packed, size, length):
-    """The low ``length`` slots of a pack as a row, for slots that hold
-    balanced digits |c| < 2^(8 size - 1), as a signed sum of packs does.
+    """The low ``length`` slots of a pack as a row.
 
     Where every digit fits in a machine word of 1, 2, 4 or 8 bytes, the
     slots are moved to such words by :func:`_reslot` and read as one array:
@@ -339,6 +272,102 @@ def _unpack(packed, size, length):
     return digits.tolist()
 
 
+def _reslot(unsigned, old, new, length):
+    """The ``length`` slots of an unsigned pack moved from ``old``-byte to
+    ``new``-byte slots by strided byte copies, not converted one by one:
+    zero-filled where wider, cut to their low bytes where narrower."""
+    if old == new:
+        return unsigned
+    buf = unsigned.to_bytes(length * old, "little")
+    wide = bytearray(length * new)
+    for i in range(min(old, new)):
+        wide[i::new] = buf[i::old]
+    return int.from_bytes(wide, "little")
+
+
+def _widen(packed, old, new, slots):
+    """The low ``slots`` slots of a pack, moved from ``old``-byte to
+    ``new``-byte slots, ``new >= old``, with their digits unchanged: made
+    unsigned by an offset, moved by :func:`_reslot` and made signed again."""
+    half = 1 << 8 * old - 1
+    unsigned = (packed + _offset(slots, old, half)) & (1 << 8 * old * slots) - 1
+    return _reslot(unsigned, old, new, slots) - _offset(slots, new, half)
+
+
+def _pack_q(s, size):
+    """The pure q-series s as a pack, coefficient j in slot j, or None if s
+    has a z-degree above 0; the coefficients below its first nonzero one
+    are not converted."""
+    if len(s._rows) != 1:
+        return None if s._rows else 0
+    row = s._rows[0]
+    lead = row.index(next(filter(None, row)))
+    return _pack([row[lead:]], len(row) - lead, size) << 8 * size * lead
+
+
+def _guard(slots, size, headroom):
+    """The top ``headroom + 1`` bits of each of ``slots`` slots of ``size``
+    bytes: a pack clear of them has every slot below 2^(8 size - 1 - H)."""
+    return _offset(slots, size, ((1 << headroom + 1) - 1) << 8 * size - 1 - headroom)
+
+
+def _doublings(e, slots):
+    """The shifts e, 2e, 4e, ... below ``slots``: below q^slots, 1 / (1 - q^e)
+    is the product of (1 + q^s) over them."""
+    shifts = []
+    while e < slots:
+        shifts.append(e)
+        e *= 2
+    return shifts
+
+
+def _times_binomials(work, size, slots, headroom):
+    """``(packs, size)``: each non-negative pack of ``work``, a list of
+    ``(pack, shifts)``, times (1 + q^s) for each of its shifts, ``P + (P <<
+    s bits)`` cut to the low ``slots`` slots, in slots of ``size`` bytes
+    or, where a slot reaches the guard of :func:`_guard`, in slots as many
+    bytes wider as it takes, the degree done again from ``work``.
+
+    With H the headroom, every slot is below 2^(8 size - 1 - H) before an
+    add, so below 2^(8 size - H) after it, and none carries into the next:
+    the guard test after each add keeps the slots the true coefficients.
+    A test only at the end would not: a slot that wrapped leaves a small
+    digit behind.
+    """
+    def shift_adds():  # the products, or None as soon as a slot reaches the guard
+        bits, guard, mask = 8 * size, _guard(slots, size, headroom), (1 << 8 * size * slots) - 1
+        done = []
+        for packed, shifts in work:
+            for s in shifts:
+                packed = packed + (packed << bits * s) & mask
+                if packed & guard:
+                    return None
+            done.append(packed)
+        return done
+
+    while (done := shift_adds()) is None:
+        work = [(_widen(packed, size, size + 1, slots), shifts) for packed, shifts in work]
+        size += 1
+    return done, size
+
+
+def _shift_sum(parts, size):
+    """The sum of c P X^e over the parts (P, e, c), for packs P in slots of
+    ``size`` bytes and X = 2^(8 size); e may be negative where P is 0."""
+    bits, total = 8 * size, 0
+    for packed, e, c in parts:
+        if not packed:
+            continue
+        packed <<= bits * e
+        if c == 1:
+            total += packed
+        elif c == -1:
+            total -= packed
+        else:
+            total += c * packed
+    return total
+
+
 def _from_pack(packed, size, origin, width):
     """The pure q-series, exact below q^width, whose coefficient of q^j is
     slot j - origin of a pack of balanced digits.  As for :func:`_combine`,
@@ -355,23 +384,17 @@ def _from_pack(packed, size, origin, width):
 def _kronecker(a, b, qcap, zcap):
     """a * b as one integer product (Kronecker substitution).
 
-    The stride holds a whole row of the product and a slot its largest
-    possible coefficient, so no slot carries into the next; adding
-    ``half`` to every slot makes them unsigned to read back.
+    The stride holds a whole row of the product, and the slot rule sizes a
+    slot for its largest possible coefficient, a sum of at most
+    min(len) * min(rows) products of two coefficients.
     """
     la, lb = max(map(len, a)), max(map(len, b))
-    stride, nrows = la + lb - 1, len(a) + len(b) - 1
-    bound = max(map(abs, chain.from_iterable(a))) * max(map(abs, chain.from_iterable(b)))
-    size = (bound * min(la, lb) * min(len(a), len(b))).bit_length() // 8 + 1
-    half = 1 << (8 * size - 1)
-    product = _pack(a, stride, size, half) * _pack(b, stride, size, half)
-    buf = (product + _offset(nrows * stride, size, half)).to_bytes(nrows * stride * size, "little")
+    stride = la + lb - 1
+    size = _slot_size(min(la, lb) * min(len(a), len(b)), _magnitude(a) * _magnitude(b))
+    nrows = len(a) + len(b) - 1 if zcap is None else min(len(a) + len(b) - 1, zcap + 1)
     width = stride if qcap is None else min(stride, qcap)
-    return [
-        [int.from_bytes(buf[p:p + size], "little") - half
-         for p in range(k * stride * size, (k * stride + width) * size, size)]
-        for k in range(nrows if zcap is None else min(nrows, zcap + 1))
-    ]
+    digits = _unpack(_pack(a, stride, size) * _pack(b, stride, size), size, (nrows - 1) * stride + width)
+    return [digits[p:p + width] for p in range(0, nrows * stride, stride)]
 
 
 def _mul_rows(a, b, qcap, zcap):
@@ -758,28 +781,35 @@ def _constant(c: int, window: Window) -> TruncatedSeries:
 
 
 def _combine(window, parts):
-    """The sum of c z^k q^e s over the parts (s, k, e, c), on their common
-    grid: one accumulator, no intermediate series.
+    """The sum of c z^k q^e s over the parts (s, k, e, c), from any
+    iterable: each part is added into one accumulator as it arrives, and
+    the accumulator is re-spread when a part brings a finer q-grid.
 
     It is exact in the window and wherever every part is; a part shifted
     by q^e is exact below its own q-window plus e.  A shift may be negative
-    when the sum has no term below q^0, which is checked.
+    when the sum has no term below q^0 in the window, which is checked.
     """
     scale, ntr, dtr = window.q_scale, window.q_truncation, window.z_truncation
-    for s, _k, e, _c in parts:
-        scale = lcm(scale, s.q_scale, e.denominator)
-        dtr = _min_bound(dtr, s.z_truncation)
-    shifts = [int(e * scale) for _s, _k, e, _c in parts]
-    for (s, _k, _e, _c), shift in zip(parts, shifts):
+    origin, acc = 0, []  # acc[z][i] holds q-numerator i + origin
+    for s, k, e, c in parts:
+        finer = lcm(scale, s.q_scale, e.denominator)
+        if finer != scale:
+            acc, origin, scale = _spread(acc, finer // scale), origin * (finer // scale), finer
+        shift = int(e * scale)
+        if shift < origin:
+            for row in filter(None, acc):
+                row[:0] = [0] * (origin - shift)
+            origin = shift
         ntr = _min_bound(ntr, s.q_truncation and s.q_truncation + shift // scale)
-    origin = min([0, *shifts])  # acc[i] holds q-numerator i + origin
-    qcap = None if ntr is None else ntr * scale - origin
-    acc = []
-    for (s, k, _e, c), shift in zip(parts, shifts):
+        dtr = _min_bound(dtr, s.z_truncation)
         if dtr is None or k <= dtr:
+            qcap = None if ntr is None else ntr * scale - origin
             for z, row in enumerate(_spread(s._rows, scale // s.q_scale), k):
                 _add_into(_row(acc, z), shift - origin, row, qcap, c)
+    del acc[len(acc) if dtr is None else dtr + 1:]
     for row in acc:
+        if ntr is not None:
+            del row[max(ntr * scale - origin, 0):]
         if any(row[:-origin]):
             lead = next(i for i, c in enumerate(row) if c) + origin
             raise ValueError("negative q-exponent %s is outside the ring" % Fraction(lead, scale))

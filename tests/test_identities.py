@@ -1,6 +1,7 @@
 """Tests for the identity case registry, evaluators, and reports."""
 
 import json
+import tracemalloc
 from functools import partial
 from itertools import islice
 
@@ -345,6 +346,18 @@ def test_running_sums_equal_the_from_scratch_oracles(fast, oracle, bivariate):
     for window in windows + [Window(30, 3, 2)]:
         got, want = fast(window), oracle(window)
         assert (got.window, got._rows) == (want.window, want._rows), window
+
+
+def test_sum_euler_adds_each_summand_as_it_is_made():
+    # holding every summand q^n / (q;q)_n until one sum takes O(N^2) memory
+    # (2 MiB at q^400); adding each as it is made keeps O(N)
+    tracemalloc.start()
+    try:
+        sum_euler(Window(400))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5 * 2**20
 
 
 def test_signed_distinct_enumeration_small_values():

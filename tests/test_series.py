@@ -28,8 +28,8 @@ from cylq.series import (
     zf,
 )
 from cylq.series import (_UNIT_STEP, _UNWINDOWED_LIMIT, _combine, _div_binomial, _doublings, _from_pack,
-                         _from_rows, _guard, _min_bound, _mul_binomial, _pack, _poch, _reslot, _running,
-                         _times_binomials, _unpack)
+                         _from_rows, _guard, _min_bound, _mul_binomial, _pack, _poch, _running, _shift_sum,
+                         _slot_size, _times_binomials, _unpack, _widen)
 
 W = Window(24)
 WB = Window(16, 8)
@@ -555,14 +555,39 @@ def test_binomial_primitives_match_repeated_products(data, w):
     assert _state(_from_rows(divided, *bounds)) == _state(quotient)
 
 
-# -- non-negative packs: the shift-add binomials and the signed decode ---------
+# -- Kronecker packs: the codec, the shift-add binomials and the signed decode
+
+
+@given(st.data(), st.integers(1, 12), st.integers(0, 3))
+def test_pack_round_trips_through_unpack_and_widen(data, size, more):
+    # balanced digits of either sign, in slots read as machine words of 1,
+    # 2, 4 and 8 bytes, and slot by slot where a digit is wider than 8 bytes
+    half = 1 << 8 * size - 1
+    row = data.draw(st.lists(st.integers(-half, half - 1) | st.integers(-3, 3), max_size=40))
+    slots = len(row) + data.draw(st.integers(0, 3))
+    padded = row + [0] * (slots - len(row))
+    packed = _pack([row], slots, size)
+    assert _unpack(packed, size, slots) == padded
+    assert _unpack(_widen(packed, size, size + more, slots), size + more, slots) == padded
+
+
+@pytest.mark.parametrize("length, bits", [(15, 2), (15, 6), (15, 30), (255, 4), (255, 8), (255, 32)])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_pack_slot_rule_holds_full_magnitude_products(length, bits, sign):
+    # every coefficient at full magnitude c and of one sign: the middle
+    # coefficient of the product is length * c^2, just past the slots one
+    # bit short of the rule would give
+    c = (1 << bits) - 1
+    a = TruncatedSeries({(0, j): c for j in range(length)}, None)
+    b = TruncatedSeries({(0, j): sign * c for j in range(length)}, None)
+    assert _state(a * b) == _state(oracle_mul(a, b))
 
 
 @given(st.data(), st.lists(st.integers(0, 9), min_size=1, max_size=300), st.integers(0, 3))
 def test_packed_binomials_match_the_row_kernel(data, row, headroom):
-    # from 1-byte slots, widened a byte at a time wherever the guard trips
+    # from 1-byte slots, which widen a byte at a time wherever the guard trips
     slots, rows = len(row), [list(row)]
-    size, packed = 1, _pack([row], slots, 1, 1 << 7)
+    size, packed = 1, _pack([row], slots, 1)
     for _ in range(data.draw(st.integers(1, 6))):
         divide, e = data.draw(st.booleans()), data.draw(st.integers(1, slots + 1))
         if divide:
@@ -570,9 +595,7 @@ def test_packed_binomials_match_the_row_kernel(data, row, headroom):
         else:
             _mul_binomial(rows, 0, e, -1, slots, None)
         shifts = _doublings(e, slots) if divide else (e,)
-        while (out := _times_binomials([(packed, shifts)], size, slots, headroom)) is None:
-            packed, size = _reslot(packed, size, size + 1, slots), size + 1
-        packed, = out
+        (packed,), size = _times_binomials([(packed, shifts)], size, slots, headroom)
         assert packed < 1 << 8 * size * slots and not packed & _guard(slots, size, headroom)
     assert _unpack(packed, size, slots) == rows[0] + [0] * (slots - len(rows[0]))
 
@@ -582,17 +605,19 @@ def test_a_slot_that_wrapped_is_widened_never_decoded():
     # the next and leaves digits that look small, so a test at the end passes
     assert _unpack(1 << 8, 1, 2) == [0, 1]
     row, slots = [100, 100, 0], 3
-    packed = _pack([row], slots, 1, 1 << 7)
+    packed = _pack([row], slots, 1)
     unguarded = packed
     for s in (1, 1):
         unguarded = unguarded + (unguarded << 8 * s) & (1 << 8 * slots) - 1
     assert not unguarded & _guard(slots, 1, 0)
     assert _unpack(unguarded, 1, slots) == [100, 44, 45]
-    # the guard trips at the first add past 2^7 (200), before any carry
-    assert _times_binomials([(packed, (1,))], 1, slots, 0) is None
-    assert _times_binomials([(packed, (1, 1))], 1, slots, 0) is None
-    wide, = _times_binomials([(_reslot(packed, 1, 2, slots), (1, 1))], 2, slots, 0)
-    assert _unpack(wide, 2, slots) == [100, 300, 300]
+    # the guard trips at the first add past 2^7 (200), before any carry,
+    # and the product is done again in 2-byte slots
+    (once,), size = _times_binomials([(packed, (1,))], 1, slots, 0)
+    assert size == 2 and _unpack(once, 2, slots) == [100, 200, 100]
+    (wide,), size = _times_binomials([(packed, (1, 1))], 1, slots, 0)
+    assert size == 2 and _unpack(wide, 2, slots) == [100, 300, 300]
+    assert _times_binomials([(_widen(packed, 1, 2, slots), (1, 1))], 2, slots, 0) == ([wide], 2)
 
 
 @given(st.data(), st.integers(1, 40), st.integers(1, 30))
@@ -606,11 +631,9 @@ def test_packed_signed_sums_decode_as_combine(data, n_trunc, slots):
                                          st.sampled_from((1, -1, 2, -3))), min_size=1, max_size=8))
     if data.draw(st.booleans()):
         parts += [(i, e, -c) for i, e, c in parts if e < 0]
-    headroom = sum(abs(c) for _i, _e, c in parts).bit_length()
-    size = (max(map(max, bases)).bit_length() + headroom + 8) // 8
+    size = _slot_size(sum(abs(c) for _i, _e, c in parts), max(map(max, bases)))
     origin = min(0, *(e for _i, e, _c in parts))
-    total = sum(c * (_pack([bases[i]], slots, size, 1 << 8 * size - 1) << 8 * size * (e - origin))
-                for i, e, c in parts)
+    total = _shift_sum([(_pack([bases[i]], slots, size), e - origin, c) for i, e, c in parts], size)
     width = min(n_trunc, slots + min(e for _i, e, _c in parts))
     series_of = [make_series([(0, j, x) for j, x in enumerate(b)], Window(slots)) for b in bases]
     assert _outcome(_from_pack, total, size, origin, width) == _outcome(
