@@ -289,13 +289,10 @@ def _cmd_solve(args) -> tuple:
 
 
 def _override_window(case, n: Optional[int], d: Optional[int]) -> Optional[Window]:
+    # a missing z-bound is the case's own: verify fills it in and reports it
     if n is None and d is None:
         return None
-    base = case.window
-    return Window(
-        n if n is not None else base.q_truncation,
-        d if d is not None else base.z_truncation,
-    )
+    return Window(n if n is not None else case.window.q_truncation, d)
 
 
 def _cmd_verify(args) -> tuple:

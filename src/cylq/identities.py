@@ -26,8 +26,9 @@ Contents:
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import partial
 from typing import Callable, Optional, Sequence
 
 # recur first: compiling it is the largest transient of these imports, and
@@ -133,21 +134,31 @@ def sum_rogers_ramanujan(shift: int, window: Window) -> TruncatedSeries:
 def sum_double_mod7(window: Window) -> TruncatedSeries:
     """``sum_{n1,n2} q^(n1^2+n2^2-n1*n2+n1+n2)/(q;q)_n1 * [2n1 choose n2]_q``.
 
-    The inner Gaussian binomial vanishes outside ``0 <= n2 <= 2*n1``; for
-    admissible pairs the exponent is at least ``3*n1^2/4``, which bounds
+    The inner Gaussian binomial vanishes outside ``0 <= n2 <= 2*n1``.  The
+    term ``T(n1, n2) = [2n1 choose n2]_q / (q;q)_n1`` runs along n2 from
+    ``T(n1, 0) = T(n1-1, 0) / (1 - q^n1)`` by ``(1 - q^(2n1-n2+1)) / (1 -
+    q^n2)``.  The exponent falls before it rises in n2, so each term is made
+    in the window of the least exponent at its n2 or after, which every
+    summand made from it needs; the least over a row grows with n1 and ends
     the outer loop.
     """
     n_trunc = _require_q(window)
-    parts = []
-    n1 = 0
-    while 3 * n1 * n1 < 4 * n_trunc:
-        for n2 in range(2 * n1 + 1):
-            e = n1 * n1 + n2 * n2 - n1 * n2 + n1 + n2
-            if e < n_trunc:  # (q;q)_2n1 / ((q;q)_n1 (q;q)_n2 (q;q)_(2n1-n2))
-                pairs = [(qf(1, 1), n1), (qf(1, 1), n2), (qf(1, 1), 2 * n1 - n2)]
-                parts.append((_poch([(qf(1, 1), 2 * n1)], pairs, Window(n_trunc - e)), 0, e, 1))
-        n1 += 1
-    return _combine(Window(n_trunc), parts)
+    e = lambda n1, n2: n1 * n1 + n2 * n2 - n1 * n2 + n1 + n2  # noqa: E731
+    low = lambda n1, n2: min(e(n1, m) for m in range(n2, 2 * n1 + 1))  # noqa: E731
+    step = lambda n1: ([], [(qf(n1, 1), 1)], 0, low(n1, 0), 1) if n1 else _UNIT_STEP
+
+    def parts():
+        for n1, (term, _, _, _) in enumerate(_running(step, Window(n_trunc))):
+            for n2 in range(2 * n1 + 1):
+                if n2:
+                    if low(n1, n2) >= n_trunc:
+                        break
+                    num, den = [(qf(2 * n1 - n2 + 1, 1), 1)], [(qf(n2, 1), 1)]
+                    term = _poch(num, den, Window(n_trunc - low(n1, n2)), term)
+                if e(n1, n2) < n_trunc:
+                    yield term, 0, e(n1, n2), 1
+
+    return _combine(Window(n_trunc), parts())
 
 
 def sum_alternating_mod4(window: Window) -> TruncatedSeries:
@@ -329,7 +340,15 @@ class IdentityCase:
     runner: Callable = field(repr=False, compare=False)
 
     def run(self, window: Optional[Window] = None) -> list:
-        return self.runner(window if window is not None else self.window)
+        return self.runner(self._window_for(window))
+
+    def _window_for(self, window: Optional[Window]) -> Window:
+        """The window the case runs in and reports: ``window`` or the case's
+        own, a missing z-bound taken from the case's."""
+        window = self.window if window is None else window
+        if window.z_truncation is None:
+            return replace(window, z_truncation=self.window.z_truncation)
+        return window
 
 
 _REGISTRY: dict = {}
@@ -386,6 +405,26 @@ def _stack_values(seq, n_max: int, window: Window) -> TruncatedSeries:
     return _combine(Window(window.q_truncation, n_max), parts)
 
 
+def _sum_and_chain(labels, total, sum_text, chain, chain_text, spec, text, w) -> list:
+    """A sum, and (q;q)_inf times a chain product, each against the product
+    ``spec`` expands; ``labels`` name the two comparisons."""
+    rhs = spec.expand(w)
+    return [
+        compare_series(labels[0], total, _SUM(sum_text), rhs, _PROD(text)),
+        compare_series(labels[1], poch_infinite(qf(1, 1), w) * chain,
+                       _PROD("(q;q)_inf x " + chain_text), rhs, _PROD(text)),
+    ]
+
+
+def _weighted_open_chain(n_trunc: int) -> tuple:
+    """The open chain (1,-1) with weights (0,1,0), z collapsed, and the
+    product 1/((q;q)_inf^3 (q;q^2)_inf) claimed for it."""
+    enum = genfun_by_enumeration(
+        "skew-shifted", (1, -1), (0, 1, 0), window=Window(n_trunc, n_trunc)
+    ).collapse_z()
+    return enum, ProductSpec.make((), [(1, 1), (1, 1), (1, 1), (1, 2)]).expand(Window(n_trunc))
+
+
 # -- case runners ------------------------------------------------------------
 
 
@@ -439,77 +478,54 @@ def _run_rogers_ramanujan(window: Window) -> list:
 )
 def _run_mod7(window: Window) -> list:
     w = Window(_require_q(window))
-    target = ProductSpec.make((), [(2, 7), (3, 7), (3, 7), (4, 7), (4, 7), (5, 7)])
-    rhs = target.expand(w)
-    chain = cp_product((-1, -1, -1, 1, 1, 1, 1), None, w)
+    return _sum_and_chain(
+        ("double sum = product", "(q;q)_inf x closed-chain product = product"),
+        sum_double_mod7(w),
+        "sum q^(n1^2+n2^2-n1n2+n1+n2)/(q;q)_n1 [2n1, n2]_q",
+        cp_product((-1, -1, -1, 1, 1, 1, 1), None, w),
+        "closed-chain product, profile (-1,-1,-1,1,1,1,1)",
+        ProductSpec.make((), [(2, 7), (3, 7), (3, 7), (4, 7), (4, 7), (5, 7)]),
+        "1/(q^2,q^3,q^3,q^4,q^4,q^5;q^7)_inf",
+        w,
+    )
+
+
+def _run_product_sweep(kind: str, max_width: int, window: Window) -> list:
+    """Enumeration = product for every profile of width <= max_width,
+    standard weights, closed (``cylindric``) or open chains."""
+    w = Window(_require_q(window))
+    closed = kind == "cylindric"
+    product = cp_product if closed else dspp_product
+    enum_text = "%s enumeration, standard weights" % ("closed-chain" if closed else "open-chain")
     return [
         compare_series(
-            "double sum = product",
-            sum_double_mod7(w),
-            _SUM("sum q^(n1^2+n2^2-n1n2+n1+n2)/(q;q)_n1 [2n1, n2]_q"),
-            rhs,
-            _PROD("1/(q^2,q^3,q^3,q^4,q^4,q^5;q^7)_inf"),
-        ),
-        compare_series(
-            "(q;q)_inf x closed-chain product = product",
-            poch_infinite(qf(1, 1), w) * chain,
-            _PROD("(q;q)_inf x closed-chain product, profile (-1,-1,-1,1,1,1,1)"),
-            rhs,
-            _PROD("1/(q^2,q^3,q^3,q^4,q^4,q^5;q^7)_inf"),
-        ),
+            "profile %s" % (d,),
+            genfun_by_enumeration(kind, d, window=w).collapse_z(),
+            _ENUM(enum_text),
+            product(d, None, w),
+            _PROD("exponent-multiset product mod %d" % h if closed
+                  else "two-multiset product, moduli %d and %d" % (h + 1, 2 * (h + 1))),
+        )
+        for h in range(1, max_width + 1)
+        for d in _sign_profiles(h)
     ]
 
 
-@_case(
+_case(
     "cylinder-products",
     "Closed chains, standard weights: enumeration = modulus-h product "
     "for every profile of width <= 4.",
     "equal",
     Window(12),
-)
-def _run_cylinder_products(window: Window) -> list:
-    n_trunc = _require_q(window)
-    w = Window(n_trunc)
-    out = []
-    for width in range(1, 5):
-        for d in _sign_profiles(width):
-            enum = genfun_by_enumeration("cylindric", d, window=w).collapse_z()
-            out.append(
-                compare_series(
-                    "profile %s" % (d,),
-                    enum,
-                    _ENUM("closed-chain enumeration, standard weights"),
-                    cp_product(d, None, w),
-                    _PROD("exponent-multiset product mod %d" % len(d)),
-                )
-            )
-    return out
+)(partial(_run_product_sweep, "cylindric", 4))
 
-
-@_case(
+_case(
     "open-chain-products",
     "Open chains, standard weights: enumeration = two-multiset product "
     "for every profile of width <= 3.",
     "equal",
     Window(10),
-)
-def _run_open_chain_products(window: Window) -> list:
-    n_trunc = _require_q(window)
-    w = Window(n_trunc)
-    out = []
-    for width in range(1, 4):
-        for d in _sign_profiles(width):
-            enum = genfun_by_enumeration("skew-shifted", d, window=w).collapse_z()
-            out.append(
-                compare_series(
-                    "profile %s" % (d,),
-                    enum,
-                    _ENUM("open-chain enumeration, standard weights"),
-                    dspp_product(d, None, w),
-                    _PROD("two-multiset product, moduli %d and %d" % (width + 1, 2 * (width + 1))),
-                )
-            )
-    return out
+)(partial(_run_product_sweep, "skew-shifted", 3))
 
 
 @_case(
@@ -521,13 +537,7 @@ def _run_open_chain_products(window: Window) -> list:
 )
 def _run_open_chain_weighted(window: Window) -> list:
     n_trunc = _require_q(window)
-    w = Window(n_trunc, n_trunc)
-    enum = genfun_by_enumeration(
-        "skew-shifted", (1, -1), (0, 1, 0), window=w
-    ).collapse_z()
-    claimed = ProductSpec.make((), [(1, 1), (1, 1), (1, 1), (1, 2)]).expand(
-        Window(n_trunc)
-    )
+    enum, claimed = _weighted_open_chain(n_trunc)
     witness = enum.coefficient(0, 3) if n_trunc > 3 else None
     return [
         compare_series(
@@ -556,9 +566,7 @@ def _run_open_chain_weighted(window: Window) -> list:
     Window(12, 12),
 )
 def _run_symmetric_width4(window: Window) -> list:
-    n_trunc = _require_q(window)
-    d_cap = _z_cap(window, 12)
-    w = Window(n_trunc, d_cap)
+    w = Window(_require_q(window), window.z_truncation)
     system = build_system("skew-shifted", (1, -1), (1, 2, 1), normalized=True)
     solved = solve_fixed_point(system, w)
     products = {
@@ -604,12 +612,10 @@ def _run_symmetric_width4(window: Window) -> list:
     Window(40, 10),
 )
 def _run_mod4(window: Window) -> list:
-    n_trunc = _require_q(window)
-    d_cap = _z_cap(window, 10)
-    w = Window(n_trunc, d_cap)
+    w = Window(_require_q(window), window.z_truncation)
     lhs = sum_alternating_mod4(w)
     product = poch_product([zf(1, 1, 4), zf(1, 3, 4, -1)], [], w)
-    stacked = _stack_values(closed_form_width4((1, -1)), d_cap, w)
+    stacked = _stack_values(closed_form_width4((1, -1)), w.z_truncation, w)
     out = [
         compare_series(
             "bracket sum = product",
@@ -647,8 +653,7 @@ def _run_mod4(window: Window) -> list:
     Window(36),
 )
 def _run_mod12(window: Window) -> list:
-    n_trunc = _require_q(window)
-    w = Window(n_trunc)
+    w = Window(_require_q(window))
     targets = {
         (1, -1, 1): (
             ProductSpec.make([(4, 12), (8, 12)], [(6, 12)]),
@@ -667,28 +672,18 @@ def _run_mod12(window: Window) -> list:
             "(q^2,q^5,q^11;q^12)_inf / (q;q^6)_inf",
         ),
     }
-    weights = (1, 2, 2, 1)
-    qq = poch_infinite(qf(1, 1), w)
     out = []
     for d, (spec, text) in targets.items():
-        rhs = spec.expand(w)
-        out.append(
-            compare_series(
-                "profile %s: double sum = product" % (d,),
-                sum_mod12(d, w),
-                _SUM("period-12 double sum (stacked width-6 closed form)"),
-                rhs,
-                _PROD(text),
-            )
-        )
-        out.append(
-            compare_series(
-                "profile %s: (q;q)_inf x chain product = product" % (d,),
-                qq * dspp_product(d, weights, w),
-                _PROD("(q;q)_inf x two-multiset product, weights (1,2,2,1)"),
-                rhs,
-                _PROD(text),
-            )
+        out += _sum_and_chain(
+            ("profile %s: double sum = product" % (d,),
+             "profile %s: (q;q)_inf x chain product = product" % (d,)),
+            sum_mod12(d, w),
+            "period-12 double sum (stacked width-6 closed form)",
+            dspp_product(d, (1, 2, 2, 1), w),
+            "two-multiset product, weights (1,2,2,1)",
+            spec,
+            text,
+            w,
         )
     mismatch = None
     for n in range(21):
@@ -718,8 +713,7 @@ def _run_mod12(window: Window) -> list:
     Window(40),
 )
 def _run_goellnitz(window: Window) -> list:
-    n_trunc = _require_q(window)
-    w = Window(n_trunc)
+    w = Window(_require_q(window))
     data = {
         "GG1": ((1, 1, 1), ProductSpec.make((), [(3, 8), (4, 8), (5, 8)]),
                 "1/(q^3,q^4,q^5;q^8)_inf"),
@@ -730,27 +724,17 @@ def _run_goellnitz(window: Window) -> list:
         "LG2": ((-1, 1, 1), ProductSpec.make((), [(1, 4), (6, 8)]),
                 "1/((q;q^4)_inf (q^6;q^8)_inf)"),
     }
-    qq = poch_infinite(qf(1, 1), w)
     out = []
     for variant, (d, spec, text) in data.items():
-        rhs = spec.expand(w)
-        out.append(
-            compare_series(
-                "%s sum = product" % variant,
-                sum_goellnitz(variant, w),
-                _SUM("variant %s single sum" % variant),
-                rhs,
-                _PROD(text),
-            )
-        )
-        out.append(
-            compare_series(
-                "%s: (q;q)_inf x chain product = product" % variant,
-                qq * dspp_product(d, None, w),
-                _PROD("(q;q)_inf x two-multiset product, profile %s" % (d,)),
-                rhs,
-                _PROD(text),
-            )
+        out += _sum_and_chain(
+            ("%s sum = product" % variant, "%s: (q;q)_inf x chain product = product" % variant),
+            sum_goellnitz(variant, w),
+            "variant %s single sum" % variant,
+            dspp_product(d, None, w),
+            "two-multiset product, profile %s" % (d,),
+            spec,
+            text,
+            w,
         )
     return out
 
@@ -763,8 +747,7 @@ def _run_goellnitz(window: Window) -> list:
     Window(21, 20),
 )
 def _run_schmidt_refined(window: Window) -> list:
-    n_trunc = _require_q(window)
-    d_cap = _z_cap(window, n_trunc - 1)
+    n_trunc, d_cap = _require_q(window), window.z_truncation
     w = Window(n_trunc, d_cap)
     wd = Window(min(n_trunc, 15), min(d_cap, 15))  # diamonds grow fastest
     wd_note = "" if wd == w else "checked in q<%d z<=%d only" % (wd.q_truncation, wd.z_truncation)
@@ -1029,9 +1012,7 @@ def _run_signed_distinct(window: Window) -> list:
     Window(15, 15),
 )
 def _run_distinct_pairs(window: Window) -> list:
-    n_trunc = _require_q(window)
-    d_cap = _z_cap(window, n_trunc)
-    w = Window(n_trunc, d_cap)
+    w = Window(_require_q(window), window.z_truncation)
     system = build_system("distinct", (1, -1), (0, 1))
     solved = solve_fixed_point(system, w)
     return [
@@ -1067,9 +1048,7 @@ def _run_distinct_pairs(window: Window) -> list:
     Window(12, 12),
 )
 def _run_solver_vs_enumeration(window: Window) -> list:
-    n_trunc = _require_q(window)
-    d_cap = _z_cap(window, 12)
-    w = Window(n_trunc, d_cap)
+    w = Window(_require_q(window), window.z_truncation)
     out = []
     for kind in ("cylindric", "skew-shifted"):
         solved: dict = {}
@@ -1169,67 +1148,57 @@ def _run_symmetric_mirror(window: Window) -> list:
     return out
 
 
-@_case(
+_W4 = ((1, 1), (1, -1), (-1, 1))
+_W6 = ((1, 1, 1), (1, 1, -1), (1, -1, 1), (-1, 1, 1))
+
+
+def _run_closed_forms(width: int, window: Window) -> list:
+    """Solver coefficients = the stacked closed forms, every profile of the
+    width-4 or width-6 family; width 4 adds its reversal symmetry."""
+    w = Window(_require_q(window), window.z_truncation)
+    start, weights, profiles, form = {
+        4: ((1, -1), (1, 2, 1), _W4, closed_form_width4),
+        6: ((1, -1, 1), (1, 2, 2, 1), _W6, closed_form_width6),
+    }[width]
+    solved = solve_fixed_point(build_system("skew-shifted", start, weights, normalized=True), w)
+    out = [
+        compare_series(
+            "profile %s: solver = closed form" % (d,),
+            solved[d],
+            _SOLVER("normalized fixed point"),
+            _stack_values(form(d), w.z_truncation, w),
+            _CLOSED("sum_n z^n h(n) from the width-%d closed form" % width),
+        )
+        for d in profiles
+    ]
+    if width == 4:
+        out.append(
+            compare_series(
+                "reversal symmetry: (-1,-1) = (1,1)",
+                solved[(-1, -1)],
+                _SOLVER("normalized fixed point, profile (-1,-1)"),
+                solved[(1, 1)],
+                _SOLVER("normalized fixed point, profile (1,1)"),
+            )
+        )
+    return out
+
+
+_case(
     "width4-coefficient-forms",
     "Width-2 open chain, weights (1,2,1): solver coefficients equal the "
     "closed forms, and the reversed profile repeats them.",
     "equal",
     Window(20, 8),
-)
-def _run_width4_forms(window: Window) -> list:
-    n_trunc = _require_q(window)
-    d_cap = _z_cap(window, 8)
-    w = Window(n_trunc, d_cap)
-    system = build_system("skew-shifted", (1, -1), (1, 2, 1), normalized=True)
-    solved = solve_fixed_point(system, w)
-    out = []
-    for d in ((1, 1), (1, -1), (-1, 1)):
-        out.append(
-            compare_series(
-                "profile %s: solver = closed form" % (d,),
-                solved[d],
-                _SOLVER("normalized fixed point"),
-                _stack_values(closed_form_width4(d), d_cap, w),
-                _CLOSED("sum_n z^n h(n) from the width-4 closed form"),
-            )
-        )
-    out.append(
-        compare_series(
-            "reversal symmetry: (-1,-1) = (1,1)",
-            solved[(-1, -1)],
-            _SOLVER("normalized fixed point, profile (-1,-1)"),
-            solved[(1, 1)],
-            _SOLVER("normalized fixed point, profile (1,1)"),
-        )
-    )
-    return out
+)(partial(_run_closed_forms, 4))
 
-
-@_case(
+_case(
     "width6-coefficient-forms",
     "Width-3 open chain, weights (1,2,2,1): solver coefficients equal "
     "the four closed forms.",
     "equal",
     Window(24, 6),
-)
-def _run_width6_forms(window: Window) -> list:
-    n_trunc = _require_q(window)
-    d_cap = _z_cap(window, 6)
-    w = Window(n_trunc, d_cap)
-    system = build_system("skew-shifted", (1, -1, 1), (1, 2, 2, 1), normalized=True)
-    solved = solve_fixed_point(system, w)
-    out = []
-    for d in ((1, 1, 1), (1, 1, -1), (1, -1, 1), (-1, 1, 1)):
-        out.append(
-            compare_series(
-                "profile %s: solver = closed form" % (d,),
-                solved[d],
-                _SOLVER("normalized fixed point"),
-                _stack_values(closed_form_width6(d), d_cap, w),
-                _CLOSED("sum_n z^n h(n) from the width-6 closed form"),
-            )
-        )
-    return out
+)(partial(_run_closed_forms, 6))
 
 
 @_case(
@@ -1243,9 +1212,8 @@ def _run_coefficient_recurrences(window: Window) -> list:
     # fixed degrees, each check in the window check_closed_form derives from
     # them: every note names the degrees and the window actually used
     families = (
-        (4, ((1, 1), (1, -1), (-1, 1)), 12, closed_form_width4, width4_recurrence, "three"),
-        (6, ((1, 1, 1), (1, 1, -1), (1, -1, 1), (-1, 1, 1)), 10, closed_form_width6,
-         width6_recurrence, "four"),
+        (4, _W4, 12, closed_form_width4, width4_recurrence, "three"),
+        (6, _W6, 10, closed_form_width6, width6_recurrence, "four"),
     )
     out = []
     for width, profiles, n_max, form, relation, terms in families:
@@ -1277,14 +1245,10 @@ def _run_coefficient_recurrences(window: Window) -> list:
 )
 def _run_mixed_weighted_pair(window: Window) -> list:
     n_trunc = _require_q(window)
-    w = Window(n_trunc, n_trunc)
     wq = Window(n_trunc)
-    claimed = ProductSpec.make((), [(1, 1), (1, 1), (1, 1), (1, 2)]).expand(wq)
-    open_side = genfun_by_enumeration(
-        "skew-shifted", (1, -1), (0, 1, 0), window=w
-    ).collapse_z()
+    open_side, claimed = _weighted_open_chain(n_trunc)
     closed_side = genfun_by_enumeration(
-        "cylindric", (-1, 1, 1, 1), (1, 1, 0, 0), window=w
+        "cylindric", (-1, 1, 1, 1), (1, 1, 0, 0), window=Window(n_trunc, n_trunc)
     ).collapse_z()
     return [
         compare_series(
@@ -1384,28 +1348,23 @@ def _run_mod5_chain(chain, window: Window) -> list:
     return out
 
 
-@_case(
+_case(
     "mod5-chain-1",
     "First ladder of weighted closed chains aimed at a modulus-5 target: "
     "every entry matches its own product and the shared core; the "
     "width-4/5 entries are reported against the chain target.",
     "report-only",
     Window(12),
-)
-def _run_mod5_chain_1(window: Window) -> list:
-    return _run_mod5_chain(_CHAIN_ONE, window)
+)(partial(_run_mod5_chain, _CHAIN_ONE))
 
-
-@_case(
+_case(
     "mod5-chain-2",
     "Second ladder of weighted closed chains aimed at a modulus-5 "
     "target: entries match their own products and the shared core; the "
     "width-4/5 entries are reported against the chain target.",
     "report-only",
     Window(12),
-)
-def _run_mod5_chain_2(window: Window) -> list:
-    return _run_mod5_chain(_CHAIN_TWO, window)
+)(partial(_run_mod5_chain, _CHAIN_TWO))
 
 
 # ---------------------------------------------------------------------------
@@ -1439,17 +1398,19 @@ def _window_json(window: Window) -> dict:
 def verify(case, window: Optional[Window] = None) -> dict:
     """Run an identity case and return its report.
 
-    ``case`` is an `IdentityCase` or a registry label.  The report is a
-    JSON-shaped dict (schema ``cylq-report/1``) recording the window,
-    the conventions in force, one entry per comparison with provenance
-    for both sides, and -- for unequal comparisons -- the first
+    ``case`` is an `IdentityCase` or a registry label.  ``window``
+    defaults to the case's own; a window without a z-bound takes the
+    case's z-bound, and the report records the window the case ran in.
+    The report is a JSON-shaped dict (schema ``cylq-report/1``) recording
+    that window, the conventions in force, one entry per comparison with
+    provenance for both sides, and -- for unequal comparisons -- the first
     difference plus up to twelve differing coefficients.  Mismatches are
     reported, never raised.
     """
     if isinstance(case, str):
         case = get_case(case)
-    used = window if window is not None else case.window
-    comparisons = case.run(used)
+    used = case._window_for(window)
+    comparisons = case.runner(used)
     all_equal = all(c.equal for c in comparisons)
     if case.expected == "report-only":
         status = "report"

@@ -91,31 +91,29 @@ def _check_partition(lam: Sequence[int]) -> tuple:
     return lam
 
 
-def is_above(lam: Sequence[int], mu: Sequence[int]) -> bool:
-    """True when lam interlaces above mu: lam_1 >= mu_1 >= lam_2 >= ..."""
+def _interlaces(lam: Sequence[int], mu: Sequence[int], strict: bool) -> bool:
+    """lam_1 >= mu_1 >= lam_2 >= ..., with a gap of 1 on both sides of each
+    positive mu_k when ``strict``."""
     la, mu = tuple(lam), tuple(mu)
     n = max(len(la), len(mu)) + 1
     la = la + (0,) * (n - len(la))
     mu = mu + (0,) * (n - len(mu))
     for k in range(n - 1):
-        if mu[k] > la[k] or la[k + 1] > mu[k]:
+        gap = 1 if strict and mu[k] > 0 else 0
+        if not la[k] - gap >= mu[k] >= la[k + 1] + gap:
             return False
     return True
+
+
+def is_above(lam: Sequence[int], mu: Sequence[int]) -> bool:
+    """True when lam interlaces above mu: lam_1 >= mu_1 >= lam_2 >= ..."""
+    return _interlaces(lam, mu, False)
 
 
 def is_above_strict(lam: Sequence[int], mu: Sequence[int]) -> bool:
     """Strict interlacing: the inequalities of is_above are strict whenever
     both entries compared are positive."""
-    la, mu = tuple(lam), tuple(mu)
-    n = max(len(la), len(mu)) + 1
-    la = la + (0,) * (n - len(la))
-    mu = mu + (0,) * (n - len(mu))
-    for k in range(n - 1):
-        if mu[k] > la[k] or (mu[k] == la[k] and mu[k] > 0):
-            return False
-        if la[k + 1] > mu[k] or (la[k + 1] == mu[k] and mu[k] > 0):
-            return False
-    return True
+    return _interlaces(lam, mu, True)
 
 
 def _trim(parts: list) -> tuple:
@@ -163,14 +161,30 @@ def _box_walk(lows: Sequence[int], his: Sequence[int],
             return
 
 
+def _nudge(parts, s: int) -> list:
+    """Each positive part moved by ``s``, zeros kept: an edge of the box of
+    rows interlacing with ``parts``, s = 0 for weak and +-1 for strict."""
+    return [p + s if p > 0 else 0 for p in parts]
+
+
+def _down_box(lam: Sequence[int], strict: bool) -> tuple:
+    """(lows, his) of the rows interlacing below lam."""
+    s, la = int(strict), tuple(lam)
+    return (_nudge(la[1:] + (0,), s) if la else []), _nudge(la, -s)
+
+
+def _up_box(lam: Sequence[int], strict: bool, part_cap: int) -> tuple:
+    """(lows, his) of the rows interlacing above lam with parts <= part_cap."""
+    s, la = int(strict), tuple(lam)
+    return _nudge(la + (0,), s), [part_cap] + _nudge(la, -s)
+
+
 def down_neighbors(
     lam: Sequence[int],
     size_cap: Optional[int] = None,
 ) -> Iterator[tuple]:
     """All mu with lam >= mu (and |mu| <= size_cap when given)."""
-    la = tuple(lam)
-    lows = la[1:] + (0,) if la else ()
-    return _box_walk(lows, la, size_cap)
+    return _box_walk(*_down_box(lam, False), size_cap)
 
 
 def up_neighbors(
@@ -179,8 +193,7 @@ def up_neighbors(
     size_cap: Optional[int] = None,
 ) -> Iterator[tuple]:
     """All mu with mu >= lam, largest part <= part_cap (|mu| <= size_cap)."""
-    la = tuple(lam)
-    return _box_walk(la + (0,), (part_cap,) + la, size_cap)
+    return _box_walk(*_up_box(lam, False, part_cap), size_cap)
 
 
 def down_neighbors_strict(
@@ -188,9 +201,7 @@ def down_neighbors_strict(
     size_cap: Optional[int] = None,
 ) -> Iterator[tuple]:
     """All mu strictly interlacing below lam (see is_above_strict)."""
-    la = tuple(lam)
-    lows = [p + 1 if p > 0 else 0 for p in la[1:]] + [0] if la else []
-    return _box_walk(lows, [p - 1 if p > 0 else 0 for p in la], size_cap)
+    return _box_walk(*_down_box(lam, True), size_cap)
 
 
 def up_neighbors_strict(
@@ -199,10 +210,7 @@ def up_neighbors_strict(
     size_cap: Optional[int] = None,
 ) -> Iterator[tuple]:
     """All mu strictly interlacing above lam with parts <= part_cap."""
-    la = tuple(lam)
-    lows = [p + 1 if p > 0 else 0 for p in la] + [0]
-    his = [part_cap] + [p - 1 if p > 0 else 0 for p in la]
-    return _box_walk(lows, his, size_cap)
+    return _box_walk(*_up_box(lam, True, part_cap), size_cap)
 
 
 def partitions_iter(

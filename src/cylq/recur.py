@@ -1028,7 +1028,10 @@ def closed_form_width4(profile: Sequence[int]) -> CoefficientSequence:
     (equivalently the width-4 symmetric cylinder).
 
     All three start from ``K(n) = (q^2;q^4)_ceil(n/2) (-q^4;q^4)_floor(n/2)
-    / (q^4;q^4)_n = K(n-1) (1 + (-1)^n q^(2n)) / (1 - q^(4n))``:
+    / (q^4;q^4)_n``.  The denominator is the product of (1 - q^(2j)) (1 +
+    q^(2j)) over j <= n; the numerator cancels the odd-j minus and even-j
+    plus factors, leaving ``K(n) = 1/(-q^2;-q^2)_n = K(n-1) / (1 - (-1)^n
+    q^(2n))``:
 
     * ``(+1,+1)``: ``(-1)^ceil(n/2) q^(n(n+1)) K(n)``
     * ``(+1,-1)``: ``(-1)^ceil(n/2) q^(n^2) K(n)``
@@ -1046,7 +1049,7 @@ def closed_form_width4(profile: Sequence[int]) -> CoefficientSequence:
             return _UNIT_STEP
         shift = n * (n + 1) if p == (1, 1) else n * n
         sign = (-1) ** (n // 2 if p == (-1, 1) else (n + 1) // 2)
-        return [(qf(2 * n, 1, (-1) ** (n + 1)), 1)], [(qf(4 * n, 1), 1)], 0, shift, sign
+        return [], [(qf(2 * n, 1, (-1) ** n), 1)], 0, shift, sign
 
     return CoefficientSequence(p, "width4-closed-form", _values_fn=_running_values(step))
 

@@ -1,12 +1,14 @@
 """Tests for the identity case registry, evaluators, and reports."""
 
 import json
+import pathlib
 import tracemalloc
 from functools import partial
 from itertools import islice
 
 import pytest
 
+from cylq import cli
 from cylq.identities import (
     compare_series,
     get_case,
@@ -139,6 +141,35 @@ def test_window_override_is_recorded():
     rep = verify("euler-sum", Window(10))
     assert rep["window"]["q_truncation"] == 10
     assert rep["status"] == "pass"
+
+
+def _digest(report):
+    return {
+        "status": report["status"],
+        "window": report["window"],
+        "comparisons": [[c["label"], c["equal"], c["first_difference"], c["note"]]
+                        for c in report["comparisons"]],
+    }
+
+
+def test_default_window_reports_match_their_golden_digests():
+    """Each case's default-window report keeps its status, window and, per
+    comparison, label, outcome, first difference and note."""
+    golden = json.loads(pathlib.Path(__file__).with_name("report_digests.json").read_text())
+    assert sorted(golden) == list(registry())
+    for label in registry():
+        assert _digest(verify(label)) == golden[label], label
+
+
+@pytest.mark.parametrize("label", sorted(EXPECTED_LABELS))
+def test_window_without_z_runs_and_reports_the_case_z_as_the_cli_does(label, capsys):
+    """A window without a z-bound takes the case's own z-bound, in the API
+    as in ``cylq verify --N``, and the report records it."""
+    cli.main(["verify", "--case", label, "--N", "14", "--format", "json"])
+    (from_cli,) = json.loads(capsys.readouterr().out)["reports"]
+    report = verify(label, Window(14))
+    assert report == from_cli
+    assert report["window"]["z_truncation"] == get_case(label).window.z_truncation
 
 
 def test_compare_series_negative_control():
@@ -354,6 +385,19 @@ def test_sum_euler_adds_each_summand_as_it_is_made():
     tracemalloc.start()
     try:
         sum_euler(Window(400))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5 * 2**20
+
+
+def test_sum_double_mod7_adds_each_summand_as_it_is_made():
+    # every (n1, n2) summand held in one list until one sum peaks at 2.7 MiB
+    # at q^400; running each row's terms along n2 and adding each summand as
+    # it is made keeps the peak near 0.07 MiB
+    tracemalloc.start()
+    try:
+        sum_double_mod7(Window(400))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

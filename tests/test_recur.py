@@ -542,6 +542,8 @@ def _oracle_goellnitz(n, window):
 
 
 def _oracle_width4(p):
+    # the paper's K(n) = (q^2;q^4)_ceil(n/2) (-q^4;q^4)_floor(n/2) / (q^4;q^4)_n,
+    # not the cancelled 1/(-q^2;-q^2)_n that closed_form_width4 runs on
     def value(n, window):
         shift = n * (n + 1) if p == (1, 1) else n * n
         sign = (-1) ** (n // 2 if p == (-1, 1) else (n + 1) // 2)
