@@ -288,11 +288,15 @@ def _cmd_solve(args) -> tuple:
     return EXIT_OK, payload, [line for _, lines in outputs.values() for line in lines]
 
 
-def _override_window(case, n: Optional[int], d: Optional[int]) -> Optional[Window]:
-    # a missing z-bound is the case's own: verify fills it in and reports it
-    if n is None and d is None:
-        return None
-    return Window(n if n is not None else case.window.q_truncation, d)
+def _override_window(case, n: Optional[int], d: Optional[int], named: bool) -> Window:
+    # a missing z-bound is the case's own.  Over the whole registry --D bounds
+    # the cases that have a z-window; a case named by --case without one
+    # refuses it.  Checked here, so a usage error comes before any case runs.
+    if not named and case.window.z_truncation is None:
+        d = None
+    window = None if n is None and d is None else Window(
+        n if n is not None else case.window.q_truncation, d)
+    return case._window_for(window)
 
 
 def _cmd_verify(args) -> tuple:
@@ -307,7 +311,7 @@ def _cmd_verify(args) -> tuple:
 
     labels = sorted(set(args.case)) if args.case else list(registry())
     cases = [get_case(label) for label in labels]  # KeyError -> usage error
-    windows = [_override_window(c, args.N, args.D) for c in cases]
+    windows = [_override_window(c, args.N, args.D, bool(args.case)) for c in cases]
     with ThreadPoolExecutor(max_workers=args.jobs) as pool:
         reports = list(pool.map(verify, cases, windows))
 
@@ -471,7 +475,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="q-window of every case: coefficients below q^N "
                         "(default: each case's own window)")
     p.add_argument("--D", type=_positive_int, default=None,
-                   help="z-window bound of every case (default: each case's own)")
+                   help="z-window bound of every case that has one (default: "
+                        "each case's own); a case named by --case without a "
+                        "z-window refuses it")
     p.set_defaults(func=_cmd_verify)
 
     p = commands.add_parser("fit", help="fit weights to a target product")

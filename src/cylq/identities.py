@@ -344,8 +344,16 @@ class IdentityCase:
 
     def _window_for(self, window: Optional[Window]) -> Window:
         """The window the case runs in and reports: ``window`` or the case's
-        own, a missing z-bound taken from the case's."""
+        own, a missing z-bound taken from the case's.  A z-bound on a case
+        without one, or a q-grid other than the case's, is refused: the case
+        would not use it, so its report would claim what it did not run."""
         window = self.window if window is None else window
+        if window.z_truncation is not None and self.window.z_truncation is None:
+            raise ValueError("case %s has no z-window, so it cannot run in z <= %d"
+                             % (self.label, window.z_truncation))
+        if window.q_scale != self.window.q_scale:
+            raise ValueError("case %s runs on the q-grid of scale %d, not %d"
+                             % (self.label, self.window.q_scale, window.q_scale))
         if window.z_truncation is None:
             return replace(window, z_truncation=self.window.z_truncation)
         return window
@@ -1400,7 +1408,9 @@ def verify(case, window: Optional[Window] = None) -> dict:
 
     ``case`` is an `IdentityCase` or a registry label.  ``window``
     defaults to the case's own; a window without a z-bound takes the
-    case's z-bound, and the report records the window the case ran in.
+    case's z-bound, and the report records the window the case ran in.  A
+    z-bound on a case without one, or a q-grid other than the case's,
+    raises ``ValueError``.
     The report is a JSON-shaped dict (schema ``cylq-report/1``) recording
     that window, the conventions in force, one entry per comparison with
     provenance for both sides, and -- for unequal comparisons -- the first

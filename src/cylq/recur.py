@@ -36,13 +36,14 @@ import itertools
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from math import floor, lcm
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from .lattice import KINDS, _check_profile, _resolve
 from .series import (TruncatedSeries, Window, _UNIT_STEP, _add_into, _combine, _doublings, _from_pack, _from_rows,
-                     _magnitude, _min_bound, _pack_q, _poch, _running, _shift_sum, _slot_size, _strip,
-                     _times_binomials, _widen, make_series, one, poch_finite, qf, zero, zf)
+                     _magnitude, _min_bound, _pack_q, _poch, _rebase, _running, _shift_sum, _signed_spread, _slot_size,
+                     _strip, _times_binomials, _widen, make_series, one, poch_finite, qf, zero, zf)
 
 __all__ = [
     "CheckReport",
@@ -972,6 +973,57 @@ def to_coefficient_recurrences(obj: Union[FunctionalSystem, EliminationResult]):
 # ---------------------------------------------------------------------------
 
 
+class _Rows:
+    """A value given as a series, as :func:`check_closed_form` reads it:
+    ``q_truncation``, ``q_scale`` and ``is_zero()`` for the term walk, its
+    largest |c| (``magnitude``) for the slot rule, ``slots``, the slots its
+    pack spans, for widening, ``pack(size)`` (None for a z-degree above 0)
+    and ``series``."""
+
+    __slots__ = ("series", "q_truncation", "q_scale")
+
+    def __init__(self, series: TruncatedSeries):
+        self.series, self.q_truncation, self.q_scale = series, series.q_truncation, series.q_scale
+
+    def is_zero(self) -> bool:
+        return self.series.is_zero()
+
+    @property
+    def magnitude(self) -> int:
+        return _magnitude(self.series._rows)
+
+    @property
+    def slots(self) -> int:
+        return len(self.series._rows[0]) if self.series._rows else 0
+
+    def pack(self, size: int):
+        return _pack_q(self.series, size)
+
+
+class _Packed:
+    """A pure q-series value exact below ``q^slots``, held as a balanced
+    Kronecker pack, with the fields of a :class:`_Rows` value: ``pack(size)``
+    gives it in ``slots`` slots of ``size >= self.size`` bytes, its digit
+    bound is the one its own slots imply, and its series is decoded on
+    first use."""
+
+    __slots__ = ("pack", "size", "slots", "q_truncation", "magnitude", "_nonzero", "_series")
+    q_scale = 1
+
+    def __init__(self, pack: Callable, size: int, slots: int, nonzero: bool):
+        self.pack, self.size, self.slots, self.q_truncation = pack, size, slots, slots
+        self.magnitude, self._nonzero, self._series = (1 << 8 * size - 1) - 1, nonzero, None
+
+    def is_zero(self) -> bool:
+        return not self._nonzero
+
+    @property
+    def series(self) -> TruncatedSeries:
+        if self._series is None:
+            self._series = _from_pack(self.pack(self.size), self.size, self.slots)
+        return self._series
+
+
 @dataclass(frozen=True)
 class CoefficientSequence:
     """A sequence ``n -> h(n)`` of q-series coefficients of ``z^n``.
@@ -984,6 +1036,11 @@ class CoefficientSequence:
     every value past its end is zero in the window (``value`` reads it as
     ``zero(Window(N))``).  A sequence given a per-degree ``value_fn(n,
     window)`` maps it over every ``n`` and never ends.
+
+    :func:`check_closed_form` reads the same stream through ``_read``: the
+    width-4 and width-6 forms hand over their values as packs
+    (:class:`_Packed`), which ``values`` decodes; every other sequence
+    hands over series (:class:`_Rows`), packed by the check itself.
     """
 
     profile: tuple
@@ -991,12 +1048,15 @@ class CoefficientSequence:
     _value_fn: Optional[Callable] = field(default=None, repr=False, compare=False)
     _values_fn: Optional[Callable] = field(default=None, repr=False, compare=False)
 
-    def values(self, window: Window) -> Iterator[TruncatedSeries]:
+    def _read(self, window: Window) -> Iterator[Union[_Rows, _Packed]]:
         if window.q_truncation is None:
             raise ValueError("closed-form evaluation needs a finite q-window")
         if self._values_fn is None:
-            return (self._value_fn(n, window) for n in itertools.count())
+            return (_Rows(self._value_fn(n, window)) for n in itertools.count())
         return self._values_fn(window)
+
+    def values(self, window: Window) -> Iterator[TruncatedSeries]:
+        return (h.series for h in self._read(window))
 
     def value(self, n: int, window: Window) -> TruncatedSeries:
         """Item ``n`` of ``values(window)``.  Each call starts the stream
@@ -1008,11 +1068,11 @@ class CoefficientSequence:
 
 
 def _running_values(step):
-    """``values(window)`` for a sequence whose value at ``n`` is the part
+    """``_read(window)`` for a sequence whose value at ``n`` is the part
     ``sign(n) q^e(n) T(n)`` of the running term ``step`` describes."""
     def values(window: Window):
         w = Window(window.q_truncation)
-        return (_combine(w, [part]) for part in _running(step, w))
+        return (_Rows(_combine(w, [part])) for part in _running(step, w))
     return values
 
 
@@ -1030,12 +1090,21 @@ def closed_form_width4(profile: Sequence[int]) -> CoefficientSequence:
     All three start from ``K(n) = (q^2;q^4)_ceil(n/2) (-q^4;q^4)_floor(n/2)
     / (q^4;q^4)_n``.  The denominator is the product of (1 - q^(2j)) (1 +
     q^(2j)) over j <= n; the numerator cancels the odd-j minus and even-j
-    plus factors, leaving ``K(n) = 1/(-q^2;-q^2)_n = K(n-1) / (1 - (-1)^n
-    q^(2n))``:
+    plus factors, leaving ``K(n) = 1/(-q^2;-q^2)_n``:
 
     * ``(+1,+1)``: ``(-1)^ceil(n/2) q^(n(n+1)) K(n)``
     * ``(+1,-1)``: ``(-1)^ceil(n/2) q^(n^2) K(n)``
     * ``(-1,+1)``: ``(-1)^floor(n/2) q^(n^2) K(n)``
+
+    In ``x = -q^2``, ``K(n) = 1/(x;x)_n = K(n-1) / (1 - x^n)`` counts the
+    partitions into parts at most n, so its coefficients are non-negative.
+    The stream holds K(n) in x as a non-negative Kronecker pack (see
+    ``series``), kept to the ``ceil((N - shift(n)) / 2)`` slots that reach
+    the window and growing its slots under the guard of ``series``:
+    ``1 / (1 - x^n)`` is the product of ``1 + x^s`` for s = n, 2n, 4n, ...,
+    one shift-add each.  The value is that pack read at ``x = -q^2``,
+    shifted and signed, and the stream stops at the first shift at or past
+    the window.
     """
     p = _check_profile(profile)
     if p not in ((1, 1), (1, -1), (-1, 1)):
@@ -1043,15 +1112,21 @@ def closed_form_width4(profile: Sequence[int]) -> CoefficientSequence:
             "closed forms cover the profiles (1,1), (1,-1) and (-1,1); "
             "the reversal (-1,-1) shares the (1,1) sequence"
         )
+    shift_fn = (lambda n: n * (n + 1)) if p == (1, 1) else (lambda n: n * n)
+    sign_off = 0 if p == (-1, 1) else 1
 
-    def step(n: int):
-        if not n:
-            return _UNIT_STEP
-        shift = n * (n + 1) if p == (1, 1) else n * n
-        sign = (-1) ** (n // 2 if p == (-1, 1) else (n + 1) // 2)
-        return [], [(qf(2 * n, 1, (-1) ** n), 1)], 0, shift, sign
+    def values(window: Window):
+        n_trunc, k, size = window.q_truncation, 1, 1  # K(0) = 1
+        for n in itertools.count():
+            shift = shift_fn(n)
+            if shift >= n_trunc:
+                return
+            slots = (n_trunc - shift + 1) // 2  # x^j lies at q^(shift + 2j)
+            (k,), size = _times_binomials([(k, _doublings(n, slots) if n else ())], size, slots, 0)
+            sign = -1 if (n + sign_off) // 2 % 2 else 1
+            yield _Packed(partial(_signed_spread, k, size, slots, shift=shift, sign=sign), size, n_trunc, bool(k))
 
-    return CoefficientSequence(p, "width4-closed-form", _values_fn=_running_values(step))
+    return CoefficientSequence(p, "width4-closed-form", _values_fn=values)
 
 
 _WIDTH6_DATA = {
@@ -1136,9 +1211,10 @@ def closed_form_width6(profile: Sequence[int]) -> CoefficientSequence:
     A factor ``1 + q^a`` is one shift-add, and ``1 / (1 - q^e)`` is the
     product of ``1 + q^s`` for s = e, 2e, 4e, ... below the window.  The
     value ``h(n)`` is then one signed sum of ``c * q^e * base`` over the
-    terms of every ``B(n, m)``, decoded once.  The guard's headroom is the
-    bit length of the largest degree's weight, its number of bases times
-    the sum of the prefactor's ``|c|``, so every such sum decodes exactly.
+    terms of every ``B(n, m)``, handed over as a pack cut to the window.
+    The guard's headroom is the bit length of the largest degree's weight,
+    its number of bases times the sum of the prefactor's ``|c|``, so every
+    such sum is a balanced pack.
     """
     p = _check_profile(profile)
     if p not in _WIDTH6_DATA:
@@ -1173,7 +1249,9 @@ def closed_form_width6(profile: Sequence[int]) -> CoefficientSequence:
             origin = min(0, *(e for _b, e, _c in parts))
             width = min(n_trunc, slots + min(e for _b, e, _c in parts))
             total = _shift_sum([(b, e - origin, c) for b, e, c in parts if e < width], size)
-            yield _from_pack(total, size, origin, width)
+            total = _rebase(total, size, origin)
+            nonzero = bool(total & (1 << 8 * size * width) - 1)
+            yield _Packed(partial(_widen, total, size, slots=width), size, width, nonzero)
 
     return CoefficientSequence(p, "width6-closed-form", _values_fn=values)
 
@@ -1329,18 +1407,24 @@ def check_closed_form(
     profiles to sequences (for coupled relations).  All values are
     evaluated in one shared window (default: ``q^(2(n_max+2)^2 + 40)``,
     generous for every family shipped here).  Each sequence is read once,
-    in order, through ``values(window)``, zero in the window past the end
-    of its stream, keeping a sliding window of the last ``order() + 1``
-    values of each target and the kept profile's value at 0, which must be
-    the constant 1 (initial conditions are part of the check).  Mismatches
-    are reported, never raised.  A degree whose residual is exact only
-    below ``q^0`` or less compares nothing and is listed as vacuous.
+    in order, through the stream behind ``values(window)``, zero in the
+    window past the end of its stream, keeping a sliding window of the last
+    ``order() + 1`` values of each target and the kept profile's value at
+    0, which must be the constant 1 (initial conditions are part of the
+    check).  Mismatches are reported, never raised.  A degree whose
+    residual is exact only below ``q^0`` or less compares nothing and is
+    listed as vacuous.
 
-    Each value is packed once, as it enters the sliding window, into the
+    The check reads packs.  Each value enters the sliding window as the
     integer P(h) = sum of c X^j over its terms c q^(j / d): a Kronecker
     pack (see ``series``) on a grid 1/d fine enough for every value and
     every exponent of the relation, in slots that the slot rule sizes for
-    the relation's weight W (the sum of its |c|) over every value so far.
+    the relation's weight W (the sum of its |c|) over the digit bound of
+    every value so far.  The width-4 and width-6 forms hand their values
+    over as packs, whose digit bound is the one their slots imply, and
+    each is moved into the check's slots by strided byte copies; a value
+    given as a series is packed once, its bound its largest |c|.  Rows are
+    decoded only for :meth:`CoefficientRecurrence.evaluate` and for h(0).
     The pack leaves the window with its value.  A degree's residual is
     then one integer, R = sum of c P(h) X^(e d) over the relation's terms
     c q^e h(n - lag), less its inhomogeneous constants, whose slot i holds
@@ -1361,8 +1445,8 @@ def check_closed_form(
         window = Window(2 * (n_max + 2) ** 2 + 40)
     single = isinstance(sequence, CoefficientSequence)
     targets = {recurrence.profile, *(tgt for tgt, _lag, _poly in recurrence.terms)}
-    streams = {tgt: (sequence if single else sequence[tgt]).values(window) for tgt in targets}
-    nothing = zero(Window(None))  # h(n) for n < 0, exactly zero
+    streams = {tgt: (sequence if single else sequence[tgt])._read(window) for tgt in targets}
+    nothing = _Rows(zero(Window(None)))  # h(n) for n < 0, exactly zero
     order = recurrence.order()
     recent = {tgt: deque([nothing] * order, order + 1) for tgt in targets}
     value_fn = lambda tgt, m: recent[tgt][m - n - 1]  # h(m) for n - order <= m <= n
@@ -1387,24 +1471,24 @@ def check_closed_form(
         total = _shift_sum(parts + [(1, int(e * grid), -c) for e, c in inhom], size)
         return not total & ((1 << 8 * size * grid * bound) - 1)
 
-    ended = zero(Window(window.q_truncation))  # every value past a stream's end
+    ended = _Rows(zero(Window(window.q_truncation)))  # every value past a stream's end
     failures, vacuous = [], []
     for n in range(min(recurrence.min_degree, 0), max(n_max, 0) + 1):
         arrivals = {tgt: next(values, ended) if n >= 0 else nothing for tgt, values in streams.items()}
-        wider = max(size, *(_slot_size(weight, _magnitude(h._rows)) for h in arrivals.values()))
+        wider = max(size, *(_slot_size(weight, h.magnitude) for h in arrivals.values()))
         finer = lcm(grid, *(h.q_scale for h in arrivals.values()))
         if (wider, finer) != (size, grid):
             for tgt in targets:  # the oldest pack leaves with the next append
                 packed[tgt] = deque([
-                    p and _widen(p, size * (grid // h.q_scale), wider * (finer // h.q_scale), len(h._rows[0]))
+                    p and _widen(p, size * (grid // h.q_scale), wider * (finer // h.q_scale), h.slots)
                     for h, p in zip(recent[tgt], packed[tgt])
                 ], order + 1)
             size, grid = wider, finer
         for tgt, h in arrivals.items():
             recent[tgt].append(h)
-            packed[tgt].append(_pack_q(h, size * (grid // h.q_scale)))
+            packed[tgt].append(h.pack(size * (grid // h.q_scale)))
         if n == 0:
-            init = recent[recurrence.profile][-1]
+            init = recent[recurrence.profile][-1].series
         if not recurrence.min_degree <= n <= n_max:
             continue
         terms, inhom, bound = recurrence._walk(n, value_fn, window)
@@ -1412,7 +1496,7 @@ def check_closed_form(
         if bound <= 0 or not used_nonzero and not any(deg == n for deg, _ in recurrence.inhom):
             vacuous.append(n)
         elif not vanishes(terms, inhom, bound):
-            residual = recurrence.evaluate(n, value_fn, window)
+            residual = recurrence.evaluate(n, lambda tgt, m: value_fn(tgt, m).series, window)
             if not residual.is_zero():
                 diff = residual.first_difference(zero(residual.window))
                 failures.append((n, diff[1], diff[2]))

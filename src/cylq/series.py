@@ -294,6 +294,18 @@ def _widen(packed, old, new, slots):
     return _reslot(unsigned, old, new, slots) - _offset(slots, new, half)
 
 
+def _signed_spread(packed, size, slots, new, shift, sign=1):
+    """sign q^shift P(-q^2) in slots of ``new`` bytes, ``new >= size``, for
+    P a non-negative pack of ``slots`` slots of ``size`` bytes, each below
+    2^(8 size - 1): slot k of P, times sign (-1)^k, in slot shift + 2k.  One
+    :func:`_reslot` spreads the slots; the odd ones and the even ones are
+    then told apart by a mask, and one is subtracted from the other."""
+    spread = _reslot(packed, size, 2 * new, slots)
+    even = _offset((slots + 1) // 2, 4 * new, (1 << 8 * new) - 1)
+    even, odd = spread & even, spread & even << 16 * new
+    return (even - odd if sign > 0 else odd - even) << 8 * new * shift
+
+
 def _pack_q(s, size):
     """The pure q-series s as a pack, coefficient j in slot j, or None if s
     has a z-degree above 0; the coefficients below its first nonzero one
@@ -323,10 +335,11 @@ def _doublings(e, slots):
 
 def _times_binomials(work, size, slots, headroom):
     """``(packs, size)``: each non-negative pack of ``work``, a list of
-    ``(pack, shifts)``, times (1 + q^s) for each of its shifts, ``P + (P <<
-    s bits)`` cut to the low ``slots`` slots, in slots of ``size`` bytes
-    or, where a slot reaches the guard of :func:`_guard`, in slots as many
-    bytes wider as it takes, the degree done again from ``work``.
+    ``(pack, shifts)``, cut to the low ``slots`` slots and then times (1 +
+    q^s) for each of its shifts, ``P + (P << s bits)`` cut again, in slots
+    of ``size`` bytes or, where a slot reaches the guard of :func:`_guard`,
+    in slots as many bytes wider as it takes, the degree done again from
+    ``work``.
 
     With H the headroom, every slot is below 2^(8 size - 1 - H) before an
     add, so below 2^(8 size - H) after it, and none carries into the next:
@@ -338,6 +351,7 @@ def _times_binomials(work, size, slots, headroom):
         bits, guard, mask = 8 * size, _guard(slots, size, headroom), (1 << 8 * size * slots) - 1
         done = []
         for packed, shifts in work:
+            packed &= mask
             for s in shifts:
                 packed = packed + (packed << bits * s) & mask
                 if packed & guard:
@@ -368,16 +382,25 @@ def _shift_sum(parts, size):
     return total
 
 
-def _from_pack(packed, size, origin, width):
-    """The pure q-series, exact below q^width, whose coefficient of q^j is
-    slot j - origin of a pack of balanced digits.  As for :func:`_combine`,
-    the slots below -origin stand for negative exponents and must be zero;
-    the slots below the first nonzero one are not read."""
+def _rebase(packed, size, origin):
+    """A pack whose slot j stands for q^(j + origin), origin <= 0, as the
+    pack whose slot j stands for q^j.  As for :func:`_combine`, the slots
+    below -origin stand for negative exponents and must be zero."""
     bits = 8 * size
-    lead = ((packed & -packed).bit_length() - 1) // bits if packed else width - origin
-    if lead < -origin:
+    low = packed & (1 << bits * -origin) - 1
+    if low:
+        lead = ((low & -low).bit_length() - 1) // bits
         raise ValueError("negative q-exponent %s is outside the ring" % (lead + origin))
-    skip = min(lead + origin, width)
+    return packed >> bits * -origin
+
+
+def _from_pack(packed, size, width):
+    """The pure q-series, exact below q^width, whose coefficient of q^j is
+    slot j of a pack of balanced digits; the slots below the first nonzero
+    one are not read."""
+    bits = 8 * size
+    lead = ((packed & -packed).bit_length() - 1) // bits if packed else max(width, 0)
+    skip = min(lead, width)
     return _from_rows([[0] * skip + _unpack(packed >> bits * lead, size, width - skip)], width, None, 1)
 
 

@@ -292,6 +292,31 @@ def test_verify_unknown_case_is_usage_error(capsys):
     assert "unknown identity case" in err
 
 
+def test_verify_z_bound_on_a_case_without_z_is_usage_error(capsys):
+    code, out, err = run(capsys, "verify", "--case", "euler-sum", "--D", "3")
+    assert (code, out) == (2, "")
+    assert "euler-sum" in err and "z-window" in err
+    code, out, _ = run(capsys, "verify", "--case", "mod4-alternating-sum", "--D", "3", "--format", "json")
+    assert code == 0 and json.loads(out)["reports"][0]["window"]["z_truncation"] == 3
+
+
+def test_verify_z_bound_without_case_bounds_the_bivariate_cases(capsys, monkeypatch):
+    from cylq import identities
+
+    code, out, _ = run(capsys, "verify", "--N", "1", "--D", "3", "--format", "json")
+    assert code in (0, 1)
+    for report in json.loads(out)["reports"]:
+        own = identities.get_case(report["case"]).window.z_truncation
+        assert report["window"] == {"q_truncation": 1, "q_scale": 1,
+                                    "z_truncation": None if own is None else 3}
+    # a refused --case is a usage error before any case runs
+    ran = []
+    monkeypatch.setattr(identities, "verify", lambda *a: ran.append(a))
+    code, _, err = run(capsys, "verify", "--case", "schmidt-refined", "--case", "euler-sum",
+                       "--D", "3")
+    assert (code, ran) == (2, []) and "euler-sum" in err
+
+
 def test_verify_list(capsys):
     code, out, _ = run(capsys, "verify", "--list")
     assert code == 0

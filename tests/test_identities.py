@@ -95,9 +95,11 @@ def test_every_case_at_default_window():
 
 @pytest.mark.parametrize("window", [Window(1, 0), Window(1)], ids=["q1-z0", "q1"])
 def test_every_case_reports_at_smallest_window(window):
-    """The smallest windows yield a report from every case, never a raise."""
+    """The smallest windows yield a report from every case, never a raise;
+    the z-bound goes to the cases that have a z-window, which others refuse."""
     for label in registry():
-        rep = verify(label, window)
+        has_z = get_case(label).window.z_truncation is not None
+        rep = verify(label, window if has_z else Window(window.q_truncation))
         assert rep["case"] == label and rep["comparisons"]
         json.dumps(rep)
 
@@ -170,6 +172,18 @@ def test_window_without_z_runs_and_reports_the_case_z_as_the_cli_does(label, cap
     report = verify(label, Window(14))
     assert report == from_cli
     assert report["window"]["z_truncation"] == get_case(label).window.z_truncation
+
+
+def test_a_window_field_the_case_would_not_use_is_refused():
+    """A z-bound on a case without a z-window, or another q-grid, would be
+    reported but not used: ``verify`` refuses it and names the case."""
+    for label, window in [("euler-sum", Window(10, 3)), ("euler-sum", Window(10, None, 2)),
+                          ("schmidt-refined", Window(10, 5, 2)), ("hook-counts", Window(10, 0))]:
+        with pytest.raises(ValueError, match="case %s " % label):
+            verify(label, window)
+        with pytest.raises(ValueError, match="case %s " % label):
+            get_case(label).run(window)
+    assert verify("schmidt-refined", Window(10, 5))["window"]["z_truncation"] == 5
 
 
 def test_compare_series_negative_control():

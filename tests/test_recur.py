@@ -8,6 +8,7 @@ from itertools import chain, count, islice, repeat
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cylq import series
 from cylq.lattice import genfun_by_enumeration
 from cylq.recur import (
     CheckReport,
@@ -613,11 +614,13 @@ def _exact(s):
                          ids=["_".join((c[0].label, *map(str, c[0].profile))) for c in ORACLE_CASES])
 def test_running_values_equal_the_from_scratch_oracle(form, oracle, shift, n_max):
     # every degree in q^1, q^2, the criterion-11 window and the windows of
-    # the coefficient-recurrences case (n <= 10, 12, 16), and a width-6 form
-    # in every window through q^80, where its packs start narrow and widen;
-    # where the stream ends before n_max, the oracle's later values are zero
+    # the coefficient-recurrences case (n <= 10, 12, 16), and a width-4 or
+    # width-6 form in every window through q^80, where its packs start
+    # narrow and widen and the width-4 packs shrink to the slots each degree
+    # reaches; where the stream ends before n_max, the oracle's later values
+    # are zero
     windows = {1, 2, *(2 * (k + 2) ** 2 + 40 for k in (n_max, 10, 12, 16))}
-    if form.label == "width6-closed-form":
+    if form.label in ("width4-closed-form", "width6-closed-form"):
         windows.update(range(1, 81))
     for N in sorted(windows):
         window = Window(N)
@@ -757,6 +760,15 @@ def test_packed_check_matches_oracle_on_every_closed_form_pair():
     reports = [_both(*pair) for pair in pairs]
     assert sum(not rep.holds for rep in reports) == 18
     assert all(rep.holds == (form.profile == rel.profile) for (form, rel, _n), rep in zip(pairs, reports))
+
+
+def test_packed_check_matches_oracle_where_values_vanish_in_the_window():
+    # in the windows q^1..q^40 the streams end early and the width-4 packs
+    # shrink to a few slots; the degrees that read only values zero in the
+    # window are vacuous, as in the oracle
+    reports = [_both(closed_form_width4(p), width4_recurrence(p), 12, Window(N)) for p in W4 for N in range(1, 41)]
+    reports += [_both(closed_form_width6(p), width6_recurrence(p), 12, Window(N)) for p in W6 for N in range(1, 41)]
+    assert all(rep.holds for rep in reports) and any(rep.vacuous for rep in reports)
 
 
 def test_packed_check_matches_oracle_on_derived_recurrences():
@@ -971,6 +983,19 @@ def test_values_with_a_z_degree_are_evaluated():
     ), (), 1)
     same = CoefficientSequence((1,), "same", lambda n, w: bivariate)
     assert check_closed_form(same, steady, 4, window).failures == ()
+
+
+def test_criterion_11_checks_read_the_streams_packs(monkeypatch):
+    # no value is packed from rows or decoded to rows: the one decode is h(0),
+    # for the initial condition
+    calls = []
+    for name in ("_pack", "_unpack"):
+        real = getattr(series, name)
+        monkeypatch.setattr(series, name, lambda *args, name=name, real=real: calls.append(name) or real(*args))
+    for form, relation, profile, n_max in CRITERION_11:
+        calls.clear()
+        assert check_closed_form(form(profile), relation(profile), n_max).holds, profile
+        assert calls == ["_unpack"], profile
 
 
 def test_shipped_checks_take_the_packed_path(monkeypatch):

@@ -28,8 +28,8 @@ from cylq.series import (
     zf,
 )
 from cylq.series import (_UNIT_STEP, _UNWINDOWED_LIMIT, _combine, _div_binomial, _doublings, _from_pack,
-                         _from_rows, _guard, _min_bound, _mul_binomial, _pack, _poch, _running, _shift_sum,
-                         _slot_size, _times_binomials, _unpack, _widen)
+                         _from_rows, _guard, _min_bound, _mul_binomial, _pack, _poch, _rebase, _running, _shift_sum,
+                         _signed_spread, _slot_size, _times_binomials, _unpack, _widen)
 
 W = Window(24)
 WB = Window(16, 8)
@@ -636,8 +636,20 @@ def test_packed_signed_sums_decode_as_combine(data, n_trunc, slots):
     total = _shift_sum([(_pack([bases[i]], slots, size), e - origin, c) for i, e, c in parts], size)
     width = min(n_trunc, slots + min(e for _i, e, _c in parts))
     series_of = [make_series([(0, j, x) for j, x in enumerate(b)], Window(slots)) for b in bases]
-    assert _outcome(_from_pack, total, size, origin, width) == _outcome(
+    assert _outcome(lambda: _from_pack(_rebase(total, size, origin), size, width)) == _outcome(
         _combine, Window(n_trunc), [(series_of[i], 0, e, c) for i, e, c in parts])
+
+
+@given(st.data(), st.integers(1, 12), st.integers(0, 3), st.integers(0, 20), st.sampled_from((1, -1)))
+def test_signed_spread_pack_equals_the_row_transform(data, size, more, shift, sign):
+    # a non-negative pack in x read at x = -q^2, shifted and signed, in slots
+    # as wide or wider: slot k, times sign (-1)^k, lands in slot shift + 2k
+    top = (1 << 8 * size - 1) - 1
+    row = data.draw(st.lists(st.integers(0, top) | st.integers(0, 3), min_size=1, max_size=40))
+    spread = [0] * (shift + 2 * len(row))
+    spread[shift::2] = [sign * (-1) ** k * c for k, c in enumerate(row)]
+    packed = _signed_spread(_pack([row], len(row), size), size, len(row), size + more, shift, sign)
+    assert packed == _pack([spread], len(spread), size + more)
 
 
 @given(series())
