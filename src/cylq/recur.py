@@ -1160,22 +1160,16 @@ _WIDTH6_DATA = {
 }
 
 
-def _width6_prefactor(profile: tuple, n: int, m: int) -> tuple:
-    """The prefactor polynomial ``B(n, m)`` of the profile's summand as
-    combined ``(exponent, coefficient)`` pairs: its groups expanded at ``m``."""
-    agg: dict = {}
-    for k, terms in _WIDTH6_DATA[profile][1](n):
-        for e, c in terms:
-            agg[e - k * m] = agg.get(e - k * m, 0) + c
-    return tuple(sorted((e, c) for e, c in agg.items() if c))
-
-
 def sigma_prefactor_terms(n: int, m: int) -> tuple:
     """The seven-term prefactor polynomial of the (-1,+1,+1) summand,
     as combined ``(exponent, coefficient)`` pairs (exponents may be
-    negative; the full summand is still a power series), as
-    :func:`closed_form_width6` expands it."""
-    return _width6_prefactor((-1, 1, 1), n, m)
+    negative; the full summand is still a power series): the groups that
+    :func:`closed_form_width6` sums by, expanded at ``m``."""
+    agg: dict = {}
+    for k, terms in _WIDTH6_DATA[(-1, 1, 1)][1](n):
+        for e, c in terms:
+            agg[e - k * m] = agg.get(e - k * m, 0) + c
+    return tuple(sorted((e, c) for e, c in agg.items() if c))
 
 
 def sigma_prefactor_factored(n: int, m: int) -> tuple:
@@ -1210,11 +1204,14 @@ def closed_form_width6(profile: Sequence[int]) -> CoefficientSequence:
     Kronecker packs (see ``series``), kept to the slots the window needs.
     A factor ``1 + q^a`` is one shift-add, and ``1 / (1 - q^e)`` is the
     product of ``1 + q^s`` for s = e, 2e, 4e, ... below the window.  The
-    value ``h(n)`` is then one signed sum of ``c * q^e * base`` over the
-    terms of every ``B(n, m)``, handed over as a pack cut to the window.
-    The guard's headroom is the bit length of the largest degree's weight,
-    its number of bases times the sum of the prefactor's ``|c|``, so every
-    such sum is a balanced pack.
+    prefactor is a sum of groups ``q^(-k m) (sum of c q^e over its
+    terms)`` (``_WIDTH6_DATA``), so ``h(n)`` is a sum over the groups: each
+    group's ``G_k = sum over m of (-1)^(m + off) q^(E(n, m) - k m) base_m``
+    is summed once, and ``c q^e G_k`` is added for each of its terms, one
+    signed sum handed over as a pack cut to the window.  The guard's
+    headroom is the bit length of the largest degree's weight, its number of
+    bases times the sum of the prefactor's ``|c|``, so every ``G_k`` and
+    every such sum is a balanced pack.
     """
     p = _check_profile(profile)
     if p not in _WIDTH6_DATA:
@@ -1244,11 +1241,19 @@ def closed_form_width6(profile: Sequence[int]) -> CoefficientSequence:
             work.append((top, (6 * m - 5, 6 * m - 1, *_doublings(6 * m, slots)) if m and n % 2 == 0 else ()))
             packs, size = _times_binomials(work, size, slots, weight.bit_length())
             bases, top = packs[:m + 1], packs[-1]
-            parts = [(b, e_fn(n, m) + e, (-1) ** (m + sign_off) * c)
-                     for m, b in enumerate(bases) for e, c in _width6_prefactor(p, n, m)]
-            origin = min(0, *(e for _b, e, _c in parts))
-            width = min(n_trunc, slots + min(e for _b, e, _c in parts))
-            total = _shift_sum([(b, e - origin, c) for b, e, c in parts if e < width], size)
+            # each group (k, terms) as G = sum over j of (-1)^(j + off) q^(E(n, j) - k j) base_j,
+            # held from its least exponent `low`, then c q^e G for each of its terms
+            groups = []
+            for k, terms in groups_fn(n):
+                shifts = [e_fn(n, j) - k * j for j in range(m + 1)]
+                groups.append((min(shifts), min(e for e, _c in terms), shifts, terms))
+            least = min(low + first for low, first, _s, _t in groups)
+            origin, width = min(0, least), min(n_trunc, slots + least)
+            total = 0
+            for low, first, shifts, terms in groups:
+                g = _shift_sum([(b, e - low, (-1) ** (j + sign_off))
+                                for j, (b, e) in enumerate(zip(bases, shifts)) if e + first < width], size)
+                total += _shift_sum([(g, low + e - origin, c) for e, c in terms if low + e < width], size)
             total = _rebase(total, size, origin)
             nonzero = bool(total & (1 << 8 * size * width) - 1)
             yield _Packed(partial(_widen, total, size, slots=width), size, width, nonzero)

@@ -36,6 +36,7 @@ import sys
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import accumulate, count
 from math import gcd, lcm
 from operator import add, mul, sub
@@ -216,12 +217,24 @@ def _inverse_row(f, qcap):
 # magnitude at most M when 8 s >= bits(W) + bits(max(M, 1)) + 1, for then
 # W M < X / 2.  A non-negative pack clear of its guard, the top H + 1 bits
 # of each slot, is a balanced pack whose digits are below 2^(8 s - 1 - H),
-# so up to 2^H of them add, with either sign, to a balanced pack.
+# so up to 2^H of them add, with either sign, to a balanced pack.  Doubling
+# such a pack H + 1 times leaves every slot below 2^(8 s): no slot carries
+# yet, so one guard test per H + 1 shift-adds sees every slot that grew
+# too far, and a pack that trips it is done again in slots of s + 1 +
+# floor(s / 4) bytes.
+
+
+@lru_cache(maxsize=16)
+def _repeated(size, half, slots):
+    return int.from_bytes(half.to_bytes(size, "little") * slots, "little")
 
 
 def _offset(slots, size, half):
-    """``half`` in each of ``slots`` slots of ``size`` bytes."""
-    return int.from_bytes(half.to_bytes(size, "little") * slots, "little")
+    """``half`` in each of ``slots`` slots of ``size`` bytes: cut by one
+    shift from the one built for the next power of two, which is kept for
+    the next call (at most 16 of them are)."""
+    room = 1 << (slots - 1).bit_length()
+    return _repeated(size, half, room) >> 8 * size * (room - slots)
 
 
 def _slot_size(weight, magnitude):
@@ -338,30 +351,34 @@ def _times_binomials(work, size, slots, headroom):
     ``(pack, shifts)``, cut to the low ``slots`` slots and then times (1 +
     q^s) for each of its shifts, ``P + (P << s bits)`` cut again, in slots
     of ``size`` bytes or, where a slot reaches the guard of :func:`_guard`,
-    in slots as many bytes wider as it takes, the degree done again from
-    ``work``.
+    in slots of ``size + 1 + size // 4`` bytes, again as often as it takes,
+    the degree done again from ``work``.
 
-    With H the headroom, every slot is below 2^(8 size - 1 - H) before an
-    add, so below 2^(8 size - H) after it, and none carries into the next:
-    the guard test after each add keeps the slots the true coefficients.
-    A test only at the end would not: a slot that wrapped leaves a small
-    digit behind.
+    With H the headroom, every slot is below 2^(8 size - 1 - H) before a
+    run of H + 1 adds, so below 2^(8 size) after it, and none carries into
+    the next: one guard test after each such run, and after a pack's last
+    add, keeps the slots the true coefficients.  A test only after more
+    adds would not: a slot that wrapped leaves a small digit behind.
     """
+    run = headroom + 1
+
     def shift_adds():  # the products, or None as soon as a slot reaches the guard
         bits, guard, mask = 8 * size, _guard(slots, size, headroom), (1 << 8 * size * slots) - 1
         done = []
         for packed, shifts in work:
             packed &= mask
-            for s in shifts:
-                packed = packed + (packed << bits * s) & mask
+            for i in range(0, len(shifts), run):
+                for s in shifts[i:i + run]:
+                    packed = packed + (packed << bits * s) & mask
                 if packed & guard:
                     return None
             done.append(packed)
         return done
 
     while (done := shift_adds()) is None:
-        work = [(_widen(packed, size, size + 1, slots), shifts) for packed, shifts in work]
-        size += 1
+        wider = size + 1 + size // 4
+        work = [(_widen(packed, size, wider, slots), shifts) for packed, shifts in work]
+        size = wider
     return done, size
 
 

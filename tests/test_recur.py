@@ -8,7 +8,7 @@ from itertools import chain, count, islice, repeat
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cylq import series
+from cylq import recur, series
 from cylq.lattice import genfun_by_enumeration
 from cylq.recur import (
     CheckReport,
@@ -771,6 +771,15 @@ def test_packed_check_matches_oracle_where_values_vanish_in_the_window():
     assert all(rep.holds for rep in reports) and any(rep.vacuous for rep in reports)
 
 
+def test_width6_zero_flags_agree_with_the_decoded_values():
+    # the zero flag tests the window's slots alone: a value whose only
+    # nonzero digits lie past its window is zero, as its decoded series is
+    for p in W6:
+        for n_trunc in range(1, 81):
+            for n, h in enumerate(closed_form_width6(p)._read(Window(n_trunc))):
+                assert h.is_zero() == h.series.is_zero(), (p, n_trunc, n)
+
+
 def test_packed_check_matches_oracle_on_derived_recurrences():
     euler = to_coefficient_recurrences(build_system("cylindric", (1,), normalized=False))[(1,)]
     assert _both(closed_form_euler(), euler, 12, Window(60)).holds
@@ -996,6 +1005,34 @@ def test_criterion_11_checks_read_the_streams_packs(monkeypatch):
         calls.clear()
         assert check_closed_form(form(profile), relation(profile), n_max).holds, profile
         assert calls == ["_unpack"], profile
+
+
+def test_criterion_11_guard_trips_and_widenings_are_pinned(monkeypatch):
+    # a guard trip redoes a degree in slots of s + 1 + s // 4 bytes: each
+    # pass of _times_binomials tests its guard from one _guard, so trips are
+    # passes less degrees; _widen counts the stream's and the check's
+    # re-slottings.  Slots that grew a byte at a time took 73 trips and 645
+    # widenings here.
+    calls = dict.fromkeys(("_guard", "_times_binomials", "_widen"), 0)
+
+    def spy(module, name):
+        real = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+
+    spy(series, "_guard")
+    spy(recur, "_times_binomials")
+    spy(series, "_widen")
+    monkeypatch.setattr(recur, "_widen", series._widen)
+    counts = []
+    for form, relation, profile, n_max in CRITERION_11:
+        calls.update(dict.fromkeys(calls, 0))
+        assert check_closed_form(form(profile), relation(profile), n_max).holds, profile
+        counts.append((calls["_guard"] - calls["_times_binomials"], calls["_widen"]))
+    assert counts == [(7, 27)] * 3 + [(5, 74), (5, 73), (6, 80), (5, 72)]
 
 
 def test_shipped_checks_take_the_packed_path(monkeypatch):

@@ -585,7 +585,7 @@ def test_pack_slot_rule_holds_full_magnitude_products(length, bits, sign):
 
 @given(st.data(), st.lists(st.integers(0, 9), min_size=1, max_size=300), st.integers(0, 3))
 def test_packed_binomials_match_the_row_kernel(data, row, headroom):
-    # from 1-byte slots, which widen a byte at a time wherever the guard trips
+    # from 1-byte slots, which widen wherever the guard trips
     slots, rows = len(row), [list(row)]
     size, packed = 1, _pack([row], slots, 1)
     for _ in range(data.draw(st.integers(1, 6))):
@@ -618,6 +618,48 @@ def test_a_slot_that_wrapped_is_widened_never_decoded():
     (wide,), size = _times_binomials([(packed, (1, 1))], 1, slots, 0)
     assert size == 2 and _unpack(wide, 2, slots) == [100, 300, 300]
     assert _times_binomials([(_widen(packed, 1, 2, slots), (1, 1))], 2, slots, 0) == ([wide], 2)
+    # headroom 1 tests once per two adds: (60, 60, 0) times (1 + q) passes
+    # the guard, 2^6, at (60, 120, 60), between two tests; the second add
+    # reaches (60, 180, 180) with no carry, and the test after it trips.  A
+    # third add before a test would carry 360 out of its slot.
+    packed = _pack([[60, 60, 0]], slots, 1)
+    assert packed + (packed << 8) & _guard(slots, 1, 1)
+    (twice,), size = _times_binomials([(packed, (1, 1))], 1, slots, 1)
+    assert size == 2 and _unpack(twice, 2, slots) == [60, 180, 180]
+    (thrice,), size = _times_binomials([(packed, (1, 1, 1))], 1, slots, 1)
+    assert size == 2 and _unpack(thrice, 2, slots) == [60, 240, 360]
+
+
+@given(st.data(), st.integers(0, 3), st.integers(1, 3), st.integers(2, 5) | st.integers(1, 40))
+def test_packed_guard_runs_of_headroom_adds_match_the_row_kernel(data, headroom, size, slots):
+    # digits at or just below 2^(8 size - 1 - H), so the first runs of H + 1
+    # adds trip the guard, and few slots, so that a run one add longer could
+    # wrap a slot and leave every slot clear; each pack takes more than H + 1
+    # shifts, products (1 + q^s) and quotients 1 / (1 - q^e) as their doublings
+    top = (1 << 8 * size - 1 - headroom) - 1
+    digit = st.integers(max(top - 3, 0), top) | st.integers(0, 3) | st.integers(0, top)
+    work, expected = [], []
+    for _ in range(data.draw(st.integers(1, 3))):
+        row = data.draw(st.lists(digit, min_size=slots, max_size=slots))
+        rows, shifts = [list(row)], []
+        while len(shifts) <= headroom + 1:
+            e = data.draw(st.integers(1, slots))
+            if e < slots and data.draw(st.booleans()):
+                _div_binomial(rows, 0, e, 1, slots, None)
+                shifts += _doublings(e, slots)
+            else:
+                _mul_binomial(rows, 0, e, -1, slots, None)
+                shifts.append(e)
+        work.append((_pack([row], slots, size), tuple(shifts)))
+        expected.append(rows[0] + [0] * (slots - len(rows[0])))
+    packs, wider = _times_binomials(work, size, slots, headroom)
+    grown = [size]  # each guard trip grows the slots from s to s + 1 + s // 4 bytes
+    while grown[-1] < wider:
+        grown.append(grown[-1] + 1 + grown[-1] // 4)
+    assert grown[-1] == wider
+    for packed, row in zip(packs, expected):
+        assert 0 <= packed < 1 << 8 * wider * slots and not packed & _guard(slots, wider, headroom)
+        assert _unpack(packed, wider, slots) == row
 
 
 @given(st.data(), st.integers(1, 40), st.integers(1, 30))
