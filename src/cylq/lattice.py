@@ -34,11 +34,15 @@ its anchor; an open chain steps right to its end and then left to its start.
 
 ``genfun_by_enumeration`` counts the objects instead, row by row: row i of
 a chain holds the i-th parts of all its diagonals, and interlacing bounds
-each row entrywise by a bound taken from the row before it.  A recursion
-over rows, memoised on that bound (Stanley's transfer-matrix method), counts
-the chains in time polynomial in the window.  The marked, diamond and signed
-families are counted by DPs over (previous part, marked sum).  Counting uses
-interlacing bounds only, never the solver's corner moves.
+each row entrywise by a bound taken from the row before it.  The count of
+the chains after a row depends only on that bound (Stanley's transfer-matrix
+method), and is a sum over the rows under it.  The sums are Kronecker packs
+of ``series``, taken in one pass over the rows in lexicographic order: the
+rows under a bound that share all but their last entry are one run of
+consecutive rows, so each bound's sum is read from running sums at the ends
+of such runs, in time polynomial in the window.  The marked, diamond and
+signed families are counted by DPs over (previous part, marked sum).
+Counting uses interlacing bounds only, never the solver's corner moves.
 """
 
 from __future__ import annotations
@@ -46,10 +50,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from operator import add
+from itertools import repeat
+from operator import mul
 from typing import Iterator, Optional, Sequence
 
-from .series import TruncatedSeries, Window, _from_rows
+from .series import TruncatedSeries, Window, _doublings, _from_rows, _guard, _unpack
 
 __all__ = [
     "is_above",
@@ -536,6 +541,140 @@ def _open_chains(delta, aw, budget, part_cap, rows_cap):
 # ---------------------------------------------------------------------------
 
 
+def _list_rows(links, aw, closed, strict, top, budget):
+    """The nonzero rows v <= ``top`` of weight at most ``budget``, in
+    increasing lexicographic order, as ``(wts, zs, which), bounds, own, runs``:
+    row i weighs wts[i], has largest entry zs[i] and puts the bound
+    b(v) = bounds[which[i]] on the next row.  Bounds are numbered as rows
+    first meet them; ``own`` holds those first met by the bound itself.
+
+    Every constraint on a row's last entry is a bound (the link to the entry
+    before it, the wrap to entry 0, the weight and the cap), so the rows
+    that share the prefix v[:-1] are consecutive, and so are their last
+    entries: one run (start, first last entry, length).  ``runs`` is the
+    prefixes as a tree of (entry, subtree) pairs in increasing entry order,
+    with runs at the leaves; for width 1 it is the one run.  Along a run,
+    b(v) stops moving past ``settle`` and is found once from there on.
+    """
+    n, last = len(aw), len(aw) - 1
+    wrap_hi = links[-1][0]  # checked on full rows when the chain is closed
+    # b(v) applies the links within the prefix (``fixed``), lowers v[last]
+    # to the entries in ``ups`` and lowers the entries in ``downs`` to v[last]
+    fixed = [(h, l) for h, l in links if last not in (h, l)]
+    ups = [l for h, l in links if h == last != l]
+    downs = [h for h, l in links if l == last != h]
+    wts, zs, which, bounds, ids, own, row = [], [], [], [], {}, set(), [0] * n
+
+    def place(k: int, used: int, peak: int):
+        lo, hi = 0, top[k]
+        if k:
+            p = row[k - 1]
+            if links[k - 1][0] == k - 1:  # row[k] <= p
+                if strict and p:
+                    p -= 1
+                if p < hi:
+                    hi = p
+            else:                         # row[k] >= p
+                lo = p + 1 if strict and p else p
+        w = aw[k]
+        if w and (budget - used) // w < hi:
+            hi = (budget - used) // w
+        if k < last:
+            tree = []
+            for c in range(lo, hi + 1):
+                row[k] = c
+                sub = place(k + 1, used + w * c, c if c > peak else peak)
+                if sub:
+                    tree.append((c, sub))
+            return tree
+        if closed:
+            p = row[0]
+            if n == 1:
+                if strict:
+                    hi = 0
+            elif wrap_hi == k:            # row[k] >= row[0]
+                lo = max(lo, p + 1 if strict and p else p)
+            else:                         # row[k] <= row[0]
+                hi = min(hi, p - 1 if strict and p else p)
+        if not (lo or peak):
+            lo = 1  # the zero row, which is not listed
+        if lo > hi:
+            return None
+        base, cap = row[:k], hi
+        for h, l in fixed:
+            p = row[l] - 1 if strict and row[l] else row[l]
+            if p < base[h]:
+                base[h] = p
+        for l in ups:
+            p = row[l] - 1 if strict and row[l] else row[l]
+            if p < cap:
+                cap = p
+        settle = cap  # past it, b(v) no longer moves with v[last]
+        for h in downs:
+            if base[h] + strict > settle:
+                settle = base[h] + strict
+        start, end = len(which), min(hi, max(lo, settle))
+        for c in range(lo, end + 1):
+            b = base[:]
+            a = c - 1 if strict and c else c
+            for h in downs:
+                if a < b[h]:
+                    b[h] = a
+            b.append(c if c < cap else cap)
+            b = tuple(b)
+            at = ids.get(b)
+            if at is None:
+                at = ids[b] = len(bounds)
+                bounds.append(b)
+                if b == (*row[:k], c):
+                    own.add(at)
+            which.append(at)
+        if end < hi:
+            which.extend(repeat(at, hi - end))
+        wts.extend(range(used + w * lo, used + w * hi + 1, w) if w else repeat(used, hi - lo + 1))
+        if peak < lo:  # max(v) = max(peak, c)
+            zs.extend(range(lo, hi + 1))
+        else:
+            zs.extend(repeat(peak, min(peak, hi) - lo + 1))
+            zs.extend(range(peak + 1, hi + 1))
+        return (start, lo, hi - lo + 1)
+
+    runs = place(0, 0, 0)
+    del place  # it holds itself, and so the lists, until a full collection
+    return (wts, zs, which), bounds, own, runs
+
+
+def _ranges_under(tree, b, aw, cap, out, k=0):
+    """``out`` with the index ranges of the listed rows u <= b whose prefix
+    u[:-1] weighs at most ``cap`` appended as start, stop, start, stop, ...:
+    one range per prefix run, and ranges that touch as one."""
+    if len(b) == 1:  # width 1: the one run, as the run of an empty prefix
+        tree, k = [(0, tree)], -1
+    lim, w = b[k], aw[k]
+    if k < len(b) - 2:
+        for c, sub in tree:
+            if c > lim or w * c > cap:
+                break
+            _ranges_under(sub, b, aw, cap - w * c, out, k + 1)
+        return out
+    for c, (start, lo, length) in tree:  # the runs of the prefixes
+        if c > lim or w * c > cap:
+            break
+        m = b[-1] - lo + 1
+        if m > 0:
+            stop = start + (m if m < length else length)
+            if out and out[-1] == start:
+                out[-1] = stop
+            else:
+                out += (start, stop)
+    return out
+
+
+#: About how many slots of z-rows one ``_unpack`` decodes: a small count in
+#: one call, a large one without offsets the size of the whole count.
+_DECODED_SLOTS = 4096
+
+
 def _count_rows(delta, aw, closed: bool, strict: bool, budget: int,
                 part_cap, rows_cap) -> list:
     """Counts of chains, read row by row, as dense rows: entry k of row z
@@ -549,111 +688,118 @@ def _count_rows(delta, aw, closed: bool, strict: bool, budget: int,
     allowed after v are the nonzero rows u <= b(v), the bound that lowers
     each v[hi] to v[lo], and the chains that go on after v are counted by
     S(b(v)) = 1 + sum of q^wt(u) S(b(u)) over those u (Stanley's transfer-
-    matrix method, EC1 4.7), memoised on the bound, not on v.  Rows are
-    listed smallest first and every u under b(v) comes before v, so one
-    pass in that order finds each S(b(u)) already known.  Only for a
-    constant row is b(v) = v: it adds the factor 1/(1 - q^wt(v)).  A
-    binding ``rows_cap`` R is taken one level at a time instead: S_L(b),
-    the chains of at most L more rows, comes from S_(L-1) of the bounds
-    below b, each the bound of a listed row, over R - 1 levels from
-    S_0 = 1, each on the bounds that chains meet R - 1 - L rows down.  No
-    call depth grows with the window or the cap.
+    matrix method, EC1 4.7), memoised on the bound, not on v.
+
+    The sums are non-negative Kronecker packs in q (see ``series``), made in
+    one pass over the rows in lexicographic order, where every u under b(v)
+    comes before v.  The running sum C[i] of q^wt(u) S(b(u)) over the first
+    i rows is cut to budget + 1 slots and kept only where some S(b) reads
+    it: the rows under b that share a prefix are one run (:func:`_list_rows`),
+    so S(b) is 1 plus one difference of C per run (Crow's summed-area tables,
+    in one coordinate), read at the first row whose bound is b.  Only for a
+    constant row is b(v) = v: v counts 0 in its own sum, which then takes
+    the factor 1/(1 - q^wt(v)) by doublings.  A binding ``rows_cap`` R is
+    taken one level at a time: S_L(b), the chains of at most L more rows,
+    is read the same way from the running sum of q^wt(u) S_(L-1)(b(u)),
+    over R - 1 levels from S_0 = 1, each over the bounds that chains meet
+    R - 1 - L rows down and the rows under them.  Slots start at 4 bytes;
+    where one reaches its guard (``series._guard``) the count is done again
+    in slots of s + 1 + floor(s / 4) bytes.  No call depth grows with the
+    window or the cap.
     """
     n = len(aw)
     if rows_cap is not None and all(aw) and rows_cap >= budget // min(aw):
         rows_cap = None  # every nonzero row weighs at least min(aw)
+    if rows_cap == 0:
+        return [[1] + [0] * budget]
     links = [(j, (j + 1) % n) if x == -1 else ((j + 1) % n, j)
              for j, x in enumerate(delta)]
-    wrap_hi, wrap_lo = links[-1]  # checked on full rows when the chain is closed
-
-    def rows(bound, cap) -> list:
-        """The nonzero rows u <= bound with wt(u) <= cap, as (u, wt(u)),
-        in increasing lexicographic order."""
-        out = []
-        row = [0] * n
-
-        def place(k: int, used: int) -> None:
-            lo, hi = 0, bound[k]
-            if k:
-                p = row[k - 1]
-                if links[k - 1][0] == k - 1:  # row[k] <= p
-                    if strict and p:
-                        p -= 1
-                    if p < hi:
-                        hi = p
-                else:                         # row[k] >= p
-                    lo = p + 1 if strict and p else p
-            w = aw[k]
-            if w and (cap - used) // w < hi:
-                hi = (cap - used) // w
-            if k + 1 < n:
-                for c in range(lo, hi + 1):
-                    row[k] = c
-                    place(k + 1, used + w * c)
-                return
-            for c in range(lo, hi + 1):
-                row[k] = c
-                a, b = row[wrap_hi], row[wrap_lo]
-                if not closed or a > b or (a == b and not (strict and b)):
-                    out.append((tuple(row), used + w * c))
-
-        place(0, 0)
-        del place  # it holds itself, and so ``out``, until a full collection
-        del out[0]  # the zero row, which always comes first
-        return out
-
-    acc = [[1] + [0] * budget]  # acc[z][k]: chains of largest part z, size k
-    if rows_cap == 0:
-        return acc
-    listed = rows([part_cap if part_cap is not None else budget // w for w in aw], budget)
-    bounds: dict = {}  # each row's bound
-    sums: dict = {}    # b -> S(b) up to q^(budget - wt(b)); under a cap S_0(b) = 1
-    below: dict = {}   # b -> [(b(u), wt(u)) for each row u under b], if capped
-    for v, _wv in listed:
-        b = list(v)
-        for hi, lo in links:
-            b[hi] = min(b[hi], v[lo] - 1 if strict and v[lo] else v[lo])
-        b = bounds[v] = tuple(b)
-        if b in sums:
-            continue
-        wb = sum(w * c for w, c in zip(aw, b))
-        s = sums[b] = [1] + [0] * (budget - wb)
-        after = [(bounds[u], wu) for u, wu in rows(b, budget - wb)]
-        if rows_cap is not None:
-            below[b] = after
-            continue
-        # b(u) <= u <= b, so b(u) = b only for u = b, the last row under b
-        repeats = after and after[-1][0] == b
-        # b(u) <= u and the weights are >= 0, so wt(b(u)) <= wt(u): S(b(u))
-        # reaches q^(budget - wt(u)) or further, past the end of s, and the
-        # slice keeps its length (a shorter source would shrink s)
-        for bu, wu in after[:-1] if repeats else after:
-            s[wu:] = map(add, s[wu:], sums[bu])
-        if repeats:
-            for k in range(wb, len(s)):
-                s[k] += s[k - wb]
+    top = [part_cap if part_cap is not None else budget // w for w in aw]
+    (wts, zs, which), bounds, own, runs = _list_rows(links, aw, closed, strict, top, budget)
+    weights = [sum(map(mul, aw, b)) for b in bounds]
+    ranges = [_ranges_under(runs, b, aw, budget - wb, []) for b, wb in zip(bounds, weights)]
+    levels = []  # under a cap, from the deepest: the bounds, their rows, C's reads
     if rows_cap is not None:
-        # met[j]: the bounds chains meet j rows down, as a memo would
-        # meet them: those of every listed row, the bounds under those, ...
-        met, need = [], below.keys()
+        spans = [list(zip(r[::2], r[1::2])) for r in ranges]
+        below = [set().union(*(which[i:j] for i, j in s)) for s in spans]
+        need, level = range(len(bounds)), None  # the bounds chains meet 0, 1, ... rows down
         for _ in range(rows_cap - 1):
-            met.append(need)
-            need = {bu for b in need for bu, _wu in below[b]}
-        start = sums
-        for need in reversed(met):  # S_L(b) from the S_(L-1) below it
-            level = {}
-            for b in need:
-                s = level[b] = start[b][:]
-                for bu, wu in below[b]:
-                    s[wu:] = map(add, s[wu:], sums[bu])
-            sums = level
-    for v, wv in listed:
-        z = max(v)
-        while len(acc) <= z:
-            acc.append([0] * (budget + 1))
-        r = acc[z]  # as for s: S(b(v)) reaches past the end of r
-        r[wv:] = map(add, r[wv:], sums[bounds[v]])
-    return acc
+            if level is None or need != level[0]:  # levels that repeat share their lists
+                cover = set().union(*(range(i, j) for k in need for i, j in spans[k]))
+                level = (need, sorted(cover), set().union(*(ranges[k] for k in need)))
+            levels.insert(0, level)
+            need = set().union(*(below[k] for k in need))
+
+    def count(size):  # the z-rows as packs, or None where a slot reaches its guard
+        bits = 8 * size
+        full, guard = (1 << bits * (budget + 1)) - 1, _guard(budget + 1, size, 0)
+        acc = [1] + [0] * max(zs, default=0)
+
+        def read(k, marks):  # 1 + the rows under bound k, cut to its slots
+            r = ranges[k]
+            s = 1 + sum(map(marks.__getitem__, r[1::2])) - sum(map(marks.__getitem__, r[::2]))
+            return s & (1 << bits * (budget - weights[k] + 1)) - 1
+
+        # a sum of two packs below their guards carries out of no slot
+        if rows_cap is None:
+            keep = set().union(*ranges)
+            sums, marks, running = [], {0: 0}, 0
+            for i, (wv, z, k) in enumerate(zip(wts, zs, which), 1):
+                if k < len(sums):
+                    s = sums[k]
+                else:
+                    if k in own:
+                        marks[i] = running  # v counts 0 in its own sum
+                    s = read(k, marks)
+                    if s & guard:
+                        return None
+                    if k in own:
+                        cut = (1 << bits * (budget - wv + 1)) - 1
+                        for e in _doublings(wv, budget - wv + 1):
+                            s = s + (s << bits * e) & cut
+                            if s & guard:
+                                return None
+                    sums.append(s)
+                g = (s << bits * wv) & full
+                running += g
+                if running & guard:
+                    return None
+                if i in keep:
+                    marks[i] = running
+                acc[z] += g
+            return acc
+        sums = [1] * len(bounds)
+        for need, cover, keep in levels:
+            marks, running = {}, 0
+            for u in cover:
+                if u in keep:
+                    marks[u] = running
+                running += (sums[which[u]] << bits * wts[u]) & full
+                if running & guard:
+                    return None
+                if u + 1 in keep:
+                    marks[u + 1] = running
+            for k in need:
+                sums[k] = read(k, marks)
+                if sums[k] & guard:
+                    return None
+        for wv, z, k in zip(wts, zs, which):
+            acc[z] += (sums[k] << bits * wv) & full
+            if acc[z] & guard:
+                return None
+        return acc
+
+    size = 4
+    while (acc := count(size)) is None:
+        size += 1 + size // 4
+    stride, rows = budget + 1, []
+    per = -(-_DECODED_SLOTS // stride)
+    for z in range(0, len(acc), per):
+        block = acc[z:z + per]
+        digits = _unpack(int.from_bytes(b"".join(a.to_bytes(stride * size, "little") for a in block),
+                                        "little"), size, len(block) * stride)
+        rows += [digits[p:p + stride] for p in range(0, len(digits), stride)]
+    return rows
 
 
 # ---------------------------------------------------------------------------

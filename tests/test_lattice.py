@@ -5,10 +5,12 @@ import itertools
 import sys
 from collections import Counter
 from fractions import Fraction as Fr
+from operator import add
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cylq import lattice
 from cylq.lattice import (
     KINDS,
     Diamond,
@@ -20,8 +22,11 @@ from cylq.lattice import (
     enumerate_objects,
     full_profile,
     genfun_by_enumeration,
+    _count_rows,
     _diamond_counts,
     _marked_partitions_counts,
+    _resolve,
+    _scaled_weights,
     is_above,
     is_above_strict,
     partitions_iter,
@@ -535,6 +540,183 @@ def test_counted_series_is_normalised(kind, delta, weights, window, max_rows):
     assert g._rows == want._rows
     assert (g.q_truncation, g.z_truncation, g.q_scale) == (
         window.q_truncation, window.z_truncation, window.q_scale)
+
+
+def _count_rows_by_lists(delta, aw, closed, strict, budget, part_cap, rows_cap) -> list:
+    """The list counter that the packed ``_count_rows`` replaced, kept as its
+    oracle: for each memoised bound b it lists every row u <= b and adds
+    q^wt(u) S(b(u)) into S(b) one coefficient list at a time; a binding
+    ``rows_cap`` is taken one level of rows at a time."""
+    n = len(aw)
+    if rows_cap is not None and all(aw) and rows_cap >= budget // min(aw):
+        rows_cap = None  # every nonzero row weighs at least min(aw)
+    links = [(j, (j + 1) % n) if x == -1 else ((j + 1) % n, j)
+             for j, x in enumerate(delta)]
+    wrap_hi, wrap_lo = links[-1]  # checked on full rows when the chain is closed
+
+    def rows(bound, cap) -> list:
+        """The nonzero rows u <= bound with wt(u) <= cap, as (u, wt(u)),
+        in increasing lexicographic order."""
+        out = []
+        row = [0] * n
+
+        def place(k: int, used: int) -> None:
+            lo, hi = 0, bound[k]
+            if k:
+                p = row[k - 1]
+                if links[k - 1][0] == k - 1:  # row[k] <= p
+                    if strict and p:
+                        p -= 1
+                    if p < hi:
+                        hi = p
+                else:                         # row[k] >= p
+                    lo = p + 1 if strict and p else p
+            w = aw[k]
+            if w and (cap - used) // w < hi:
+                hi = (cap - used) // w
+            if k + 1 < n:
+                for c in range(lo, hi + 1):
+                    row[k] = c
+                    place(k + 1, used + w * c)
+                return
+            for c in range(lo, hi + 1):
+                row[k] = c
+                a, b = row[wrap_hi], row[wrap_lo]
+                if not closed or a > b or (a == b and not (strict and b)):
+                    out.append((tuple(row), used + w * c))
+
+        place(0, 0)
+        del place
+        del out[0]  # the zero row, which always comes first
+        return out
+
+    acc = [[1] + [0] * budget]  # acc[z][k]: chains of largest part z, size k
+    if rows_cap == 0:
+        return acc
+    listed = rows([part_cap if part_cap is not None else budget // w for w in aw], budget)
+    bounds, sums, below = {}, {}, {}
+    for v, _wv in listed:
+        b = list(v)
+        for hi, lo in links:
+            b[hi] = min(b[hi], v[lo] - 1 if strict and v[lo] else v[lo])
+        b = bounds[v] = tuple(b)
+        if b in sums:
+            continue
+        wb = sum(w * c for w, c in zip(aw, b))
+        s = sums[b] = [1] + [0] * (budget - wb)
+        after = [(bounds[u], wu) for u, wu in rows(b, budget - wb)]
+        if rows_cap is not None:
+            below[b] = after
+            continue
+        repeats = after and after[-1][0] == b  # b(u) = b only for u = b
+        for bu, wu in after[:-1] if repeats else after:
+            s[wu:] = map(add, s[wu:], sums[bu])
+        if repeats:
+            for k in range(wb, len(s)):
+                s[k] += s[k - wb]
+    if rows_cap is not None:
+        met, need = [], below.keys()
+        for _ in range(rows_cap - 1):
+            met.append(need)
+            need = {bu for b in need for bu, _wu in below[b]}
+        start = sums
+        for need in reversed(met):  # S_L(b) from the S_(L-1) below it
+            level = {}
+            for b in need:
+                s = level[b] = start[b][:]
+                for bu, wu in below[b]:
+                    s[wu:] = map(add, s[wu:], sums[bu])
+            sums = level
+    for v, wv in listed:
+        z = max(v)
+        while len(acc) <= z:
+            acc.append([0] * (budget + 1))
+        r = acc[z]
+        r[wv:] = map(add, r[wv:], sums[bounds[v]])
+    return acc
+
+
+#: The largest window the differential test draws, by the number of entries
+#: in a row: the list counter's time grows with that power of the window.
+_ORACLE_Q = {1: 24, 2: 24, 3: 24, 4: 16, 5: 12}
+
+
+@given(st.data())
+def test_packed_counter_matches_the_list_counter(data):
+    kind = data.draw(st.sampled_from(KINDS))
+    delta = tuple(data.draw(st.lists(st.sampled_from((-1, 1)), min_size=1, max_size=4)))
+    closed = kind in ("cylindric", "distinct")
+    n = len(delta) if closed else len(delta) + 1
+    weights = None
+    if kind != "symmetric":
+        weights = tuple(data.draw(st.lists(
+            st.sampled_from((0, Fr(1, 2), 1, Fr(3, 2), 2)), min_size=n, max_size=n)))
+    kind, d, w = _resolve(kind, delta, weights)
+    z_cap = data.draw(st.one_of(st.none(), st.integers(0, 8)))
+    if 0 in w and z_cap is None:
+        z_cap = data.draw(st.integers(0, 8))
+    q = data.draw(st.sampled_from(range(1, _ORACLE_Q[n] + 1)))  # evenly, not small first
+    window = Window(q, z_cap, data.draw(st.sampled_from((1, 2))))
+    aw, scale = _scaled_weights(w, window.q_scale)
+    budget = window.q_truncation * scale - 1
+    # None, binding, or so large that it cannot bind
+    max_rows = data.draw(st.one_of(st.none(), st.sampled_from(range(6)), st.just(budget + 1)))
+    if not any(aw) and max_rows is None:
+        max_rows = data.draw(st.integers(0, 5))
+    args = (d, aw, closed, kind == "distinct", budget, window.z_truncation, max_rows)
+    assert _count_rows(*args) == _count_rows_by_lists(*args)
+
+
+def _largest_part_rows(n_max):
+    """rows[k][m]: the partitions of m with largest part k, the coefficients
+    of q^k / (q;q)_k, from p_k(m) = p_(k-1)(m) + p_k(m - k), p_k counting the
+    partitions into parts of at most k."""
+    p = [1] + [0] * n_max
+    rows = [p[:]]
+    for k in range(1, n_max + 1):
+        for m in range(k, n_max + 1):
+            p[m] += p[m - k]
+        rows.append([0] * k + p[:n_max + 1 - k])
+    return rows
+
+
+def _slot_sizes(monkeypatch) -> list:
+    """The slot size of each count that ``_count_rows`` starts, in order, as
+    it takes the guard of its slots."""
+    sizes, real = [], lattice._guard
+
+    def spy(slots, size, headroom):
+        sizes.append(size)
+        return real(slots, size, headroom)
+
+    monkeypatch.setattr(lattice, "_guard", spy)
+    return sizes
+
+
+@pytest.mark.parametrize("z_cap, max_rows", ((None, None), (40, None), (None, 20)))
+def test_packed_counter_widens_its_slots_and_counts_again(monkeypatch, z_cap, max_rows):
+    # below q^400 the counts reach 2^58, and 2^53 for at most 20 parts: past
+    # the 4- and 6-byte slots, each of which the count must leave for wider ones
+    sizes = _slot_sizes(monkeypatch)
+    g = genfun_by_enumeration("cylindric", (1,), window=Window(400, z_cap), max_rows=max_rows)
+    assert sizes == [4, 6, 8]
+    if max_rows is None:
+        want = _largest_part_rows(399)[:None if z_cap is None else z_cap + 1]
+        assert g == TruncatedSeries({(k, m): c for k, row in enumerate(want)
+                                     for m, c in enumerate(row) if c}, 400, z_cap)
+        assert max(g.coeffs.values()).bit_length() == 58
+    else:  # by conjugation, chains of at most R rows are counted by 1/(q;q)_R
+        assert g.collapse_z() == inv_poch_finite(qf(1, 1), max_rows, Window(400))
+        assert max(g.collapse_z().coeffs.values()).bit_length() == 53
+
+
+def test_packed_counter_widens_where_only_a_running_sum_fills_its_slots(monkeypatch):
+    # below q^160 open width-1 chains number up to 2^33: every bound's sum
+    # fits 4-byte slots, and only the running sums and z-rows outgrow them
+    sizes = _slot_sizes(monkeypatch)
+    args = ((1,), (1, 1), False, False, 159, None, None)
+    assert _count_rows(*args) == _count_rows_by_lists(*args)
+    assert sizes == [4, 6]
 
 
 def _tuples_within(weights, budget, parts):
