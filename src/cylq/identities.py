@@ -68,6 +68,7 @@ from .series import (
     _combine,
     _poch,
     _running,
+    inv_poch_finite,
     one,
     poch_infinite,
     poch_product,
@@ -346,7 +347,9 @@ class IdentityCase:
         """The window the case runs in and reports: ``window`` or the case's
         own, a missing z-bound taken from the case's.  A z-bound on a case
         without one, or a q-grid other than the case's, is refused: the case
-        would not use it, so its report would claim what it did not run."""
+        would not use it, so its report would claim what it did not run.  A
+        window without a q-bound is refused too: no case's sides end there.
+        Runners take the window this returns as it is."""
         window = self.window if window is None else window
         if window.z_truncation is not None and self.window.z_truncation is None:
             raise ValueError("case %s has no z-window, so it cannot run in z <= %d"
@@ -354,6 +357,7 @@ class IdentityCase:
         if window.q_scale != self.window.q_scale:
             raise ValueError("case %s runs on the q-grid of scale %d, not %d"
                              % (self.label, self.window.q_scale, window.q_scale))
+        _require_q(window)
         if window.z_truncation is None:
             return replace(window, z_truncation=self.window.z_truncation)
         return window
@@ -424,13 +428,13 @@ def _sum_and_chain(labels, total, sum_text, chain, chain_text, spec, text, w) ->
     ]
 
 
-def _weighted_open_chain(n_trunc: int) -> tuple:
+def _weighted_open_chain(w: Window) -> tuple:
     """The open chain (1,-1) with weights (0,1,0), z collapsed, and the
     product 1/((q;q)_inf^3 (q;q^2)_inf) claimed for it."""
     enum = genfun_by_enumeration(
-        "skew-shifted", (1, -1), (0, 1, 0), window=Window(n_trunc, n_trunc)
+        "skew-shifted", (1, -1), (0, 1, 0), window=Window(w.q_truncation, w.q_truncation)
     ).collapse_z()
-    return enum, ProductSpec.make((), [(1, 1), (1, 1), (1, 1), (1, 2)]).expand(Window(n_trunc))
+    return enum, ProductSpec.make((), [(1, 1), (1, 1), (1, 1), (1, 2)]).expand(w)
 
 
 # -- case runners ------------------------------------------------------------
@@ -442,8 +446,7 @@ def _weighted_open_chain(n_trunc: int) -> tuple:
     "equal",
     Window(30),
 )
-def _run_euler_sum(window: Window) -> list:
-    w = Window(_require_q(window))
+def _run_euler_sum(w: Window) -> list:
     return [
         compare_series(
             "sum = product",
@@ -461,8 +464,7 @@ def _run_euler_sum(window: Window) -> list:
     "equal",
     Window(40),
 )
-def _run_rogers_ramanujan(window: Window) -> list:
-    w = Window(_require_q(window))
+def _run_rogers_ramanujan(w: Window) -> list:
     out = []
     for shift in (0, 1):
         out.append(
@@ -484,8 +486,7 @@ def _run_rogers_ramanujan(window: Window) -> list:
     "equal",
     Window(26),
 )
-def _run_mod7(window: Window) -> list:
-    w = Window(_require_q(window))
+def _run_mod7(w: Window) -> list:
     return _sum_and_chain(
         ("double sum = product", "(q;q)_inf x closed-chain product = product"),
         sum_double_mod7(w),
@@ -498,10 +499,9 @@ def _run_mod7(window: Window) -> list:
     )
 
 
-def _run_product_sweep(kind: str, max_width: int, window: Window) -> list:
+def _run_product_sweep(kind: str, max_width: int, w: Window) -> list:
     """Enumeration = product for every profile of width <= max_width,
     standard weights, closed (``cylindric``) or open chains."""
-    w = Window(_require_q(window))
     closed = kind == "cylindric"
     product = cp_product if closed else dspp_product
     enum_text = "%s enumeration, standard weights" % ("closed-chain" if closed else "open-chain")
@@ -543,10 +543,9 @@ _case(
     "equal",
     Window(12),
 )
-def _run_open_chain_weighted(window: Window) -> list:
-    n_trunc = _require_q(window)
-    enum, claimed = _weighted_open_chain(n_trunc)
-    witness = enum.coefficient(0, 3) if n_trunc > 3 else None
+def _run_open_chain_weighted(w: Window) -> list:
+    enum, claimed = _weighted_open_chain(w)
+    witness = enum.coefficient(0, 3) if w.q_truncation > 3 else None
     return [
         compare_series(
             "enumeration = claimed product",
@@ -560,7 +559,7 @@ def _run_open_chain_weighted(window: Window) -> list:
             "enumeration = two-multiset product",
             enum,
             _ENUM("open-chain enumeration, profile (1,-1), weights (0,1,0)"),
-            dspp_product((1, -1), (0, 1, 0), Window(n_trunc)),
+            dspp_product((1, -1), (0, 1, 0), w),
             _PROD("two-multiset product for weights (0,1,0)"),
         ),
     ]
@@ -573,8 +572,7 @@ def _run_open_chain_weighted(window: Window) -> list:
     "equal",
     Window(12, 12),
 )
-def _run_symmetric_width4(window: Window) -> list:
-    w = Window(_require_q(window), window.z_truncation)
+def _run_symmetric_width4(w: Window) -> list:
     system = build_system("skew-shifted", (1, -1), (1, 2, 1), normalized=True)
     solved = solve_fixed_point(system, w)
     products = {
@@ -619,8 +617,7 @@ def _run_symmetric_width4(window: Window) -> list:
     "equal",
     Window(40, 10),
 )
-def _run_mod4(window: Window) -> list:
-    w = Window(_require_q(window), window.z_truncation)
+def _run_mod4(w: Window) -> list:
     lhs = sum_alternating_mod4(w)
     product = poch_product([zf(1, 1, 4), zf(1, 3, 4, -1)], [], w)
     stacked = _stack_values(closed_form_width4((1, -1)), w.z_truncation, w)
@@ -660,8 +657,7 @@ def _run_mod4(window: Window) -> list:
     "equal",
     Window(36),
 )
-def _run_mod12(window: Window) -> list:
-    w = Window(_require_q(window))
+def _run_mod12(w: Window) -> list:
     targets = {
         (1, -1, 1): (
             ProductSpec.make([(4, 12), (8, 12)], [(6, 12)]),
@@ -720,8 +716,7 @@ def _run_mod12(window: Window) -> list:
     "equal",
     Window(40),
 )
-def _run_goellnitz(window: Window) -> list:
-    w = Window(_require_q(window))
+def _run_goellnitz(w: Window) -> list:
     data = {
         "GG1": ((1, 1, 1), ProductSpec.make((), [(3, 8), (4, 8), (5, 8)]),
                 "1/(q^3,q^4,q^5;q^8)_inf"),
@@ -754,11 +749,7 @@ def _run_goellnitz(window: Window) -> list:
     "equal",
     Window(21, 20),
 )
-def _run_schmidt_refined(window: Window) -> list:
-    n_trunc, d_cap = _require_q(window), window.z_truncation
-    w = Window(n_trunc, d_cap)
-    wd = Window(min(n_trunc, 15), min(d_cap, 15))  # diamonds grow fastest
-    wd_note = "" if wd == w else "checked in q<%d z<=%d only" % (wd.q_truncation, wd.z_truncation)
+def _run_schmidt_refined(w: Window) -> list:
     out = []
 
     strict_odd = schmidt_genfun("distinct", w, "odd")
@@ -820,15 +811,12 @@ def _run_schmidt_refined(window: Window) -> list:
         )
     )
     plain_even = schmidt_genfun("unrestricted", w, "even")
-    inv_one_minus_z = TruncatedSeries(
-        {(0, 0): 1, (1, 0): -1}, n_trunc, d_cap, 1
-    ).invert()
     out.append(
         compare_series(
             "unrestricted, even marks: enumeration = product",
             plain_even,
             _ENUM("partitions, z^largest q^(even-position sum)"),
-            poch_product([], [zf(1, 1, 1), zf(1, 1, 1)], w) * inv_one_minus_z,
+            poch_product([], [zf(1, 1, 1), zf(1, 1, 1)], w) * inv_poch_finite(zf(1, 0, 1), 1, w),
             _PROD("1/((1-z) (zq;q)_inf^2)"),
         )
     )
@@ -842,15 +830,14 @@ def _run_schmidt_refined(window: Window) -> list:
         )
     )
 
-    diamonds = schmidt_genfun("diamond", wd)
+    diamonds = schmidt_genfun("diamond", w)
     out.append(
         compare_series(
             "diamonds: enumeration = product",
             diamonds,
             _ENUM("partition diamonds, z^largest q^(anchor sum)"),
-            poch_product([zf(1, 1, 1, -1)], [zf(1, 1, 1)] * 3, wd),
+            poch_product([zf(1, 1, 1, -1)], [zf(1, 1, 1)] * 3, w),
             _PROD("(-zq;q)_inf / (zq;q)_inf^3"),
-            note=wd_note,
         )
     )
     out.append(
@@ -858,9 +845,8 @@ def _run_schmidt_refined(window: Window) -> list:
             "diamonds: enumeration = open chain",
             diamonds,
             _ENUM("partition diamonds, z^largest q^(anchor sum)"),
-            genfun_by_enumeration("skew-shifted", (1, -1), (0, 1, 0), window=wd),
+            genfun_by_enumeration("skew-shifted", (1, -1), (0, 1, 0), window=w),
             _ENUM("open chain (1,-1), weights (0,1,0)"),
-            note=wd_note,
         )
     )
     return out
@@ -873,10 +859,8 @@ def _run_schmidt_refined(window: Window) -> list:
     "equal",
     Window(16),
 )
-def _run_schmidt_marginals(window: Window) -> list:
-    n_trunc = _require_q(window)
-    w = Window(n_trunc, n_trunc)
-    wq = Window(n_trunc)
+def _run_schmidt_marginals(wq: Window) -> list:
+    w = Window(wq.q_truncation, wq.q_truncation)
     return [
         compare_series(
             "distinct, odd marks",
@@ -910,8 +894,8 @@ def _run_schmidt_marginals(window: Window) -> list:
     "equal",
     Window(16),
 )
-def _run_hook_counts(window: Window) -> list:
-    n_trunc = _require_q(window)
+def _run_hook_counts(w: Window) -> list:
+    n_trunc = w.q_truncation
     max_weight = n_trunc - 1
     odd = count_distinct_by_marked_sum(max_weight, "odd")
     hooks = count_partitions_by_hook(max_weight)
@@ -946,9 +930,7 @@ def _run_hook_counts(window: Window) -> list:
     "equal",
     Window(40),
 )
-def _run_signed_distinct(window: Window) -> list:
-    n_trunc = _require_q(window)
-    w = Window(n_trunc)
+def _run_signed_distinct(w: Window) -> list:
     product = poch_product([qf(1, 2), qf(2, 2, -1)], [], w)
     out = [
         compare_series(
@@ -966,7 +948,7 @@ def _run_signed_distinct(window: Window) -> list:
             _PROD("(q;q^2)_inf (-q^2;q^2)_inf"),
         ),
     ]
-    degrees = itertools.takewhile(lambda n: n * n + n < n_trunc, itertools.count())
+    degrees = itertools.takewhile(lambda n: n * n + n < w.q_truncation, itertools.count())
     chain = _combine(w, [(h, 0, n, 1) for n, h in zip(degrees, closed_form_width4((1, -1)).values(w))])
     doubled = poch_product([qf(2, 4), qf(4, 4, -1)], [], w)
     out.append(
@@ -978,37 +960,18 @@ def _run_signed_distinct(window: Window) -> list:
             _PROD("(q^2;q^4)_inf (-q^4;q^4)_inf"),
         )
     )
-    halved_coeffs = {}
-    even_only = True
-    for z_deg, q_exp, c in chain.items():
-        num = q_exp.numerator
-        if q_exp.denominator != 1 or num % 2:
-            even_only = False
-            break
-        halved_coeffs[(z_deg, num // 2)] = c
-    # exponents below n_trunc halve to exponents below ceil(n_trunc / 2)
-    half_trunc = (n_trunc + 1) // 2
-    half_w = Window(half_trunc)
-    if even_only:
-        out.append(
-            compare_series(
-                "halved chain = product",
-                TruncatedSeries(halved_coeffs, half_trunc, None, 1),
-                _CLOSED("the chain with every exponent halved"),
-                poch_product([qf(1, 2), qf(2, 2, -1)], [], half_w),
-                _PROD("(q;q^2)_inf (-q^2;q^2)_inf"),
-            )
+    # the chain's coefficients read on the q^(1/2) grid: exponents below N
+    # halve to exponents below ceil(N / 2), and an odd one stays a term
+    half_trunc = (w.q_truncation + 1) // 2
+    out.append(
+        compare_series(
+            "halved chain = product",
+            TruncatedSeries(dict(chain.coeffs), half_trunc, None, 2 * chain.q_scale),
+            _CLOSED("the chain with every exponent halved"),
+            poch_product([qf(1, 2), qf(2, 2, -1)], [], Window(half_trunc)),
+            _PROD("(q;q^2)_inf (-q^2;q^2)_inf"),
         )
-    else:
-        out.append(
-            _flag_comparison(
-                "halved chain = product",
-                _CLOSED("the chain with every exponent halved"),
-                _PROD("(q;q^2)_inf (-q^2;q^2)_inf"),
-                False,
-                "chain has an odd or fractional exponent; halving undefined",
-            )
-        )
+    )
     return out
 
 
@@ -1019,8 +982,7 @@ def _run_signed_distinct(window: Window) -> list:
     "equal",
     Window(15, 15),
 )
-def _run_distinct_pairs(window: Window) -> list:
-    w = Window(_require_q(window), window.z_truncation)
+def _run_distinct_pairs(w: Window) -> list:
     system = build_system("distinct", (1, -1), (0, 1))
     solved = solve_fixed_point(system, w)
     return [
@@ -1055,8 +1017,7 @@ def _run_distinct_pairs(window: Window) -> list:
     "equal",
     Window(12, 12),
 )
-def _run_solver_vs_enumeration(window: Window) -> list:
-    w = Window(_require_q(window), window.z_truncation)
+def _run_solver_vs_enumeration(w: Window) -> list:
     out = []
     for kind in ("cylindric", "skew-shifted"):
         solved: dict = {}
@@ -1084,9 +1045,7 @@ def _run_solver_vs_enumeration(window: Window) -> list:
     "equal",
     Window(18),
 )
-def _run_product_embedding(window: Window) -> list:
-    n_trunc = _require_q(window)
-    w = Window(n_trunc)
+def _run_product_embedding(w: Window) -> list:
     theta = theta_sum(2, 3, w)
     chain = genfun_by_enumeration(
         "cylindric", (-1, -1, 1), (2, 1, 2), window=w
@@ -1126,9 +1085,7 @@ def _run_product_embedding(window: Window) -> list:
     "equal",
     Window(10),
 )
-def _run_symmetric_mirror(window: Window) -> list:
-    n_trunc = _require_q(window)
-    w = Window(n_trunc)
+def _run_symmetric_mirror(w: Window) -> list:
     out = []
     for half in ((1,), (1, 1), (1, -1), (-1, 1)):
         sym = genfun_by_enumeration("symmetric", half, window=w).collapse_z()
@@ -1160,10 +1117,9 @@ _W4 = ((1, 1), (1, -1), (-1, 1))
 _W6 = ((1, 1, 1), (1, 1, -1), (1, -1, 1), (-1, 1, 1))
 
 
-def _run_closed_forms(width: int, window: Window) -> list:
+def _run_closed_forms(width: int, w: Window) -> list:
     """Solver coefficients = the stacked closed forms, every profile of the
     width-4 or width-6 family; width 4 adds its reversal symmetry."""
-    w = Window(_require_q(window), window.z_truncation)
     start, weights, profiles, form = {
         4: ((1, -1), (1, 2, 1), _W4, closed_form_width4),
         6: ((1, -1, 1), (1, 2, 2, 1), _W6, closed_form_width6),
@@ -1251,12 +1207,10 @@ def _run_coefficient_recurrences(window: Window) -> list:
     "report-only",
     Window(12),
 )
-def _run_mixed_weighted_pair(window: Window) -> list:
-    n_trunc = _require_q(window)
-    wq = Window(n_trunc)
-    open_side, claimed = _weighted_open_chain(n_trunc)
+def _run_mixed_weighted_pair(wq: Window) -> list:
+    open_side, claimed = _weighted_open_chain(wq)
     closed_side = genfun_by_enumeration(
-        "cylindric", (-1, 1, 1, 1), (1, 1, 0, 0), window=Window(n_trunc, n_trunc)
+        "cylindric", (-1, 1, 1, 1), (1, 1, 0, 0), window=Window(wq.q_truncation, wq.q_truncation)
     ).collapse_z()
     return [
         compare_series(
@@ -1315,10 +1269,8 @@ _CHAIN_TWO = (
 )
 
 
-def _run_mod5_chain(chain, window: Window) -> list:
+def _run_mod5_chain(chain, w: Window) -> list:
     target_text, target_spec, core_spec, entries = chain
-    n_trunc = _require_q(window)
-    w = Window(n_trunc)
     target = target_spec.expand(w)
     core = core_spec.expand(w)
     out = []
@@ -1409,8 +1361,8 @@ def verify(case, window: Optional[Window] = None) -> dict:
     ``case`` is an `IdentityCase` or a registry label.  ``window``
     defaults to the case's own; a window without a z-bound takes the
     case's z-bound, and the report records the window the case ran in.  A
-    z-bound on a case without one, or a q-grid other than the case's,
-    raises ``ValueError``.
+    z-bound on a case without one, a q-grid other than the case's, or a
+    window without a q-bound raises ``ValueError``.
     The report is a JSON-shaped dict (schema ``cylq-report/1``) recording
     that window, the conventions in force, one entry per comparison with
     provenance for both sides, and -- for unequal comparisons -- the first

@@ -54,7 +54,7 @@ from itertools import repeat
 from operator import mul
 from typing import Iterator, Optional, Sequence
 
-from .series import TruncatedSeries, Window, _doublings, _from_rows, _guard, _unpack
+from .series import TruncatedSeries, Window, _doublings, _from_rows, _guard, _unpack, _wider
 
 __all__ = [
     "is_above",
@@ -704,8 +704,8 @@ def _count_rows(delta, aw, closed: bool, strict: bool, budget: int,
     over R - 1 levels from S_0 = 1, each over the bounds that chains meet
     R - 1 - L rows down and the rows under them.  Slots start at 4 bytes;
     where one reaches its guard (``series._guard``) the count is done again
-    in slots of s + 1 + floor(s / 4) bytes.  No call depth grows with the
-    window or the cap.
+    in wider slots (``series._wider``).  No call depth grows with the window
+    or the cap.
     """
     n = len(aw)
     if rows_cap is not None and all(aw) and rows_cap >= budget // min(aw):
@@ -751,6 +751,9 @@ def _count_rows(delta, aw, closed: bool, strict: bool, budget: int,
                     if k in own:
                         marks[i] = running  # v counts 0 in its own sum
                     s = read(k, marks)
+                    # s - 1 sums rows the running sum holds, and that passed
+                    # its guard: only the 1 in slot 0 can reach the guard
+                    # here, where weight-0 rows took slot 0 to one below it
                     if s & guard:
                         return None
                     if k in own:
@@ -781,9 +784,9 @@ def _count_rows(delta, aw, closed: bool, strict: bool, budget: int,
                     marks[u + 1] = running
             for k in need:
                 sums[k] = read(k, marks)
-                if sums[k] & guard:
+                if sums[k] & guard:  # bounded as the uncapped read is
                     return None
-        for wv, z, k in zip(wts, zs, which):
+        for wv, z, k in zip(wts, zs, which):  # also rows no level adds, one level deeper
             acc[z] += (sums[k] << bits * wv) & full
             if acc[z] & guard:
                 return None
@@ -791,7 +794,7 @@ def _count_rows(delta, aw, closed: bool, strict: bool, budget: int,
 
     size = 4
     while (acc := count(size)) is None:
-        size += 1 + size // 4
+        size = _wider(size)
     stride, rows = budget + 1, []
     per = -(-_DECODED_SLOTS // stride)
     for z in range(0, len(acc), per):

@@ -336,6 +336,12 @@ def _guard(slots, size, headroom):
     return _offset(slots, size, ((1 << headroom + 1) - 1) << 8 * size - 1 - headroom)
 
 
+def _wider(size):
+    """The slot size, in bytes, to take after slots of ``size`` bytes reached
+    their guard: a quarter more, and at least one byte more."""
+    return size + 1 + size // 4
+
+
 def _doublings(e, slots):
     """The shifts e, 2e, 4e, ... below ``slots``: below q^slots, 1 / (1 - q^e)
     is the product of (1 + q^s) over them."""
@@ -351,8 +357,8 @@ def _times_binomials(work, size, slots, headroom):
     ``(pack, shifts)``, cut to the low ``slots`` slots and then times (1 +
     q^s) for each of its shifts, ``P + (P << s bits)`` cut again, in slots
     of ``size`` bytes or, where a slot reaches the guard of :func:`_guard`,
-    in slots of ``size + 1 + size // 4`` bytes, again as often as it takes,
-    the degree done again from ``work``.
+    in slots of :func:`_wider` bytes, again as often as it takes, the degree
+    done again from ``work``.
 
     With H the headroom, every slot is below 2^(8 size - 1 - H) before a
     run of H + 1 adds, so below 2^(8 size) after it, and none carries into
@@ -376,7 +382,7 @@ def _times_binomials(work, size, slots, headroom):
         return done
 
     while (done := shift_adds()) is None:
-        wider = size + 1 + size // 4
+        wider = _wider(size)
         work = [(_widen(packed, size, wider, slots), shifts) for packed, shifts in work]
         size = wider
     return done, size

@@ -5,10 +5,11 @@ import pathlib
 import tracemalloc
 from functools import partial
 from itertools import islice
+from types import SimpleNamespace
 
 import pytest
 
-from cylq import cli
+from cylq import cli, identities
 from cylq.identities import (
     compare_series,
     get_case,
@@ -33,8 +34,8 @@ from cylq.lattice import (
     signed_distinct_genfun,
 )
 from cylq.recur import closed_form_width6, width6_min_exponent
-from cylq.series import (TruncatedSeries, Window, gauss_binomial, inv_poch_finite, one, poch_finite,
-                         poch_product, qf, zero, zf)
+from cylq.series import (TruncatedSeries, Window, gauss_binomial, inv_poch_finite, monomial, one,
+                         poch_finite, poch_product, qf, zero, zf)
 
 EXPECTED_LABELS = {
     "coefficient-recurrences",
@@ -104,13 +105,39 @@ def test_every_case_reports_at_smallest_window(window):
         json.dumps(rep)
 
 
-def test_schmidt_refined_notes_the_window_of_its_diamonds():
-    """The diamond comparisons run in at most q<15 z<=15 and say so."""
-    for window, note in [(None, "checked in q<15 z<=15 only"), (Window(21, 10), "checked in q<15 z<=10 only"),
-                         (Window(15, 12), ""), (Window(12, 10), "")]:
-        notes = [(c["label"].startswith("diamonds"), c["note"])
-                 for c in verify("schmidt-refined", window)["comparisons"]]
-        assert notes == [(False, "")] * 8 + [(True, note)] * 2
+def test_schmidt_refined_checks_its_diamonds_in_the_whole_window():
+    """Both diamond comparisons pass in the reported window, past q^15 and
+    z^15 too, with nothing to note."""
+    for window in (Window(21, 20), Window(30, 30)):
+        diamonds = [c for c in verify("schmidt-refined", window)["comparisons"]
+                    if c["label"].startswith("diamonds")]
+        assert [(c["equal"], c["note"]) for c in diamonds] == [(True, "")] * 2
+
+
+def test_every_case_refuses_a_window_without_a_q_bound():
+    for label in registry():
+        with pytest.raises(ValueError, match="identity evaluation needs a finite q-window"):
+            verify(label, Window(None))
+
+
+def test_halved_chain_reports_an_odd_exponent_as_a_first_difference(monkeypatch):
+    """A width-4 form whose chain gains q^1 halves to a chain with a term at
+    q^(1/2): an ordinary unequal comparison, not a refusal."""
+    real = identities.closed_form_width4
+
+    def patched(profile):
+        def values(window):
+            stream = real(profile).values(window)
+            yield next(stream) + monomial(0, 1, window)
+            yield from stream
+        return SimpleNamespace(values=values)
+
+    monkeypatch.setattr(identities, "closed_form_width4", patched)
+    by_label = {c["label"]: c for c in verify("signed-distinct-mod2", Window(12))["comparisons"]}
+    halved = by_label["halved chain = product"]
+    assert halved["equal"] is False
+    assert halved["first_difference"] == {"z_degree": 0, "q_exponent": "1/2", "lhs": 1, "rhs": 0}
+    assert halved["coefficients"] == [halved["first_difference"]]
 
 
 def test_report_shape_and_conventions():

@@ -2,6 +2,7 @@
 
 import gc
 import itertools
+import linecache
 import sys
 from collections import Counter
 from fractions import Fraction as Fr
@@ -717,6 +718,41 @@ def test_packed_counter_widens_where_only_a_running_sum_fills_its_slots(monkeypa
     args = ((1,), (1, 1), False, False, 159, None, None)
     assert _count_rows(*args) == _count_rows_by_lists(*args)
     assert sizes == [4, 6]
+
+
+def _guards_tripped(*args) -> tuple:
+    """The rows ``_count_rows(*args)`` gives, and the guard test (the line
+    before its ``return None``) of each count it gave up on, in order."""
+    tripped = []
+
+    def on_return(frame, event, arg):
+        if event == "return" and arg is None:
+            tripped.append(linecache.getline(frame.f_code.co_filename, frame.f_lineno - 1).strip())
+
+    def on_call(frame, event, arg):
+        if frame.f_code.co_name != "count":
+            return None
+        frame.f_trace_lines = False
+        return on_return
+
+    sys.settrace(on_call)
+    try:
+        rows = _count_rows(*args)
+    finally:
+        sys.settrace(None)
+    return rows, tripped
+
+
+def test_packed_counter_widens_where_only_a_capped_z_row_fills_its_slots(monkeypatch):
+    # open chains (-1,1,1) with weights (0,1,0,0), parts at most 18 and at
+    # most 5 rows: below q^18 a z-row reaches 2^31, while no level's running
+    # sum or read passes 2^26, since the z-rows add rows no level adds
+    sizes = _slot_sizes(monkeypatch)
+    args = ((-1, 1, 1), (0, 1, 0, 0), False, False, 17, 18, 5)
+    rows, tripped = _guards_tripped(*args)
+    assert sizes == [4, 6] and tripped == ["if acc[z] & guard:"]
+    assert max(c for row in rows for c in row).bit_length() == 32
+    assert rows == _count_rows_by_lists(*args)
 
 
 def _tuples_within(weights, budget, parts):

@@ -420,6 +420,31 @@ def test_pretty_output_mentions_prefactors():
     assert "h[+1,-1]" in rec.pretty()
 
 
+def test_display_strings_are_pinned_on_small_systems():
+    s = make_series([(0, 0, 1), (0, 1, -2), (1, Fraction(1, 2), 1), (2, 3, -1)], Window(5, 3, 2))
+    assert repr(s) == "TruncatedSeries(q<5, z<=3, scale=2, 4 terms)"
+    assert repr(zero(Window(None))) == "TruncatedSeries(q<inf, z<=inf, scale=1, 0 terms)"
+    assert s.pretty() == "1 - 2*q + z*q^1/2 - z^2*q^3"
+    assert (-s).pretty(max_terms=2) == "-1 + 2*q + ..."
+    assert zero(Window(4)).pretty() == "0"
+    system = build_system("skew-shifted", (1, -1), (1, 2, 1))
+    assert eliminate(system, (-1, 1)).pretty() == (
+        "H[-1,+1](z) = (1 + z*q - z*q^3 - z^2*q^4) H[-1,+1](z*q^4)")
+    assert eliminate(system, (1, 1)).pretty() == (
+        "elimination failed: substitution cycle: profile (1, -1) would be needed twice")
+    assert FunctionalTerm(-1, 2, (1, -1), ((0, 0, 1), (1, 1, -1)), Fraction(1, 2)).pretty() == (
+        "- (1 - z*q) F[+1,-1](z*q^2) / (1 - z*q^(1/2))")
+    distinct = build_system("distinct", (1, -1), (0, 1))
+    assert distinct.pretty().splitlines() == [
+        "F[-1,+1](z) = 1 + (z) F[+1,-1](z) / (1 - z)",
+        "F[+1,-1](z) = 1 + (z*q) F[-1,+1](z*q^1) / (1 - z*q^1)",
+    ]
+    recs = to_coefficient_recurrences(distinct)
+    assert recs[(1, -1)].pretty() == (
+        "(1) * h[+1,-1](n) + (-q^(n)) * h[-1,+1](n-1) + (-q^(1)) * h[+1,-1](n-1)"
+        " = at n=0: 1*q^0; at n=1: -1*q^1")
+
+
 def test_linqpoly_pretty_signs_every_offset():
     poly = LinQPoly.from_entries([(1, 2, 1), (2, -3, -1), (3, Fraction(1, 2), 2),
                                   (1, Fraction(-3, 2), 1), (Fraction(1, 2), 0, 1), (0, 5, -1)])
