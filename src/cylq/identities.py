@@ -302,17 +302,13 @@ def compare_series(
     note: str = "",
 ) -> Comparison:
     """Compare two series on the intersection of their windows."""
-    diff = lhs.first_difference(rhs)
-    rows = ()
-    if diff is not None:
-        delta = lhs - rhs
-        keyed = sorted(delta.items(), key=lambda t: (t[1], t[0]))
-        out = []
-        for z_deg, q_exp, _c in keyed[:max_rows]:
-            out.append(
-                (z_deg, q_exp, lhs.coefficient(z_deg, q_exp), rhs.coefficient(z_deg, q_exp))
-            )
-        rows = tuple(out)
+    def row(z, e, _c):
+        return z, e, lhs.coefficient(z, e), rhs.coefficient(z, e)
+
+    delta = _combine(lhs.window, [(lhs, 0, 0, 1), (rhs, 0, 0, -1)])
+    keyed = sorted(delta.items(), key=lambda t: (t[1], t[0]))
+    diff = row(*keyed[0]) if keyed else None
+    rows = tuple(row(*t) for t in keyed[:max_rows])
     return Comparison(label, lhs_side, rhs_side, diff is None, diff, rows, note)
 
 

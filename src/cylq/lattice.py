@@ -54,7 +54,7 @@ from itertools import repeat
 from operator import mul
 from typing import Iterator, Optional, Sequence
 
-from .series import TruncatedSeries, Window, _doublings, _from_rows, _guard, _unpack, _wider
+from .series import TruncatedSeries, Window, _doublings, _from_rows, _guard, _times_binomials, _unpack, _wider
 
 __all__ = [
     "is_above",
@@ -79,6 +79,7 @@ __all__ = [
 ]
 
 KINDS = ("cylindric", "skew-shifted", "symmetric", "distinct")
+_CLOSED_KINDS = ("cylindric", "distinct")  # chains that close into a cycle
 
 
 # ---------------------------------------------------------------------------
@@ -289,7 +290,7 @@ def scp_weights(width: int) -> tuple:
 
 def standard_weights(kind: str, width: int) -> tuple:
     """All-ones weights of the right length for the kind."""
-    if kind in ("cylindric", "distinct"):
+    if kind in _CLOSED_KINDS:
         return (1,) * width
     if kind == "skew-shifted":
         return (1,) * (width + 1)
@@ -698,14 +699,15 @@ def _count_rows(delta, aw, closed: bool, strict: bool, budget: int,
     so S(b) is 1 plus one difference of C per run (Crow's summed-area tables,
     in one coordinate), read at the first row whose bound is b.  Only for a
     constant row is b(v) = v: v counts 0 in its own sum, which then takes
-    the factor 1/(1 - q^wt(v)) by doublings.  A binding ``rows_cap`` R is
-    taken one level at a time: S_L(b), the chains of at most L more rows,
-    is read the same way from the running sum of q^wt(u) S_(L-1)(b(u)),
-    over R - 1 levels from S_0 = 1, each over the bounds that chains meet
-    R - 1 - L rows down and the rows under them.  Slots start at 4 bytes;
+    the factor 1/(1 - q^wt(v)) by doublings (``series._times_binomials``).
+    A binding ``rows_cap`` R is taken one level at a time: S_L(b), the
+    chains of at most L more rows, is read the same way from the running
+    sum of q^wt(u) S_(L-1)(b(u)), over R - 1 levels from S_0 = 1, each over
+    the bounds that chains meet R - 1 - L rows down and the rows under
+    them.  Slots start at 4 bytes;
     where one reaches its guard (``series._guard``) the count is done again
-    in wider slots (``series._wider``).  No call depth grows with the window
-    or the cap.
+    in wider slots (``series._wider``), or in the slots the doublings widened
+    to.  No call depth grows with the window or the cap.
     """
     n = len(aw)
     if rows_cap is not None and all(aw) and rows_cap >= budget // min(aw):
@@ -730,7 +732,7 @@ def _count_rows(delta, aw, closed: bool, strict: bool, budget: int,
             levels.insert(0, level)
             need = set().union(*(below[k] for k in need))
 
-    def count(size):  # the z-rows as packs, or None where a slot reaches its guard
+    def count(size):  # the z-rows as packs, or the slot size to count again in where a slot reaches its guard
         bits = 8 * size
         full, guard = (1 << bits * (budget + 1)) - 1, _guard(budget + 1, size, 0)
         acc = [1] + [0] * max(zs, default=0)
@@ -755,18 +757,17 @@ def _count_rows(delta, aw, closed: bool, strict: bool, budget: int,
                     # its guard: only the 1 in slot 0 can reach the guard
                     # here, where weight-0 rows took slot 0 to one below it
                     if s & guard:
-                        return None
+                        return _wider(size)
                     if k in own:
-                        cut = (1 << bits * (budget - wv + 1)) - 1
-                        for e in _doublings(wv, budget - wv + 1):
-                            s = s + (s << bits * e) & cut
-                            if s & guard:
-                                return None
+                        slots = budget - wv + 1
+                        (s,), wider = _times_binomials([(s, _doublings(wv, slots))], size, slots, 0)
+                        if wider != size:
+                            return wider
                     sums.append(s)
                 g = (s << bits * wv) & full
                 running += g
                 if running & guard:
-                    return None
+                    return _wider(size)
                 if i in keep:
                     marks[i] = running
                 acc[z] += g
@@ -779,22 +780,22 @@ def _count_rows(delta, aw, closed: bool, strict: bool, budget: int,
                     marks[u] = running
                 running += (sums[which[u]] << bits * wts[u]) & full
                 if running & guard:
-                    return None
+                    return _wider(size)
                 if u + 1 in keep:
                     marks[u + 1] = running
             for k in need:
                 sums[k] = read(k, marks)
                 if sums[k] & guard:  # bounded as the uncapped read is
-                    return None
+                    return _wider(size)
         for wv, z, k in zip(wts, zs, which):  # also rows no level adds, one level deeper
             acc[z] += (sums[k] << bits * wv) & full
             if acc[z] & guard:
-                return None
+                return _wider(size)
         return acc
 
     size = 4
-    while (acc := count(size)) is None:
-        size = _wider(size)
+    while isinstance(acc := count(size), int):
+        size = acc
     stride, rows = budget + 1, []
     per = -(-_DECODED_SLOTS // stride)
     for z in range(0, len(acc), per):
@@ -824,7 +825,7 @@ def _resolve(kind, delta, weights):
             )
         w = tuple(Fraction(x) for x in scp_weights(h))
     else:
-        n = h if kind in ("cylindric", "distinct") else h + 1
+        n = h if kind in _CLOSED_KINDS else h + 1
         w = _check_weights((1,) * n if weights is None else weights, n)
     return kind, d, w
 
@@ -855,7 +856,7 @@ def enumerate_objects(
     _check_caps(aw, max_part, max_rows)
 
     out = []
-    if kind in ("cylindric", "distinct"):
+    if kind in _CLOSED_KINDS:
         strict = kind == "distinct"
         for diags, used in _closed_chains(d, aw, budget, max_part, max_rows, strict):
             obj = GridPartition(kind, d, w, diags + (diags[0],))
@@ -902,7 +903,7 @@ def genfun_by_enumeration(
     part_cap = window.z_truncation
     _check_caps(aw, part_cap, max_rows)
 
-    closed = kind in ("cylindric", "distinct")  # symmetric: its half chains
+    closed = kind in _CLOSED_KINDS  # symmetric: its half chains
     rows = _count_rows(d, aw, closed, kind == "distinct", budget, part_cap, max_rows)
     return _from_rows(rows, window.q_truncation, window.z_truncation, scale)
 

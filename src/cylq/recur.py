@@ -40,10 +40,11 @@ from functools import partial
 from math import floor, lcm
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, Union
 
-from .lattice import KINDS, _check_profile, _resolve
-from .series import (TruncatedSeries, Window, _UNIT_STEP, _add_into, _combine, _doublings, _from_pack, _from_rows,
-                     _magnitude, _min_bound, _pack_q, _poch, _rebase, _running, _shift_sum, _signed_spread, _slot_size,
-                     _strip, _times_binomials, _widen, make_series, one, poch_finite, qf, zero, zf)
+from .lattice import _CLOSED_KINDS, KINDS, _check_profile, _resolve
+from .series import (TruncatedSeries, Window, _UNIT_STEP, _add_into, _collect, _combine, _doublings, _from_pack,
+                     _from_rows, _magnitude, _min_bound, _monomial, _pack_q, _poch, _rebase, _running, _shift_sum,
+                     _signed_spread, _signed_sum, _slot_size, _strip, _times_binomials, _widen, make_series, one,
+                     poch_finite, qf, zero, zf)
 
 __all__ = [
     "CheckReport",
@@ -99,7 +100,7 @@ def _is_closed_kind(kind: str) -> bool:
         raise ValueError(
             "unknown kind %r; expected one of %s" % (kind, ", ".join(KINDS))
         )
-    return kind in ("cylindric", "distinct")
+    return kind in _CLOSED_KINDS
 
 
 def corner_set(kind: str, profile: Sequence[int]) -> tuple:
@@ -135,7 +136,7 @@ def corner_moves(
     moves = []
     for j in corner_set(kind, d):
         nd = list(d)
-        if kind in ("cylindric", "distinct") or 0 < j < h:
+        if kind in _CLOSED_KINDS or 0 < j < h:
             nd[j - 1], nd[j] = -1, 1  # a closed chain wraps at j = 0
         elif j == 0:
             nd[0] = 1
@@ -200,19 +201,15 @@ def profile_closure(
 
 
 def _canon_monomials(entries: Iterable) -> tuple:
-    agg: dict = {}
+    pairs = []
     for d, e, c in entries:
-        d = int(d)
-        e = Fraction(e)
-        c = int(c)
+        d, e, c = int(d), Fraction(e), int(c)
         if d < 0:
             raise ValueError("prefactor z-degrees must be nonnegative")
         if e < 0:
             raise ValueError("prefactor q-exponents must be nonnegative")
-        agg[(d, e)] = agg.get((d, e), 0) + c
-    return tuple(
-        (d, e, c) for (d, e), c in sorted(agg.items()) if c != 0
-    )
+        pairs.append(((d, e), c))
+    return tuple((d, e, c) for (d, e), c in sorted(_collect(pairs).items()))
 
 
 ONE_PREFACTOR = ((0, Fraction(0), 1),)
@@ -294,23 +291,7 @@ def _pretty_profile(p: tuple) -> str:
 
 
 def _pretty_poly(monomials: tuple) -> str:
-    if not monomials:
-        return "0"
-    parts = []
-    for d, e, c in monomials:
-        atoms = []
-        if d:
-            atoms.append("z" if d == 1 else "z^%d" % d)
-        if e:
-            atoms.append("q" if e == 1 else "q^%s" % _pretty_exp(e))
-        if not atoms or abs(c) != 1:
-            atoms.insert(0, str(abs(c)))
-        txt = "*".join(atoms)
-        if not parts:
-            parts.append(txt if c > 0 else "-" + txt)
-        else:
-            parts.append(("+ " if c > 0 else "- ") + txt)
-    return " ".join(parts)
+    return _signed_sum((c, _monomial(d, e, _pretty_exp)) for d, e, c in monomials)
 
 
 @dataclass
@@ -781,13 +762,8 @@ class LinQPoly:
         """Collect like terms; an integral ``alpha`` or ``beta`` is kept as an
         ``int`` (equal to, and hashing like, its ``Fraction``), so the
         exponents of :meth:`instantiate` stay ints wherever they can."""
-        agg: dict = {}
-        for a, b, c in entries:
-            key = (_exact(a), _exact(b))
-            agg[key] = agg.get(key, 0) + int(c)
-        return LinQPoly(
-            tuple((a, b, c) for (a, b), c in sorted(agg.items()) if c)
-        )
+        agg = _collect(((_exact(a), _exact(b)), int(c)) for a, b, c in entries)
+        return LinQPoly(tuple((a, b, c) for (a, b), c in sorted(agg.items())))
 
     def is_zero(self) -> bool:
         return not self.entries
@@ -801,26 +777,13 @@ class LinQPoly:
         return {e: c for e, c in out.items() if c}
 
     def pretty(self) -> str:
-        if not self.entries:
-            return "0"
-        parts = []
-        for a, b, c in self.entries:
+        def power(a, b):  # q^(a*n+b), or "" for q^0
             if a == 0:
-                expo = _pretty_exp(b)
-            else:
-                an = "%s*n" % _pretty_exp(a) if a != 1 else "n"
-                if b == 0:
-                    expo = an
-                else:
-                    expo = "%s%s%s" % (an, "+" if b > 0 else "-", _pretty_exp(abs(b)))
-            atom = "q^(%s)" % expo if expo != "0" else "1"
-            if abs(c) != 1:
-                atom = "%d*%s" % (abs(c), atom)
-            if not parts:
-                parts.append(atom if c > 0 else "-" + atom)
-            else:
-                parts.append(("+ " if c > 0 else "- ") + atom)
-        return " ".join(parts)
+                return "q^(%s)" % _pretty_exp(b) if b else ""
+            an = "%s*n" % _pretty_exp(a) if a != 1 else "n"
+            return "q^(%s)" % (an if b == 0 else "%s%s%s" % (an, "+" if b > 0 else "-", _pretty_exp(abs(b))))
+
+        return _signed_sum((c, power(a, b)) for a, b, c in self.entries)
 
 
 @dataclass(frozen=True)
@@ -1165,27 +1128,17 @@ def sigma_prefactor_terms(n: int, m: int) -> tuple:
     as combined ``(exponent, coefficient)`` pairs (exponents may be
     negative; the full summand is still a power series): the groups that
     :func:`closed_form_width6` sums by, expanded at ``m``."""
-    agg: dict = {}
-    for k, terms in _WIDTH6_DATA[(-1, 1, 1)][1](n):
-        for e, c in terms:
-            agg[e - k * m] = agg.get(e - k * m, 0) + c
-    return tuple(sorted((e, c) for e, c in agg.items() if c))
+    groups = _WIDTH6_DATA[(-1, 1, 1)][1](n)
+    return tuple(sorted(_collect((e - k * m, c) for k, terms in groups for e, c in terms).items()))
 
 
 def sigma_prefactor_factored(n: int, m: int) -> tuple:
     """``1 + q^(3n-12m-3) (1 + q^(1+6m)) (q^(3n) - q^(6m)(1 + q^3))``:
     the factored form of the same prefactor, expanded to pairs."""
-    inner: dict = {}
-    for e1, c1 in ((0, 1), (1 + 6 * m, 1)):
-        for e2, c2 in ((3 * n, 1), (6 * m, -1), (6 * m + 3, -1)):
-            key = e1 + e2
-            inner[key] = inner.get(key, 0) + c1 * c2
-    out = {0: 1}
     base = 3 * n - 12 * m - 3
-    for e, c in inner.items():
-        key = base + e
-        out[key] = out.get(key, 0) + c
-    return tuple(sorted((e, c) for e, c in out.items() if c))
+    products = [(base + e1 + e2, c1 * c2) for e1, c1 in ((0, 1), (1 + 6 * m, 1))
+                for e2, c2 in ((3 * n, 1), (6 * m, -1), (6 * m + 3, -1))]
+    return tuple(sorted(_collect([(0, 1)] + products).items()))
 
 
 def closed_form_width6(profile: Sequence[int]) -> CoefficientSequence:

@@ -74,6 +74,37 @@ def _as_fraction(x: QExp) -> Fraction:
     raise TypeError(f"expected an integer or Fraction, got {type(x).__name__}")
 
 
+def _collect(pairs) -> dict:
+    """``{key: total}`` of the ``(key, value)`` pairs, zero totals dropped,
+    keys in the order they first came."""
+    totals: dict = {}
+    for key, c in pairs:
+        totals[key] = totals.get(key, 0) + c
+    return {key: c for key, c in totals.items() if c}
+
+
+def _signed_sum(terms) -> str:
+    """``a - 2*b + ...`` from ``(coefficient, monomial)`` pairs, ``0`` when
+    there are none: a coefficient of magnitude 1 is left out before a
+    monomial, and an empty monomial prints the number alone."""
+    out = ""
+    for c, body in terms:
+        mag = abs(c)
+        text = str(mag) if not body else body if mag == 1 else "%s*%s" % (mag, body)
+        sign = (" - " if c < 0 else " + ") if out else ("-" if c < 0 else "")
+        out += sign + text
+    return out or "0"
+
+
+def _monomial(zdeg, qexp, exp=str) -> str:
+    """``z^k*q^e`` for the signed sums, with unit powers and zero degrees
+    left out; ``exp`` prints the q-exponent."""
+    atoms = ["z" if zdeg == 1 else "z^%d" % zdeg] if zdeg else []
+    if qexp:
+        atoms.append("q" if qexp == 1 else "q^%s" % exp(qexp))
+    return "*".join(atoms)
+
+
 # ---------------------------------------------------------------------------
 # windows
 # ---------------------------------------------------------------------------
@@ -611,29 +642,13 @@ class TruncatedSeries:
 
     def pretty(self, max_terms: int = 24) -> str:
         """Human-readable expansion, lowest terms first."""
-        parts = []
+        terms = []
         for zdeg, qexp, c in self.items():
-            if len(parts) >= max_terms:
-                parts.append("+ ...")
+            if len(terms) >= max_terms:
+                terms.append((1, "..."))
                 break
-            mono = []
-            if zdeg:
-                mono.append("z" if zdeg == 1 else f"z^{zdeg}")
-            if qexp:
-                mono.append("q" if qexp == 1 else f"q^{qexp}")
-            body = "*".join(mono)
-            mag = abs(c)
-            if not body:
-                text = str(mag)
-            elif mag == 1:
-                text = body
-            else:
-                text = f"{mag}*{body}"
-            parts.append(("- " if c < 0 else "+ ") + text)
-        if not parts:
-            return "0"
-        out = " ".join(parts)
-        return out[2:] if out.startswith("+ ") else "-" + out[2:]
+            terms.append((c, _monomial(zdeg, qexp)))
+        return _signed_sum(terms)
 
     # -- canonical form and comparison --------------------------------------
 
@@ -877,11 +892,7 @@ def make_series(
     scale = window.q_scale
     for _, e, _ in terms:
         scale = lcm(scale, _as_fraction(e).denominator)
-    coeffs: dict = {}
-    for z, e, c in terms:
-        qn = int(_as_fraction(e) * scale)
-        key = (z, qn)
-        coeffs[key] = coeffs.get(key, 0) + c
+    coeffs = _collect(((z, int(_as_fraction(e) * scale)), c) for z, e, c in terms)
     return TruncatedSeries(coeffs, window.q_truncation, window.z_truncation, scale)
 
 
@@ -1094,7 +1105,7 @@ def theta_sum(b1: QExp, b2: QExp, window: Window) -> TruncatedSeries:
     span = 2
     while lead * span * span - slope * span < ncap:
         span += 1
-    terms: dict = {}
+    terms = []
     for s in range(-span, span + 1):
         e = a1 * Fraction(s * (s + 1), 2) + a2 * Fraction(s * (s - 1), 2)
         if e < 0:
@@ -1102,11 +1113,9 @@ def theta_sum(b1: QExp, b2: QExp, window: Window) -> TruncatedSeries:
                 "theta_sum hit a negative exponent q^%s (index %d); the series "
                 "leaves the power-series ring" % (e, s)
             )
-        if e >= ncap:
-            continue
-        key = (0, int(e * scale))
-        terms[key] = terms.get(key, 0) + (-1 if s & 1 else 1)
-    return TruncatedSeries(terms, window.q_truncation, window.z_truncation, scale)
+        if e < ncap:
+            terms.append(((0, int(e * scale)), -1 if s & 1 else 1))
+    return TruncatedSeries(_collect(terms), window.q_truncation, window.z_truncation, scale)
 
 
 # ---------------------------------------------------------------------------

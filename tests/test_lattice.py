@@ -39,7 +39,7 @@ from cylq.lattice import (
     up_neighbors_strict,
 )
 from cylq.series import (
-    TruncatedSeries, Window, inv_poch_finite, make_series, poch_infinite, qf, zf,
+    TruncatedSeries, Window, _widen, _wider, inv_poch_finite, make_series, poch_infinite, qf, zf,
 )
 
 
@@ -720,13 +720,30 @@ def test_packed_counter_widens_where_only_a_running_sum_fills_its_slots(monkeypa
     assert sizes == [4, 6]
 
 
+def test_packed_counter_counts_again_in_the_slots_a_doubling_widened(monkeypatch):
+    # no count in reach trips the guard of a constant row's doublings alone,
+    # so a stand-in widens the slots on its first call, as such a trip would
+    sizes, real, calls = _slot_sizes(monkeypatch), lattice._times_binomials, []
+
+    def widens_once(work, size, slots, headroom):
+        calls.append(size)
+        if len(calls) == 1:
+            work, size = [(_widen(p, size, _wider(size), slots), e) for p, e in work], _wider(size)
+        return real(work, size, slots, headroom)
+
+    monkeypatch.setattr(lattice, "_times_binomials", widens_once)
+    args = ((1, -1), (1, 1), True, False, 40, None, None)
+    assert _count_rows(*args) == _count_rows_by_lists(*args)
+    assert sizes == [4, 6] and calls[0] == 4 and len(calls) > 2 and set(calls[1:]) == {6}
+
+
 def _guards_tripped(*args) -> tuple:
     """The rows ``_count_rows(*args)`` gives, and the guard test (the line
-    before its ``return None``) of each count it gave up on, in order."""
+    before its ``return _wider(size)``) of each count it gave up on, in order."""
     tripped = []
 
     def on_return(frame, event, arg):
-        if event == "return" and arg is None:
+        if event == "return" and isinstance(arg, int):
             tripped.append(linecache.getline(frame.f_code.co_filename, frame.f_lineno - 1).strip())
 
     def on_call(frame, event, arg):

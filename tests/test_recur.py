@@ -426,6 +426,9 @@ def test_display_strings_are_pinned_on_small_systems():
     assert repr(zero(Window(None))) == "TruncatedSeries(q<inf, z<=inf, scale=1, 0 terms)"
     assert s.pretty() == "1 - 2*q + z*q^1/2 - z^2*q^3"
     assert (-s).pretty(max_terms=2) == "-1 + 2*q + ..."
+    assert s.pretty(max_terms=4) == s.pretty() and s.pretty(max_terms=3) == "1 - 2*q + z*q^1/2 + ..."
+    assert make_series([(0, 0, 2), (1, 1, -3)], Window(3, 1)).pretty() == "2 - 3*z*q"
+    assert make_series([(0, 0, -2), (0, 2, 1)], Window(3)).pretty() == "-2 + q^2"
     assert zero(Window(4)).pretty() == "0"
     system = build_system("skew-shifted", (1, -1), (1, 2, 1))
     assert eliminate(system, (-1, 1)).pretty() == (
@@ -434,6 +437,9 @@ def test_display_strings_are_pinned_on_small_systems():
         "elimination failed: substitution cycle: profile (1, -1) would be needed twice")
     assert FunctionalTerm(-1, 2, (1, -1), ((0, 0, 1), (1, 1, -1)), Fraction(1, 2)).pretty() == (
         "- (1 - z*q) F[+1,-1](z*q^2) / (1 - z*q^(1/2))")
+    assert FunctionalTerm(1, 0, (1, -1), ((0, 0, 2), (1, 1, -3), (2, Fraction(3, 2), 1))).pretty() == (
+        "(2 - 3*z*q + z^2*q^(3/2)) F[+1,-1](z)")
+    assert FunctionalTerm(1, 0, (1, -1), ((0, 0, -2), (2, 0, 5))).pretty() == "(-2 + 5*z^2) F[+1,-1](z)"
     distinct = build_system("distinct", (1, -1), (0, 1))
     assert distinct.pretty().splitlines() == [
         "F[-1,+1](z) = 1 + (z) F[+1,-1](z) / (1 - z)",
@@ -455,6 +461,11 @@ def test_linqpoly_pretty_signs_every_offset():
     assert all(type(x) is int for a, b, _c in poly.entries for x in (a, b) if x.denominator == 1)
     assert poly == LinQPoly.from_entries([(Fraction(a), Fraction(b), c) for a, b, c in poly.entries])
     assert poly.instantiate(4) == {5: -2, Fraction(5, 2): 1, 6: 1, 2: 1, Fraction(25, 2): 2}
+    # a constant prints as its number, as in the other signed sums
+    assert LinQPoly.from_entries([(0, 0, 3), (1, 0, -2)]).pretty() == "3 - 2*q^(n)"
+    assert LinQPoly.from_entries([(0, 0, -1), (1, 1, 1)]).pretty() == "-1 + q^(n+1)"
+    assert LinQPoly.from_entries([(0, 0, -2)]).pretty() == "-2"
+    assert LinQPoly.from_entries([(0, 0, 2), (0, 0, -2)]).pretty() == "0"
 
 
 def test_functional_term_validation():
@@ -464,6 +475,8 @@ def test_functional_term_validation():
         FunctionalTerm(1, -1, (1, -1))
     with pytest.raises(ValueError):
         FunctionalTerm(1, 0, None)  # constant term needs a value
+    with pytest.raises(ValueError, match="z-degrees must be nonnegative"):
+        FunctionalTerm(1, 0, (1, -1), ((-1, 0, 1), (-1, 0, -1)))  # refused though the sum is 0
     term = FunctionalTerm(1, 2, (1, -1), ((0, 0, 1), (0, 0, 1)))
     assert term.prefactor == ((0, Fraction(0), 2),)
 

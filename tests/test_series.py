@@ -289,6 +289,8 @@ def test_negative_exponent_rejected():
         TruncatedSeries({(0, -1): 1}, 5, None, 1)
     with pytest.raises(ValueError):
         TruncatedSeries({(-1, 0): 1}, 5, None, 1)
+    with pytest.raises(ValueError, match="series keys must be integer pairs"):
+        make_series([("a", 0, 1), (0, 1, 1)], Window(5, 3))
 
 
 def test_degenerate_pochhammer_base():
