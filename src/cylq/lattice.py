@@ -758,9 +758,9 @@ def _count_rows(delta, aw, closed: bool, strict: bool, budget: int,
                     # here, where weight-0 rows took slot 0 to one below it
                     if s & guard:
                         return _wider(size)
-                    if k in own:
-                        slots = budget - wv + 1
-                        (s,), wider = _times_binomials([(s, _doublings(wv, slots))], size, slots, 0)
+                    # with no shifts, read has cut s to these slots already
+                    if k in own and (shifts := _doublings(wv, budget - wv + 1)):
+                        (s,), wider = _times_binomials([(s, shifts)], size, budget - wv + 1, 0)
                         if wider != size:
                             return wider
                     sums.append(s)

@@ -34,13 +34,14 @@ prod_{W1} 1/(q^e; q^(A_{h+1})) * prod_{W2} 1/(q^e; q^(2A_{h+1})).
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, product
+from itertools import accumulate, combinations, zip_longest
 from math import lcm
 from typing import Optional, Sequence
 
-from .lattice import _check_profile, _check_weights, full_profile, scp_weights
+from .lattice import _check_profile, _check_weights, scp_weights
 from .series import TruncatedSeries, Window, one, poch_product, qf
 
 __all__ = [
@@ -76,11 +77,7 @@ CONVENTIONS = {
 
 def prefix_sums(weights: Sequence) -> tuple:
     """Partial sums A_1..A_n of the weights a_0..a_(n-1)."""
-    out, acc = [], Fraction(0)
-    for w in weights:
-        acc += Fraction(w)
-        out.append(acc)
-    return tuple(out)
+    return tuple(accumulate(map(Fraction, weights)))
 
 
 # ---------------------------------------------------------------------------
@@ -89,59 +86,40 @@ def prefix_sums(weights: Sequence) -> tuple:
 
 
 def w3_entries(delta: Sequence[int], A: Sequence, orientation: str = "direct") -> list:
-    """Closed-chain exponents from A = (A_1, ..., A_h), A_h first.  The A_j - A_i
-    depend on A only: ``balance_census`` computes them once per width and never
-    calls the traced ``is_balanced`` or ``w3_multiset`` per profile (8,190 spans)."""
+    """Closed-chain exponents from A = (A_1, ..., A_h), A_h first.  The census
+    lists none of them: it counts a block of profiles' pair exponents at once
+    (:func:`_balanced_mask`), with no traced call per profile."""
     d = _check_profile(delta)
     if orientation not in ORIENTATIONS:
         raise ValueError("orientation must be one of %s" % (ORIENTATIONS,))
     if len(A) != len(d):
         raise ValueError("need the h partial sums A_1..A_h")
-    return [A[-1], *_w3_pairs(d, _pair_diffs(A), A[-1], orientation == "reflected")]
-
-
-def _pair_diffs(A: Sequence) -> list:
-    """[(i, j, A_j - A_i)] over 0-based index pairs i < j, in W3 order."""
-    return [(i, j, A[j] - A[i]) for i in range(len(A)) for j in range(i + 1, len(A))]
-
-
-def _w3_pairs(d: tuple, diffs: list, total, reflected: bool) -> list:
-    """W3's pair entries: e on a descent (an ascent if reflected), else total - e."""
-    return [e if (d[i] > d[j]) != reflected else total - e for i, j, e in diffs if d[i] != d[j]]
+    total, reflected = A[-1], orientation == "reflected"
+    # e = A_j - A_i on a descent (an ascent if reflected), else total - e
+    diffs = ((i, j, A[j] - A[i]) for i, j in combinations(range(len(d)), 2) if d[i] != d[j])
+    return [total, *(e if (d[i] > d[j]) != reflected else total - e for i, j, e in diffs)]
 
 
 def w1_entries(delta: Sequence[int], A: Sequence) -> list:
     """Open-chain first multiset from A = (A_1, ..., A_(h+1))."""
     d = _check_profile(delta)
-    h = len(d)
-    if len(A) != h + 1:
+    if len(A) != len(d) + 1:
         raise ValueError("need the h+1 partial sums A_1..A_(h+1)")
-    total = A[h]
-    entries = [total]
-    for i in range(1, h + 1):
-        entries.append(A[i - 1] if d[i - 1] == -1 else total - A[i - 1])
-    return entries
+    total = A[-1]
+    return [total, *(a if x == -1 else total - a for x, a in zip(d, A))]
 
 
 def w2_entries(delta: Sequence[int], A: Sequence) -> list:
     """Open-chain second multiset from A = (A_1, ..., A_(h+1))."""
     d = _check_profile(delta)
-    h = len(d)
-    if len(A) != h + 1:
+    if len(A) != len(d) + 1:
         raise ValueError("need the h+1 partial sums A_1..A_(h+1)")
-    total = A[h]
-    entries = []
-    for i in range(1, h + 1):
-        for j in range(i + 1, h + 1):
-            di, dj = d[i - 1], d[j - 1]
-            if di == -1 and dj == -1:
-                entries.append(A[i - 1] + A[j - 1])
-            elif di == 1 and dj == 1:
-                entries.append(total + total - A[i - 1] - A[j - 1])
-            elif di < dj:
-                entries.append(total + total - (A[j - 1] - A[i - 1]))
-            else:
-                entries.append(A[j - 1] - A[i - 1])
+    total, entries = A[-1], []
+    for i, j in combinations(range(len(d)), 2):
+        if d[i] == d[j]:
+            entries.append(A[i] + A[j] if d[i] == -1 else total + total - A[i] - A[j])
+        else:
+            entries.append(total + total - (A[j] - A[i]) if d[i] < d[j] else A[j] - A[i])
     return entries
 
 
@@ -163,9 +141,7 @@ def w3_multiset(
 def w1_w2_multisets(delta: Sequence[int], weights: Optional[Sequence] = None) -> tuple:
     """((W1, modulus), (W2, modulus)) for an open chain."""
     d = _check_profile(delta)
-    w = _check_weights(
-        weights if weights is not None else (1,) * (len(d) + 1), len(d) + 1
-    )
+    w = _check_weights(weights if weights is not None else (1,) * (len(d) + 1), len(d) + 1)
     A = prefix_sums(w)
     return (
         (tuple(sorted(w1_entries(d, A))), A[-1]),
@@ -275,10 +251,32 @@ def nonsymmetric_mirror_series(half_delta: Sequence[int], window: Window) -> Tru
     return scp * (ratio - one(window))
 
 
-def _balanced(d: tuple, diffs: list, total: int) -> bool:
-    """``is_balanced`` for a checked profile, ``_pair_diffs`` and total of integer A."""
-    pairs = sorted(_w3_pairs(d, diffs, total, False))
-    return pairs == [total - e for e in reversed(pairs)]
+#: A census block: the 2^_BLOCK_BITS profiles that share their later entries.
+_BLOCK_BITS = 12
+
+
+def _balanced_mask(A: Sequence[int], k: int, high: int) -> int:
+    """The balanced profiles over integer prefix sums A whose entry i is +1 where
+    bit i of x + (high << k) is set, as the mask of their x.  Each pair i < j
+    adds its descent mask to a bit-plane counter for A_j - A_i and its ascent
+    mask to the one for A_h - (A_j - A_i); a profile is unbalanced where a plane
+    of a counter differs from its mirror's (bit-slicing, Biham FSE 1997)."""
+    full = (1 << (1 << k)) - 1
+    masks = [full // ((1 << (2 << i)) - 1) * ((1 << (2 << i)) - (1 << (1 << i))) for i in range(k)]
+    masks += [full * (high >> i & 1) for i in range(len(A) - k)]
+    total, counters = A[-1], defaultdict(list)
+    for (i, mi), (j, mj) in combinations(enumerate(masks), 2):
+        for v, m in ((A[j] - A[i], mi & ~mj), (total - A[j] + A[i], mj & ~mi)):
+            planes = counters[v]
+            for p, plane in enumerate(planes):  # a ripple-carry add
+                planes[p], m = plane ^ m, plane & m
+            if m:
+                planes.append(m)
+    unbalanced = 0
+    for v, planes in counters.items():
+        for a, b in zip_longest(planes, counters.get(total - v, ()), fillvalue=0):
+            unbalanced |= a ^ b
+    return full & ~unbalanced
 
 
 def is_balanced(delta: Sequence[int], weights: Optional[Sequence] = None) -> bool:
@@ -292,16 +290,17 @@ def is_balanced(delta: Sequence[int], weights: Optional[Sequence] = None) -> boo
     w = _check_weights(weights if weights is not None else (1,) * len(d), len(d))
     scale = lcm(*(x.denominator for x in w))
     A = tuple(accumulate(x.numerator * (scale // x.denominator) for x in w))
-    return _balanced(d, _pair_diffs(A), A[-1])
+    return _balanced_mask(A, 0, sum(1 << i for i, x in enumerate(d) if x == 1)) == 1
 
 
 def balance_census(max_width: int) -> dict:
-    """{width: (#balanced, #profiles)} over all standard-weight profiles; the pair
-    differences are computed once per width, with no traced call per profile."""
+    """{width: (#balanced, #profiles)} over all standard-weight profiles, each
+    tested on its own pair exponents, a block of them per :func:`_balanced_mask`."""
     if type(max_width) is not int or max_width < 1:
         raise ValueError("max_width must be an integer >= 1 (got %r)" % (max_width,))
     out = {}
     for h in range(1, max_width + 1):
-        diffs = _pair_diffs(range(1, h + 1))
-        out[h] = (sum(_balanced(d, diffs, h) for d in product((-1, 1), repeat=h)), 2 ** h)
+        k = min(h, _BLOCK_BITS)
+        blocks = (_balanced_mask(range(1, h + 1), k, high) for high in range(1 << h - k))
+        out[h] = (sum(mask.bit_count() for mask in blocks), 2 ** h)
     return out

@@ -7,10 +7,12 @@ from fractions import Fraction as Fr
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cylq import products
 from cylq.fitkit import _symbolic_prefix_sums
 from cylq.lattice import full_profile, genfun_by_enumeration
 from cylq.products import (
     ProductSpec,
+    _balanced_mask,
     balance_census,
     cp_product,
     cp_product_spec,
@@ -232,6 +234,62 @@ def test_balance_census_width_14():
     assert list(census) == list(range(1, 15))
     assert all(good == total == 2 ** h for h, (good, total) in census.items())
     assert sum(good for good, _ in census.values()) == 32766
+
+
+def test_balance_census_width_20():
+    # 256 blocks at width 20: more than one per width past _BLOCK_BITS
+    census = balance_census(20)
+    assert census[20] == (1048576, 1048576)
+    assert all(good == total == 2 ** h for h, (good, total) in census.items())
+    assert sum(good for good, _ in census.values()) == 2097150
+
+
+def oracle_mask(h, weights):
+    """Bit b set where the profile whose entry i is +1 exactly at the set
+    bits i of b is balanced under ``oracle_is_balanced``."""
+    profiles = itertools.product((-1, 1), repeat=h)
+    return sum(oracle_is_balanced(d[::-1], weights) << b for b, d in enumerate(profiles))
+
+
+def blocks_mask(A, k):
+    """The masks of every block of 2^k profiles over A, side by side."""
+    return sum(_balanced_mask(A, k, high) << (high << k) for high in range(1 << len(A) - k))
+
+
+def test_balanced_mask_matches_oracle_at_every_block_split():
+    rng = random.Random(27)
+    unbalanced = profiles = 0
+    for h in range(1, 9):
+        for _ in range(4):
+            weights = [rng.randint(1, 9) for _ in range(h)]
+            expected = oracle_mask(h, weights)
+            A = tuple(itertools.accumulate(weights))
+            for k in range(h + 1):
+                assert blocks_mask(A, k) == expected, (weights, k)
+            profiles += 1 << h
+            unbalanced += (1 << h) - expected.bit_count()
+    assert unbalanced > profiles * 9 // 10
+
+
+@pytest.mark.parametrize("split", range(11))
+def test_balance_census_at_every_block_split(monkeypatch, split):
+    expected = {h: (2 ** h, 2 ** h) for h in range(1, 11)}
+    monkeypatch.setattr(products, "_BLOCK_BITS", split)
+    assert balance_census(10) == expected
+
+
+@given(st.data())
+def test_balanced_mask_matches_oracle_random(data):
+    h = data.draw(st.integers(1, 8))
+    weights = data.draw(st.lists(st.integers(0, 12), min_size=h, max_size=h))
+    k = data.draw(st.integers(0, h))
+    high = data.draw(st.integers(0, (1 << h - k) - 1))
+    mask = _balanced_mask(tuple(itertools.accumulate(weights)), k, high)
+    assert mask >> (1 << k) == 0
+    for x in range(1 << k):
+        bits = x | high << k
+        d = tuple(1 if bits >> i & 1 else -1 for i in range(h))
+        assert mask >> x & 1 == oracle_is_balanced(d, weights), (d, weights, k)
 
 
 @pytest.mark.parametrize("max_width", [0, -1, True, False, 2.0, "3", None])
