@@ -17,10 +17,10 @@ and a composition-style encoding (offset plus cyclic gap counts); the
 encoding is an internal convention whose contract is the round-trip
 property.
 
-`discover_equivalences` expands the products of every parameter set in
-a finite search grid and groups the sets whose expansions agree within
-the window, re-verifying each grouped member by direct enumeration at
-small order.
+`discover_equivalences` expands each distinct product of the parameter
+sets in a finite search grid once and groups the sets whose expansions
+agree within the window, re-verifying each grouped member by direct
+enumeration at small order.
 """
 
 from __future__ import annotations
@@ -456,25 +456,34 @@ def discover_equivalences(
 
     Scans every (kind, profile, weights) tuple with profile width up to
     ``max_width`` and weights drawn from ``weight_values``, skipping
-    parameter sets whose entry multisets are not strictly positive.
+    parameter sets whose entry multisets are not strictly positive.  A
+    value repeated in ``kinds`` or ``weight_values`` is scanned once.
     Sets are grouped by the exact coefficients of their expanded product
     inside ``window``; groups smaller than ``min_members`` are dropped.
     Each surviving member is re-verified by direct enumeration through
     ``q^(check_q - 1)``, so a group is a window-verified equivalence of
-    weighted counts, not a proof.
+    weighted counts, not a proof.  Each distinct product is expanded once
+    per call, through ``q^(max(N, check_q) - 1)`` for the window's q^N,
+    and serves both the grouping and the re-verification.
     """
     if window.q_truncation is None:
         raise ValueError("the search needs a finite q-window")
     for kind in kinds:
         if kind not in _FIT_KINDS:
             raise ValueError("searchable kinds are %s" % (_FIT_KINDS,))
-    wq = Window(window.q_truncation)
+    check_w = Window(check_q, check_q)
+    if check_q is None:
+        raise ValueError("the member check needs a finite check_q")
+    n_trunc = window.q_truncation
+    scan = Window(max(n_trunc, check_q))
+    values = tuple(dict.fromkeys(weight_values))
+    expanded: dict = {}  # spec -> (its coefficients below q^N, its expansion)
     buckets: dict = {}
-    for kind in kinds:
+    for kind in dict.fromkeys(kinds):
         for width in range(1, max_width + 1):
             nweights = width if kind == "cylindric" else width + 1
             for profile in itertools.product((1, -1), repeat=width):
-                for weights in itertools.product(weight_values, repeat=nweights):
+                for weights in itertools.product(values, repeat=nweights):
                     try:
                         spec = (
                             cp_product_spec(profile, weights)
@@ -483,20 +492,24 @@ def discover_equivalences(
                         )
                     except ValueError:
                         continue  # zero/negative entry: no product to match
-                    key = tuple(sorted(spec.expand(wq).coeffs.items()))
-                    buckets.setdefault(key, []).append((kind, profile, weights, spec))
-    check_w = Window(check_q, check_q)
-    wq_small = Window(check_q)
+                    if spec not in expanded:
+                        series = spec.expand(scan)
+                        cap = n_trunc * series.q_scale
+                        key = tuple(item for item in sorted(series.coeffs.items()) if item[0][1] < cap)
+                        expanded[spec] = key, series
+                    key, series = expanded[spec]
+                    buckets.setdefault(key, []).append((kind, profile, weights, series))
     groups = []
     for members in buckets.values():
         if len(members) < min_members:
             continue
         kept = []
-        for kind, profile, weights, spec in members:
+        for kind, profile, weights, series in members:
             enum = genfun_by_enumeration(
                 kind, profile, weights, window=check_w
             ).collapse_z()
-            if enum.first_difference(spec.expand(wq_small)) is None:
+            # compared below q^check_q: the enumeration's window, inside the expansion's
+            if enum.first_difference(series) is None:
                 kept.append((kind, profile, weights))
         if len(kept) >= min_members:
             groups.append(sorted(kept))

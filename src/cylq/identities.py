@@ -57,7 +57,9 @@ from .products import (
     CONVENTIONS,
     ProductSpec,
     cp_product,
+    cp_product_spec,
     dspp_product,
+    dspp_product_spec,
     nonsymmetric_mirror_series,
     scp_product_spec,
 )
@@ -497,16 +499,26 @@ def _run_mod7(w: Window) -> list:
 
 def _run_product_sweep(kind: str, max_width: int, w: Window) -> list:
     """Enumeration = product for every profile of width <= max_width,
-    standard weights, closed (``cylindric``) or open chains."""
+    standard weights, closed (``cylindric``) or open chains.  Each profile
+    is enumerated on its own; profiles with one product (rotations, say)
+    share its one expansion."""
     closed = kind == "cylindric"
-    product = cp_product if closed else dspp_product
+    spec_of = cp_product_spec if closed else dspp_product_spec
     enum_text = "%s enumeration, standard weights" % ("closed-chain" if closed else "open-chain")
+    expanded: dict = {}
+
+    def product(d):
+        spec = spec_of(d)
+        if spec not in expanded:
+            expanded[spec] = spec.expand(w)
+        return expanded[spec]
+
     return [
         compare_series(
             "profile %s" % (d,),
             genfun_by_enumeration(kind, d, window=w).collapse_z(),
             _ENUM(enum_text),
-            product(d, None, w),
+            product(d),
             _PROD("exponent-multiset product mod %d" % h if closed
                   else "two-multiset product, moduli %d and %d" % (h + 1, 2 * (h + 1))),
         )

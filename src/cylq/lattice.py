@@ -760,7 +760,7 @@ def _count_rows(delta, aw, closed: bool, strict: bool, budget: int,
                         return _wider(size)
                     # with no shifts, read has cut s to these slots already
                     if k in own and (shifts := _doublings(wv, budget - wv + 1)):
-                        (s,), wider = _times_binomials([(s, shifts)], size, budget - wv + 1, 0)
+                        (s,), wider = _times_binomials([(s, shifts, budget - wv + 1)], size, 0)
                         if wider != size:
                             return wider
                     sums.append(s)

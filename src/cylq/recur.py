@@ -1085,7 +1085,7 @@ def closed_form_width4(profile: Sequence[int]) -> CoefficientSequence:
             if shift >= n_trunc:
                 return
             slots = (n_trunc - shift + 1) // 2  # x^j lies at q^(shift + 2j)
-            (k,), size = _times_binomials([(k, _doublings(n, slots) if n else ())], size, slots, 0)
+            (k,), size = _times_binomials([(k, _doublings(n, slots) if n else (), slots)], size, 0)
             sign = -1 if (n + sign_off) // 2 % 2 else 1
             yield _Packed(partial(_signed_spread, k, size, slots, shift=shift, sign=sign), size, n_trunc, bool(k))
 
@@ -1154,9 +1154,10 @@ def closed_form_width6(profile: Sequence[int]) -> CoefficientSequence:
 
     The bases ``P(m) / (q^3;q^3)_(n-2m)``, with ``P(m) = (-q,-q^5;q^6)_m /
     (q^6;q^6)_m``, and the running ``P(m)`` are held as non-negative
-    Kronecker packs (see ``series``), kept to the slots the window needs.
-    A factor ``1 + q^a`` is one shift-add, and ``1 / (1 - q^e)`` is the
-    product of ``1 + q^s`` for s = e, 2e, 4e, ... below the window.  The
+    Kronecker packs (see ``series``), each kept to the slots its prefactor
+    terms carry into the window, at its degree and every later one.  A
+    factor ``1 + q^a`` is one shift-add, and ``1 / (1 - q^e)`` is the
+    product of ``1 + q^s`` for s = e, 2e, 4e, ... below those slots.  The
     prefactor is a sum of groups ``q^(-k m) (sum of c q^e over its
     terms)`` (``_WIDTH6_DATA``), so ``h(n)`` is a sum over the groups: each
     group's ``G_k = sum over m of (-1)^(m + off) q^(E(n, m) - k m) base_m``
@@ -1181,18 +1182,28 @@ def closed_form_width6(profile: Sequence[int]) -> CoefficientSequence:
         lows = []
         while len(lows) < 4 or min(lows[-2:]) < n_trunc:
             lows.append(width6_min_exponent(p, len(lows)))
-        # a base serves every later degree: keep it below q^(N - floors[n])
-        floors = list(itertools.accumulate(reversed(lows), min))[::-1]
-        last = sum(floor < n_trunc for floor in floors) - 1
+        last = max((n for n, low in enumerate(lows) if low < n_trunc), default=-1)
         weight = (last // 2 + 1) * sum(abs(c) for _k, terms in groups_fn(last) for _e, c in terms)
         size = _slot_size(weight, 1)  # the running P(0) is 1
+        # base m serves degree n and every later one, where a term c q^e of a
+        # group (k, terms) first meets it at q^(E(n, m) + e - k m): keep it
+        # below q^(N - reach), reach the least such exponent from n on
+        reach = {}
+        for n in range(last, -1, -1):
+            dips = [(k, min(e for e, _c in terms)) for k, terms in groups_fn(n)]
+            for m in range(n // 2 + 1):
+                here = e_fn(n, m) + min(e - k * m for k, e in dips)
+                reach[n, m] = min(here, reach.get((n + 1, m), here))
+        slots = {key: max(n_trunc - r, 0) for key, r in reach.items()}
+        # the running P(m) becomes base m at degree 2m: keep it for the widest base to come
+        tops = list(itertools.accumulate((slots[2 * m, m] for m in range(last // 2, -1, -1)), max))[::-1] + [0]
         bases, top = [], 1
         for n in range(last + 1):
-            slots = n_trunc - floors[n]
-            work = [(b, _doublings(3 * (n - 2 * m), slots)) for m, b in enumerate(bases)]
-            m = n // 2  # at even n, P(m) = P(m-1) (1 + q^(6m-5)) (1 + q^(6m-1)) / (1 - q^(6m))
-            work.append((top, (6 * m - 5, 6 * m - 1, *_doublings(6 * m, slots)) if m and n % 2 == 0 else ()))
-            packs, size = _times_binomials(work, size, slots, weight.bit_length())
+            work = [(b, _doublings(3 * (n - 2 * m), slots[n, m]), slots[n, m]) for m, b in enumerate(bases)]
+            m, wide = n // 2, tops[(n + 1) // 2]
+            # at even n, P(m) = P(m-1) (1 + q^(6m-5)) (1 + q^(6m-1)) / (1 - q^(6m))
+            work.append((top, (6 * m - 5, 6 * m - 1, *_doublings(6 * m, wide)) if m and n % 2 == 0 else (), wide))
+            packs, size = _times_binomials(work, size, weight.bit_length())
             bases, top = packs[:m + 1], packs[-1]
             # each group (k, terms) as G = sum over j of (-1)^(j + off) q^(E(n, j) - k j) base_j,
             # held from its least exponent `low`, then c q^e G for each of its terms
@@ -1201,15 +1212,14 @@ def closed_form_width6(profile: Sequence[int]) -> CoefficientSequence:
                 shifts = [e_fn(n, j) - k * j for j in range(m + 1)]
                 groups.append((min(shifts), min(e for e, _c in terms), shifts, terms))
             least = min(low + first for low, first, _s, _t in groups)
-            origin, width = min(0, least), min(n_trunc, slots + least)
-            total = 0
+            origin, total = min(0, least), 0
             for low, first, shifts, terms in groups:
                 g = _shift_sum([(b, e - low, (-1) ** (j + sign_off))
-                                for j, (b, e) in enumerate(zip(bases, shifts)) if e + first < width], size)
-                total += _shift_sum([(g, low + e - origin, c) for e, c in terms if low + e < width], size)
+                                for j, (b, e) in enumerate(zip(bases, shifts)) if e + first < n_trunc], size)
+                total += _shift_sum([(g, low + e - origin, c) for e, c in terms if low + e < n_trunc], size)
             total = _rebase(total, size, origin)
-            nonzero = bool(total & (1 << 8 * size * width) - 1)
-            yield _Packed(partial(_widen, total, size, slots=width), size, width, nonzero)
+            nonzero = bool(total & (1 << 8 * size * n_trunc) - 1)
+            yield _Packed(partial(_widen, total, size, slots=n_trunc), size, n_trunc, nonzero)
 
     return CoefficientSequence(p, "width6-closed-form", _values_fn=values)
 

@@ -383,13 +383,13 @@ def _doublings(e, slots):
     return shifts
 
 
-def _times_binomials(work, size, slots, headroom):
+def _times_binomials(work, size, headroom):
     """``(packs, size)``: each non-negative pack of ``work``, a list of
-    ``(pack, shifts)``, cut to the low ``slots`` slots and then times (1 +
-    q^s) for each of its shifts, ``P + (P << s bits)`` cut again, in slots
-    of ``size`` bytes or, where a slot reaches the guard of :func:`_guard`,
-    in slots of :func:`_wider` bytes, again as often as it takes, the degree
-    done again from ``work``.
+    ``(pack, shifts, slots)``, cut to its low ``slots`` slots and then times
+    (1 + q^s) for each of its shifts, ``P + (P << s bits)`` cut again, in
+    slots of ``size`` bytes or, where a slot reaches the guard of
+    :func:`_guard`, in slots of :func:`_wider` bytes, again as often as it
+    takes, the degree done again from ``work``.
 
     With H the headroom, every slot is below 2^(8 size - 1 - H) before a
     run of H + 1 adds, so below 2^(8 size) after it, and none carries into
@@ -400,9 +400,10 @@ def _times_binomials(work, size, slots, headroom):
     run = headroom + 1
 
     def shift_adds():  # the products, or None as soon as a slot reaches the guard
-        bits, guard, mask = 8 * size, _guard(slots, size, headroom), (1 << 8 * size * slots) - 1
-        done = []
-        for packed, shifts in work:
+        bits, done = 8 * size, []
+        guard = _guard(max((slots for _p, _s, slots in work), default=0), size, headroom)
+        for packed, shifts, slots in work:
+            mask = (1 << bits * slots) - 1
             packed &= mask
             for i in range(0, len(shifts), run):
                 for s in shifts[i:i + run]:
@@ -414,7 +415,7 @@ def _times_binomials(work, size, slots, headroom):
 
     while (done := shift_adds()) is None:
         wider = _wider(size)
-        work = [(_widen(packed, size, wider, slots), shifts) for packed, shifts in work]
+        work = [(_widen(packed, size, wider, slots), shifts, slots) for packed, shifts, slots in work]
         size = wider
     return done, size
 

@@ -3,7 +3,9 @@
 import itertools
 
 import pytest
+from hypothesis import given, strategies as st
 
+from cylq import fitkit
 from cylq.fitkit import (
     FitProblem,
     convert_profile,
@@ -11,8 +13,9 @@ from cylq.fitkit import (
     fit_report,
     fit_weights,
 )
-from cylq.products import w1_w2_multisets, w3_multiset
-from cylq.series import Window
+from cylq.lattice import genfun_by_enumeration
+from cylq.products import ProductSpec, cp_product_spec, dspp_product_spec, w1_w2_multisets, w3_multiset
+from cylq.series import Window, monomial
 
 
 def test_fit_recovers_closed_chain_weights():
@@ -169,3 +172,106 @@ def test_discover_finds_the_weighted_open_chain_group():
 def test_discover_empty_search_space():
     assert discover_equivalences(window=Window(8), weight_values=()) == []
     assert discover_equivalences(window=Window(8), max_width=0) == []
+
+
+@pytest.mark.parametrize("args, match", [
+    (dict(window=Window(None)), "finite q-window"),
+    (dict(window=Window(8), kinds=("distinct",)), "searchable kinds"),
+    (dict(window=Window(8), check_q=None), "finite check_q"),
+    (dict(window=Window(8), check_q=0), "must be positive"),
+    (dict(window=Window(8), check_q=2.5), "must be an integer"),
+])
+def test_discover_rejects_bad_windows_and_kinds(args, match):
+    with pytest.raises(ValueError, match=match):
+        discover_equivalences(**args)
+
+
+def _discover_oracle(*, window, kinds, max_width, weight_values, min_members, check_q):
+    """The scan as one loop: one expansion per parameter set in the window
+    and one more per group member at q^check_q, with no expansion shared."""
+    buckets = {}
+    for kind in kinds:
+        for width in range(1, max_width + 1):
+            nweights = width if kind == "cylindric" else width + 1
+            for profile in itertools.product((1, -1), repeat=width):
+                for weights in itertools.product(weight_values, repeat=nweights):
+                    try:
+                        spec = (cp_product_spec if kind == "cylindric" else dspp_product_spec)(profile, weights)
+                    except ValueError:
+                        continue
+                    key = tuple(sorted(spec.expand(Window(window.q_truncation)).coeffs.items()))
+                    buckets.setdefault(key, []).append((kind, profile, weights, spec))
+    groups = []
+    for members in buckets.values():
+        if len(members) < min_members:
+            continue
+        kept = [
+            (kind, profile, weights)
+            for kind, profile, weights, spec in members
+            if genfun_by_enumeration(kind, profile, weights, window=Window(check_q, check_q))
+            .collapse_z().first_difference(spec.expand(Window(check_q))) is None
+        ]
+        if len(kept) >= min_members:
+            groups.append(sorted(kept))
+    return sorted(groups)
+
+
+@given(st.data())
+def test_discover_matches_the_one_expansion_per_set_oracle(data):
+    kinds = data.draw(st.sampled_from((("cylindric",), ("skew-shifted",), ("cylindric", "skew-shifted"))))
+    max_width = data.draw(st.integers(1, 2))
+    # few values at width 2, where open chains take three weights each
+    values = data.draw(st.lists(st.integers(0, 3), unique=True, max_size=4 if max_width == 1 else 3))
+    args = dict(
+        window=Window(data.draw(st.integers(1, 10))),
+        kinds=kinds,
+        max_width=max_width,
+        weight_values=tuple(values),
+        min_members=data.draw(st.integers(1, 2)),
+        check_q=data.draw(st.integers(1, 12)),
+    )
+    assert discover_equivalences(**args) == _discover_oracle(**args)
+
+
+def test_discover_checks_members_through_check_q_past_the_window(monkeypatch):
+    # an enumeration that is wrong only at q^(check_q - 1), past the scan's q^6
+    bad, check_q = ("cylindric", (1, -1), (1, 2)), 9
+
+    def enumeration(kind, profile, weights, window):
+        series = genfun_by_enumeration(kind, profile, weights, window=window)
+        if (kind, profile, weights) == bad:
+            series = series + monomial(0, check_q - 1, window)
+        return series
+
+    args = dict(window=Window(6), max_width=2, weight_values=(0, 1, 2), check_q=check_q)
+    honest = discover_equivalences(**args)
+    (group,) = [g for g in honest if bad in g]
+    monkeypatch.setattr(fitkit, "genfun_by_enumeration", enumeration)
+    patched = discover_equivalences(**args)
+    assert all(bad not in g for g in patched)
+    rest = [sorted(set(group) - {bad})] if len(group) > 2 else []
+    assert [g for g in patched if set(g) & set(group)] == rest
+    assert [g for g in patched if not set(g) & set(group)] == [g for g in honest if g != group]
+
+
+def test_discover_expands_each_distinct_product_once(monkeypatch):
+    calls = []
+    expand = ProductSpec.expand
+    monkeypatch.setattr(ProductSpec, "expand", lambda spec, window: calls.append(spec) or expand(spec, window))
+    # the census-fit scan: 110 parameter sets with 49 distinct products
+    groups = discover_equivalences(window=Window(12), max_width=2, weight_values=(0, 1, 2))
+    assert len(calls) == len(set(calls)) == 49
+    assert len(groups) == 35
+
+
+def test_discover_scans_each_repeated_input_once():
+    once = discover_equivalences(window=Window(8), kinds=("cylindric",), max_width=1, weight_values=(2,))
+    assert once == [[("cylindric", (-1,), (2,)), ("cylindric", (1,), (2,))]]
+    assert discover_equivalences(window=Window(8), kinds=("cylindric",), max_width=1, weight_values=(2, 2)) == once
+    assert discover_equivalences(window=Window(8), kinds=("cylindric", "cylindric"), max_width=1,
+                                 weight_values=(2,)) == once
+    # a set listed twice made a one-set "equivalence" of itself
+    args = dict(window=Window(8), kinds=("skew-shifted",), max_width=2)
+    repeated = discover_equivalences(**args, weight_values=(0, 1, 0))
+    assert repeated == discover_equivalences(**args, weight_values=(0, 1))
+    assert all(len(set(g)) == len(g) > 1 for g in repeated)

@@ -33,6 +33,7 @@ from cylq.lattice import (
     schmidt_genfun,
     signed_distinct_genfun,
 )
+from cylq.products import ProductSpec
 from cylq.recur import closed_form_width6, width6_min_exponent
 from cylq.series import (TruncatedSeries, Window, gauss_binomial, inv_poch_finite, monomial, one,
                          poch_finite, poch_product, qf, zero, zf)
@@ -188,6 +189,18 @@ def test_default_window_reports_match_their_golden_digests():
     assert sorted(golden) == list(registry())
     for label in registry():
         assert _digest(verify(label)) == golden[label], label
+
+
+@pytest.mark.parametrize("label, distinct", [("cylinder-products", 9), ("open-chain-products", 8)])
+def test_product_sweeps_expand_each_distinct_product_once(label, distinct, monkeypatch):
+    calls = []
+    expand = ProductSpec.expand
+    monkeypatch.setattr(ProductSpec, "expand", lambda spec, window: calls.append(spec) or expand(spec, window))
+    report = verify(label)
+    assert report["status"] == "pass"
+    assert len(calls) == len(set(calls)) == distinct
+    # every profile is still enumerated and compared with its own product
+    assert len(report["comparisons"]) == {"cylinder-products": 30, "open-chain-products": 14}[label]
 
 
 @pytest.mark.parametrize("label", sorted(EXPECTED_LABELS))

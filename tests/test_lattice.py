@@ -725,11 +725,11 @@ def test_packed_counter_counts_again_in_the_slots_a_doubling_widened(monkeypatch
     # so a stand-in widens the slots on its first call, as such a trip would
     sizes, real, calls = _slot_sizes(monkeypatch), lattice._times_binomials, []
 
-    def widens_once(work, size, slots, headroom):
+    def widens_once(work, size, headroom):
         calls.append(size)
         if len(calls) == 1:
-            work, size = [(_widen(p, size, _wider(size), slots), e) for p, e in work], _wider(size)
-        return real(work, size, slots, headroom)
+            work, size = [(_widen(p, size, _wider(size), slots), e, slots) for p, e, slots in work], _wider(size)
+        return real(work, size, headroom)
 
     monkeypatch.setattr(lattice, "_times_binomials", widens_once)
     args = ((1, -1), (1, 1), True, False, 40, None, None)

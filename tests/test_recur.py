@@ -809,13 +809,25 @@ def test_packed_check_matches_oracle_where_values_vanish_in_the_window():
     assert all(rep.holds for rep in reports) and any(rep.vacuous for rep in reports)
 
 
-def test_width6_zero_flags_agree_with_the_decoded_values():
+def test_width6_zero_flags_agree_with_the_decoded_values(monkeypatch):
     # the zero flag tests the window's slots alone: a value whose only
     # nonzero digits lie past its window is zero, as its decoded series is
     for p in W6:
         for n_trunc in range(1, 81):
             for n, h in enumerate(closed_form_width6(p)._read(Window(n_trunc))):
                 assert h.is_zero() == h.series.is_zero(), (p, n_trunc, n)
+    # No shipped value is zero in its window with digits past it, so a
+    # hand-made one: bases 0 and 1 share the shift 4 at n = 2, so G = q^4
+    # (base_0 - base_1) = -q^5 + ..., and G - G + q G is zero below q^6 while
+    # its part q G, which starts at q^5, holds digits at q^6.
+    monkeypatch.setitem(_WIDTH6_DATA, (1, -1, 1), (lambda n, m: n * n + m * (m - 1),
+                                                   lambda n: ((0, ((0, 1),)), (0, ((0, -1), (1, 1)))), 0))
+    zeros = 0
+    for n_trunc in range(1, 12):
+        values = list(closed_form_width6((1, -1, 1))._read(Window(n_trunc)))
+        assert [h.is_zero() for h in values] == [h.series.is_zero() for h in values], n_trunc
+        zeros += sum(h.is_zero() for h in values)
+    assert zeros
 
 
 def test_packed_check_matches_oracle_on_derived_recurrences():
@@ -1050,7 +1062,8 @@ def test_criterion_11_guard_trips_and_widenings_are_pinned(monkeypatch):
     # pass of _times_binomials tests its guard from one _guard, so trips are
     # passes less degrees; _widen counts the stream's and the check's
     # re-slottings.  Slots that grew a byte at a time took 73 trips and 645
-    # widenings here.
+    # widenings here.  Width-6 bases cut to their own reach trip the same
+    # guards, two of them at a later degree, where one more base is widened.
     calls = dict.fromkeys(("_guard", "_times_binomials", "_widen"), 0)
 
     def spy(module, name):
@@ -1070,7 +1083,7 @@ def test_criterion_11_guard_trips_and_widenings_are_pinned(monkeypatch):
         calls.update(dict.fromkeys(calls, 0))
         assert check_closed_form(form(profile), relation(profile), n_max).holds, profile
         counts.append((calls["_guard"] - calls["_times_binomials"], calls["_widen"]))
-    assert counts == [(7, 27)] * 3 + [(5, 74), (5, 73), (6, 80), (5, 72)]
+    assert counts == [(7, 27)] * 3 + [(5, 74), (5, 74), (6, 80), (5, 73)]
 
 
 def test_shipped_checks_take_the_packed_path(monkeypatch):

@@ -597,7 +597,7 @@ def test_packed_binomials_match_the_row_kernel(data, row, headroom):
         else:
             _mul_binomial(rows, 0, e, -1, slots, None)
         shifts = _doublings(e, slots) if divide else (e,)
-        (packed,), size = _times_binomials([(packed, shifts)], size, slots, headroom)
+        (packed,), size = _times_binomials([(packed, shifts, slots)], size, headroom)
         assert packed < 1 << 8 * size * slots and not packed & _guard(slots, size, headroom)
     assert _unpack(packed, size, slots) == rows[0] + [0] * (slots - len(rows[0]))
 
@@ -615,20 +615,20 @@ def test_a_slot_that_wrapped_is_widened_never_decoded():
     assert _unpack(unguarded, 1, slots) == [100, 44, 45]
     # the guard trips at the first add past 2^7 (200), before any carry,
     # and the product is done again in 2-byte slots
-    (once,), size = _times_binomials([(packed, (1,))], 1, slots, 0)
+    (once,), size = _times_binomials([(packed, (1,), slots)], 1, 0)
     assert size == 2 and _unpack(once, 2, slots) == [100, 200, 100]
-    (wide,), size = _times_binomials([(packed, (1, 1))], 1, slots, 0)
+    (wide,), size = _times_binomials([(packed, (1, 1), slots)], 1, 0)
     assert size == 2 and _unpack(wide, 2, slots) == [100, 300, 300]
-    assert _times_binomials([(_widen(packed, 1, 2, slots), (1, 1))], 2, slots, 0) == ([wide], 2)
+    assert _times_binomials([(_widen(packed, 1, 2, slots), (1, 1), slots)], 2, 0) == ([wide], 2)
     # headroom 1 tests once per two adds: (60, 60, 0) times (1 + q) passes
     # the guard, 2^6, at (60, 120, 60), between two tests; the second add
     # reaches (60, 180, 180) with no carry, and the test after it trips.  A
     # third add before a test would carry 360 out of its slot.
     packed = _pack([[60, 60, 0]], slots, 1)
     assert packed + (packed << 8) & _guard(slots, 1, 1)
-    (twice,), size = _times_binomials([(packed, (1, 1))], 1, slots, 1)
+    (twice,), size = _times_binomials([(packed, (1, 1), slots)], 1, 1)
     assert size == 2 and _unpack(twice, 2, slots) == [60, 180, 180]
-    (thrice,), size = _times_binomials([(packed, (1, 1, 1))], 1, slots, 1)
+    (thrice,), size = _times_binomials([(packed, (1, 1, 1), slots)], 1, 1)
     assert size == 2 and _unpack(thrice, 2, slots) == [60, 240, 360]
 
 
@@ -637,31 +637,33 @@ def test_packed_guard_runs_of_headroom_adds_match_the_row_kernel(data, headroom,
     # digits at or just below 2^(8 size - 1 - H), so the first runs of H + 1
     # adds trip the guard, and few slots, so that a run one add longer could
     # wrap a slot and leave every slot clear; each pack takes more than H + 1
-    # shifts, products (1 + q^s) and quotients 1 / (1 - q^e) as their doublings
+    # shifts, products (1 + q^s) and quotients 1 / (1 - q^e) as their doublings;
+    # each pack is cut to its own number of slots, at most ``slots``
     top = (1 << 8 * size - 1 - headroom) - 1
     digit = st.integers(max(top - 3, 0), top) | st.integers(0, 3) | st.integers(0, top)
     work, expected = [], []
     for _ in range(data.draw(st.integers(1, 3))):
-        row = data.draw(st.lists(digit, min_size=slots, max_size=slots))
+        own = data.draw(st.integers(1, slots))
+        row = data.draw(st.lists(digit, min_size=own, max_size=own))
         rows, shifts = [list(row)], []
         while len(shifts) <= headroom + 1:
-            e = data.draw(st.integers(1, slots))
-            if e < slots and data.draw(st.booleans()):
-                _div_binomial(rows, 0, e, 1, slots, None)
-                shifts += _doublings(e, slots)
+            e = data.draw(st.integers(1, own))
+            if e < own and data.draw(st.booleans()):
+                _div_binomial(rows, 0, e, 1, own, None)
+                shifts += _doublings(e, own)
             else:
-                _mul_binomial(rows, 0, e, -1, slots, None)
+                _mul_binomial(rows, 0, e, -1, own, None)
                 shifts.append(e)
-        work.append((_pack([row], slots, size), tuple(shifts)))
-        expected.append(rows[0] + [0] * (slots - len(rows[0])))
-    packs, wider = _times_binomials(work, size, slots, headroom)
+        work.append((_pack([row], own, size), tuple(shifts), own))
+        expected.append((rows[0] + [0] * (own - len(rows[0])), own))
+    packs, wider = _times_binomials(work, size, headroom)
     grown = [size]  # each guard trip grows the slots from s to s + 1 + s // 4 bytes
     while grown[-1] < wider:
         grown.append(grown[-1] + 1 + grown[-1] // 4)
     assert grown[-1] == wider
-    for packed, row in zip(packs, expected):
-        assert 0 <= packed < 1 << 8 * wider * slots and not packed & _guard(slots, wider, headroom)
-        assert _unpack(packed, wider, slots) == row
+    for packed, (row, own) in zip(packs, expected):
+        assert 0 <= packed < 1 << 8 * wider * own and not packed & _guard(own, wider, headroom)
+        assert _unpack(packed, wider, own) == row
 
 
 @given(st.data(), st.integers(1, 40), st.integers(1, 30))
