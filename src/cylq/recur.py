@@ -36,12 +36,11 @@ import itertools
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial
 from math import floor, lcm
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from .lattice import _CLOSED_KINDS, KINDS, _check_profile, _resolve
-from .series import (TruncatedSeries, Window, _UNIT_STEP, _add_into, _collect, _combine, _doublings, _from_pack,
+from .series import (TruncatedSeries, Window, _UNIT_STEP, _add_into, _collect, _combine, _doublings, _fits, _from_pack,
                      _from_rows, _magnitude, _min_bound, _monomial, _pack_q, _poch, _rebase, _running, _shift_sum,
                      _signed_spread, _signed_sum, _slot_size, _strip, _times_binomials, _widen, make_series, one,
                      poch_finite, qf, zero, zf)
@@ -938,10 +937,10 @@ def to_coefficient_recurrences(obj: Union[FunctionalSystem, EliminationResult]):
 
 class _Rows:
     """A value given as a series, as :func:`check_closed_form` reads it:
-    ``q_truncation``, ``q_scale`` and ``is_zero()`` for the term walk, its
-    largest |c| (``magnitude``) for the slot rule, ``slots``, the slots its
-    pack spans, for widening, ``pack(size)`` (None for a z-degree above 0)
-    and ``series``."""
+    ``q_truncation``, ``q_scale`` and ``is_zero()`` for the term walk,
+    ``is_one()`` for h(0), its lattice (the q-grid), its largest |c|
+    (``magnitude``) for the slot rule, ``slots``, the slots its pack spans,
+    for widening, ``pack(size)`` (None for a z-degree above 0) and ``series``."""
 
     __slots__ = ("series", "q_truncation", "q_scale")
 
@@ -950,6 +949,13 @@ class _Rows:
 
     def is_zero(self) -> bool:
         return self.series.is_zero()
+
+    def is_one(self) -> bool:
+        return self.series.agrees_with(one(self.series.window))
+
+    @property
+    def lattice(self) -> tuple:
+        return 0, (1, Fraction(1, self.q_scale)), 1
 
     @property
     def magnitude(self) -> int:
@@ -964,26 +970,41 @@ class _Rows:
 
 
 class _Packed:
-    """A pure q-series value exact below ``q^slots``, held as a balanced
-    Kronecker pack, with the fields of a :class:`_Rows` value: ``pack(size)``
-    gives it in ``slots`` slots of ``size >= self.size`` bytes, its digit
-    bound is the one its own slots imply, and its series is decoded on
-    first use."""
+    """A pure q-series value exact below ``q^q_truncation`` with the fields
+    of a :class:`_Rows` value: a balanced Kronecker pack P of ``slots``
+    slots of ``size`` bytes on the lattice ``(offset, (alt, step), sign)``,
+    the value ``sign q^offset P(x)`` at ``x = alt q^step`` (the q-grid at
+    width 6, ``x = -q^2`` at width 4).  Asked for its digit bound, it tests
+    by :func:`_fits` whether its digits leave its top byte free."""
 
-    __slots__ = ("pack", "size", "slots", "q_truncation", "magnitude", "_nonzero", "_series")
+    __slots__ = ("raw", "size", "slots", "q_truncation", "lattice", "_nonzero", "_series")
     q_scale = 1
 
-    def __init__(self, pack: Callable, size: int, slots: int, nonzero: bool):
-        self.pack, self.size, self.slots, self.q_truncation = pack, size, slots, slots
-        self.magnitude, self._nonzero, self._series = (1 << 8 * size - 1) - 1, nonzero, None
+    def __init__(self, raw: int, size: int, slots: int, q_truncation: int, nonzero: bool, lattice=(0, (1, 1), 1)):
+        self.raw, self.size, self.slots, self.q_truncation = raw, size, slots, q_truncation
+        self.lattice, self._nonzero, self._series = lattice, nonzero, None
 
     def is_zero(self) -> bool:
         return not self._nonzero
 
+    def is_one(self) -> bool:
+        offset, _x, sign = self.lattice
+        return offset == 0 and not (self.raw - sign) & (1 << 8 * self.size * self.slots) - 1
+
+    @property
+    def magnitude(self) -> int:
+        fit = self.size - 1 if self.size > 1 and _fits(self.raw, self.size, self.slots, self.size - 1) else self.size
+        return 1 << 8 * fit - 1
+
+    def pack(self, size: int) -> int:
+        return self.raw if size == self.size else _widen(self.raw, self.size, size, self.slots)
+
     @property
     def series(self) -> TruncatedSeries:
         if self._series is None:
-            self._series = _from_pack(self.pack(self.size), self.size, self.slots)
+            offset, (alt, _step), sign = self.lattice
+            grid = self.raw if alt > 0 else _signed_spread(self.raw, self.size, self.slots, self.size, offset, sign)
+            self._series = _from_pack(grid, self.size, self.q_truncation)
         return self._series
 
 
@@ -1001,9 +1022,9 @@ class CoefficientSequence:
     window)`` maps it over every ``n`` and never ends.
 
     :func:`check_closed_form` reads the same stream through ``_read``: the
-    width-4 and width-6 forms hand over their values as packs
-    (:class:`_Packed`), which ``values`` decodes; every other sequence
-    hands over series (:class:`_Rows`), packed by the check itself.
+    width-4 and width-6 forms hand over their values as packs on their
+    lattices (:class:`_Packed`), which ``values`` decodes; every other
+    sequence hands over series (:class:`_Rows`), packed by the check itself.
     """
 
     profile: tuple
@@ -1065,9 +1086,11 @@ def closed_form_width4(profile: Sequence[int]) -> CoefficientSequence:
     ``series``), kept to the ``ceil((N - shift(n)) / 2)`` slots that reach
     the window and growing its slots under the guard of ``series``:
     ``1 / (1 - x^n)`` is the product of ``1 + x^s`` for s = n, 2n, 4n, ...,
-    one shift-add each.  The value is that pack read at ``x = -q^2``,
-    shifted and signed, and the stream stops at the first shift at or past
-    the window.
+    one shift-add each.  The stream hands K(n) over unchanged, with the
+    lattice of its value: offset ``shift(n)``, ``x = -q^2`` and its sign,
+    which :func:`check_closed_form` tests in x; ``values`` reads the pack at
+    ``x = -q^2``, shifted and signed.  The stream stops at the first shift
+    at or past the window.
     """
     p = _check_profile(profile)
     if p not in ((1, 1), (1, -1), (-1, 1)):
@@ -1087,7 +1110,7 @@ def closed_form_width4(profile: Sequence[int]) -> CoefficientSequence:
             slots = (n_trunc - shift + 1) // 2  # x^j lies at q^(shift + 2j)
             (k,), size = _times_binomials([(k, _doublings(n, slots) if n else (), slots)], size, 0)
             sign = -1 if (n + sign_off) // 2 % 2 else 1
-            yield _Packed(partial(_signed_spread, k, size, slots, shift=shift, sign=sign), size, n_trunc, bool(k))
+            yield _Packed(k, size, slots, n_trunc, bool(k), (shift, (-1, 2), sign))
 
     return CoefficientSequence(p, "width4-closed-form", _values_fn=values)
 
@@ -1219,7 +1242,7 @@ def closed_form_width6(profile: Sequence[int]) -> CoefficientSequence:
                 total += _shift_sum([(g, low + e - origin, c) for e, c in terms if low + e < n_trunc], size)
             total = _rebase(total, size, origin)
             nonzero = bool(total & (1 << 8 * size * n_trunc) - 1)
-            yield _Packed(partial(_widen, total, size, slots=n_trunc), size, n_trunc, nonzero)
+            yield _Packed(total, size, n_trunc, n_trunc, nonzero)
 
     return CoefficientSequence(p, "width6-closed-form", _values_fn=values)
 
@@ -1384,30 +1407,29 @@ def check_closed_form(
     listed as vacuous.
 
     The check reads packs.  Each value enters the sliding window as the
-    integer P(h) = sum of c X^j over its terms c q^(j / d): a Kronecker
-    pack (see ``series``) on a grid 1/d fine enough for every value and
-    every exponent of the relation, in slots that the slot rule sizes for
+    integer P(h) = sum of c X^j, a Kronecker pack (see ``series``) on its
+    own lattice, h = sign q^offset P(x) at x = alt q^step (K(n) in x = -q^2
+    at width 4, else the q-grid 1/d), in the slots the slot rule sizes for
     the relation's weight W (the sum of its |c|) over the digit bound of
-    every value so far.  The width-4 and width-6 forms hand their values
-    over as packs, whose digit bound is the one their slots imply, and
-    each is moved into the check's slots by strided byte copies; a value
-    given as a series is packed once, its bound its largest |c|.  Rows are
-    decoded only for :meth:`CoefficientRecurrence.evaluate` and for h(0).
-    The pack leaves the window with its value.  A degree's residual is
-    then one integer, R = sum of c P(h) X^(e d) over the relation's terms
-    c q^e h(n - lag), less its inhomogeneous constants, whose slot i holds
-    the residual's coefficient r_i.  The low L slots of R are zero exactly
-    when r_i = 0 for i < L: a nonzero sum of r_i X^i over i < L is below
-    X^L in absolute value, so it is no multiple of X^L.  L is d times the
+    every value so far: a series is packed once, its bound its largest |c|,
+    and a pack whose digits leave its top byte free keeps its own slots (for
+    W below 2^8).  No value is decoded, h(0) = 1 included.  At a degree, a
+    term c q^e h(n - lag) with e + offset = r + a step adds c sign alt^a X^a
+    P(h) to the integer R_r of its class r, as do the inhomogeneous
+    constants, so slot i of R_r holds the residual's coefficient r_i of q^(r
+    + step i).  Its low L slots are zero exactly when r_i = 0 for i < L: a
+    nonzero sum of r_i X^i over i < L is below X^L in absolute value, so it
+    is no multiple of X^L.  L counts the class's exponents below the
     exactness bound of the relation's term walk, which
     :meth:`CoefficientRecurrence.evaluate` shares: the window, and each
     value's own window plus the integer part of its shift, a value zero in
     its window included (h(n) for n < 0 is exactly zero, with no window).
-    The walk also raises for a negative exponent.  A value that needs
-    wider slots, or a finer grid, has the kept packs widened without
-    converting a coefficient again.  Where the test fails, or cannot run
-    (a value with a z-degree above 0), :meth:`CoefficientRecurrence.evaluate`
-    computes the residual: every failure reported comes from it.
+    The walk also raises for a negative exponent.  Nonzero values of a
+    degree that do not share one x are moved, for that degree, onto their
+    common q-grid.  Wider slots widen the kept packs without converting a
+    coefficient again.  Where the test fails, or cannot run (a value with a
+    z-degree above 0), :meth:`CoefficientRecurrence.evaluate` computes the
+    residual: every failure reported comes from it.
     """
     if window is None:
         window = Window(2 * (n_max + 2) ** 2 + 40)
@@ -1418,45 +1440,53 @@ def check_closed_form(
     order = recurrence.order()
     recent = {tgt: deque([nothing] * order, order + 1) for tgt in targets}
     value_fn = lambda tgt, m: recent[tgt][m - n - 1]  # h(m) for n - order <= m <= n
-    grid = lcm(
-        window.q_scale,
-        *(x.denominator for _t, _l, poly in recurrence.terms for a, b, _c in poly.entries for x in (a, b)),
-        *(Fraction(e).denominator for _d, qpoly in recurrence.inhom for e, _c in qpoly),
-    )
     weight = sum(abs(c) for _t, _l, poly in recurrence.terms for _a, _b, c in poly.entries)
     weight += max((sum(abs(c) for _e, c in qpoly) for _d, qpoly in recurrence.inhom), default=0)
-    # each kept value, packed as it enters in slots of size * (grid / q_scale)
-    # bytes, and widened when a later value widens the slots or the grid
+    # each kept value's pack on its own lattice, in slots of size bytes
     size = 1
     packed = {tgt: deque([0] * order, order + 1) for tgt in targets}
 
+    def on_grid(h, pack, d):  # h's pack on the q-grid 1/d, in slots of size bytes
+        offset, (alt, _step), sign = h.lattice
+        if alt < 0:  # x = -q^2
+            return _signed_spread(pack, size, h.slots, size * d, offset, sign)
+        return _widen(pack, size, size * d // h.q_scale, h.slots)
+
     def vanishes(terms, inhom, bound) -> bool:
         """Whether the packed residual of the walked terms is zero below
-        the bound; False where the packs cannot tell."""
-        parts = [(packed[tgt][-1 - lag], int(e * grid), c) for tgt, lag, _h, e, c in terms]
-        if any(pack is None for pack, _e, _c in parts):  # h has a z-degree above 0
+        the bound, one class of exponents at a time; False where the packs
+        cannot tell."""
+        used = [(packed[tgt][-1 - lag], h, e, c) for tgt, lag, h, e, c in terms if not h.is_zero()]
+        if any(pack is None for pack, _h, _e, _c in used):  # h has a z-degree above 0
             return False
-        total = _shift_sum(parts + [(1, int(e * grid), -c) for e, c in inhom], size)
-        return not total & ((1 << 8 * size * grid * bound) - 1)
+        parts = [(pack, h.lattice, e, c) for pack, h, e, c in used]
+        if len({x for _p, (_o, x, _s), _e, _c in parts}) > 1:  # no common x: the common q-grid
+            d = lcm(*(h.q_scale for _p, h, _e, _c in used))
+            parts = [(on_grid(h, pack, d), (0, (1, Fraction(1, d)), 1), e, c) for pack, h, e, c in used]
+        alt, step = parts[0][1][1] if parts else (1, 1)
+        classes: dict = {}  # r -> the parts (P, a, c') of the sum of c' x^a P(x)
+        for pack, (offset, _x, sign), e, c in parts + [(1, (0, None, -1), e, c) for e, c in inhom]:
+            a, r = divmod(e + offset, step)  # c q^e sign q^offset P(x) = q^r c sign alt^a x^a P(x)
+            classes.setdefault(r, []).append((pack, a, c * sign * alt ** a))
+        # slot i of class r stands for q^(r + step i): ceil((bound - r) / step) of them lie below the bound
+        return not any(_shift_sum(group, size) & (1 << 8 * size * -((r - bound) // step)) - 1
+                       for r, group in classes.items())
 
     ended = _Rows(zero(Window(window.q_truncation)))  # every value past a stream's end
     failures, vacuous = [], []
     for n in range(min(recurrence.min_degree, 0), max(n_max, 0) + 1):
         arrivals = {tgt: next(values, ended) if n >= 0 else nothing for tgt, values in streams.items()}
         wider = max(size, *(_slot_size(weight, h.magnitude) for h in arrivals.values()))
-        finer = lcm(grid, *(h.q_scale for h in arrivals.values()))
-        if (wider, finer) != (size, grid):
-            for tgt in targets:  # the oldest pack leaves with the next append
-                packed[tgt] = deque([
-                    p and _widen(p, size * (grid // h.q_scale), wider * (finer // h.q_scale), h.slots)
-                    for h, p in zip(recent[tgt], packed[tgt])
-                ], order + 1)
-            size, grid = wider, finer
+        if wider != size:
+            for tgt in targets:  # the oldest pack leaves with the next append: widen the others
+                kept = list(zip(recent[tgt], packed[tgt]))[len(packed[tgt]) - order:]
+                packed[tgt] = deque([p and _widen(p, size, wider, h.slots) for h, p in kept], order + 1)
+            size = wider
         for tgt, h in arrivals.items():
             recent[tgt].append(h)
-            packed[tgt].append(h.pack(size * (grid // h.q_scale)))
+            packed[tgt].append(h.pack(size))
         if n == 0:
-            init = recent[recurrence.profile][-1].series
+            initial_ok = recent[recurrence.profile][-1].is_one()
         if not recurrence.min_degree <= n <= n_max:
             continue
         terms, inhom, bound = recurrence._walk(n, value_fn, window)
@@ -1469,6 +1499,5 @@ def check_closed_form(
                 diff = residual.first_difference(zero(residual.window))
                 failures.append((n, diff[1], diff[2]))
         del terms  # its values leave with the sliding window, not a degree later
-    initial_ok = init.agrees_with(one(init.window))
     return CheckReport(not failures and initial_ok, n_max, window, tuple(failures),
                        tuple(vacuous), initial_ok, recurrence.min_degree)

@@ -338,6 +338,15 @@ def _widen(packed, old, new, slots):
     return _reslot(unsigned, old, new, slots) - _offset(slots, new, half)
 
 
+def _fits(packed, size, slots, new):
+    """Whether every digit in the low ``slots`` slots of a pack in slots of
+    ``size >= new`` bytes lies in [-2^(8 new - 1), 2^(8 new - 1)): plus
+    2^(8 new - 1), each such digit is below 2^(8 new) and carries nothing,
+    while any other sets a bit at or above 8 new of its own slot."""
+    high = _offset(slots, size, (1 << 8 * size) - (1 << 8 * new))
+    return not (packed + _offset(slots, size, 1 << 8 * new - 1)) & high
+
+
 def _signed_spread(packed, size, slots, new, shift, sign=1):
     """sign q^shift P(-q^2) in slots of ``new`` bytes, ``new >= size``, for
     P a non-negative pack of ``slots`` slots of ``size`` bytes, each below
@@ -451,12 +460,13 @@ def _rebase(packed, size, origin):
 
 def _from_pack(packed, size, width):
     """The pure q-series, exact below q^width, whose coefficient of q^j is
-    slot j of a pack of balanced digits; the slots below the first nonzero
-    one are not read."""
+    slot j of a pack of balanced digits; only the slots from the first
+    nonzero one are read, up to the top one, or the one above it (its bit
+    length names slot t of a top digit d, or t + 1 if d = -X / 2)."""
     bits = 8 * size
     lead = ((packed & -packed).bit_length() - 1) // bits if packed else max(width, 0)
-    skip = min(lead, width)
-    return _from_rows([[0] * skip + _unpack(packed >> bits * lead, size, width - skip)], width, None, 1)
+    skip, top = min(lead, width), min(abs(packed).bit_length() // bits + 1, width)
+    return _from_rows([[0] * skip + _unpack(packed >> bits * lead, size, max(top - skip, 0))], width, None, 1)
 
 
 def _kronecker(a, b, qcap, zcap):

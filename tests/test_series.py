@@ -27,7 +27,8 @@ from cylq.series import (
     zero,
     zf,
 )
-from cylq.series import (_UNIT_STEP, _UNWINDOWED_LIMIT, _combine, _div_binomial, _doublings, _from_pack,
+from cylq import series as series_module
+from cylq.series import (_UNIT_STEP, _UNWINDOWED_LIMIT, _combine, _div_binomial, _doublings, _fits, _from_pack,
                          _from_rows, _guard, _min_bound, _mul_binomial, _pack, _poch, _rebase, _running, _shift_sum,
                          _signed_spread, _slot_size, _times_binomials, _unpack, _widen)
 
@@ -571,6 +572,42 @@ def test_pack_round_trips_through_unpack_and_widen(data, size, more):
     packed = _pack([row], slots, size)
     assert _unpack(packed, size, slots) == padded
     assert _unpack(_widen(packed, size, size + more, slots), size + more, slots) == padded
+
+
+@given(st.data(), st.integers(1, 30), st.integers(0, 60))
+def test_pack_fits_fewer_bytes_exactly_when_every_digit_does(data, size, slots):
+    # balanced digits up to 2^200 and at the edges of the narrower slots:
+    # a pack fits new bytes exactly when each of its low slots lies in
+    # [-2^(8 new - 1), 2^(8 new - 1)); the digits above them are not read
+    new = data.draw(st.integers(1, size))
+    half, edge = 1 << 8 * size - 1, 1 << 8 * new - 1
+    reach = min(half, 2**200)
+    inside = st.integers(-min(edge, reach), min(edge, reach) - 1) | st.sampled_from((-edge, edge - 1, -1, 0, 1))
+    beyond = st.sampled_from([d for d in (-edge - 1, edge) if -half <= d < half] or [0])
+    digit = inside | beyond | st.integers(-reach, reach - 1)
+    row = data.draw(st.lists(inside, min_size=slots, max_size=slots))
+    for k in data.draw(st.lists(st.integers(0, slots - 1), max_size=2)) if slots else ():
+        row[k] = data.draw(digit)
+    above = data.draw(st.lists(digit, max_size=3))
+    packed = _pack([row + above], slots + len(above), size)
+    assert _fits(packed, size, slots, new) == all(-edge <= d < edge for d in row)
+
+
+def test_from_pack_reads_the_slots_up_to_the_top_digit(monkeypatch):
+    lengths = []
+    real = series_module._unpack
+    monkeypatch.setattr(series_module, "_unpack",
+                        lambda packed, size, length: lengths.append(length) or real(packed, size, length))
+    assert _state(_from_pack(1, 3, 5000)) == _state(one(Window(5000)))
+    assert lengths == [1]
+    # a top digit -X/2 above a negative one names the slot above it: that
+    # one slot more is read
+    for low, read in ((5, 3), (-5, 4)):
+        lengths.clear()
+        packed = _pack([[0, low, 0, -128]], 4, 1)
+        assert _state(_from_pack(packed, 1, 40)) == _state(make_series([(0, 1, low), (0, 3, -128)], Window(40)))
+        assert lengths == [read]
+    assert _state(_from_pack(0, 2, 7)) == _state(zero(Window(7)))
 
 
 @pytest.mark.parametrize("length, bits", [(15, 2), (15, 6), (15, 30), (255, 4), (255, 8), (255, 32)])
