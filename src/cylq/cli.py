@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 from math import lcm
@@ -54,9 +55,7 @@ def _parse_profile(text: str) -> tuple:
     try:
         entries = tuple(int(x) for x in cleaned.split(",") if x.strip())
     except ValueError:
-        raise argparse.ArgumentTypeError(
-            "profile must be comma-separated +1/-1 entries, e.g. '-1,1'"
-        )
+        entries = ()  # refused below, with every other malformed profile
     if not entries or any(x not in (1, -1) for x in entries):
         raise argparse.ArgumentTypeError(
             "profile must be comma-separated +1/-1 entries, e.g. '-1,1'"
@@ -513,10 +512,13 @@ def main(argv=None) -> int:
     except (ValueError, OSError, json.JSONDecodeError) as err:
         print("error: %s" % err, file=sys.stderr)
         return EXIT_USAGE
-    if args.format == "json":
-        print(json.dumps(payload, sort_keys=True, indent=2))
-    else:
-        print("\n".join(lines))
+    text = json.dumps(payload, sort_keys=True, indent=2) if args.format == "json" else "\n".join(lines)
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        # the reader went away: that ends the output, and the interpreter's
+        # last flush goes to devnull instead of raising again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return code
 
 

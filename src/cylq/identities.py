@@ -1121,17 +1121,21 @@ def _run_symmetric_mirror(w: Window) -> list:
     return out
 
 
-_W4 = ((1, 1), (1, -1), (-1, 1))
-_W6 = ((1, 1, 1), (1, 1, -1), (1, -1, 1), (-1, 1, 1))
+#: Per width: the seed profile and weights of its open-chain system, the
+#: family's profiles, closed form, typed relation, the relation's term count
+#: and the degrees its checks run to.
+_FAMILIES = {
+    4: ((1, -1), (1, 2, 1), ((1, 1), (1, -1), (-1, 1)),
+        closed_form_width4, width4_recurrence, "three", 12),
+    6: ((1, -1, 1), (1, 2, 2, 1), ((1, 1, 1), (1, 1, -1), (1, -1, 1), (-1, 1, 1)),
+        closed_form_width6, width6_recurrence, "four", 10),
+}
 
 
 def _run_closed_forms(width: int, w: Window) -> list:
     """Solver coefficients = the stacked closed forms, every profile of the
     width-4 or width-6 family; width 4 adds its reversal symmetry."""
-    start, weights, profiles, form = {
-        4: ((1, -1), (1, 2, 1), _W4, closed_form_width4),
-        6: ((1, -1, 1), (1, 2, 2, 1), _W6, closed_form_width6),
-    }[width]
+    start, weights, profiles, form = _FAMILIES[width][:4]
     solved = solve_fixed_point(build_system("skew-shifted", start, weights, normalized=True), w)
     out = [
         compare_series(
@@ -1183,12 +1187,8 @@ _case(
 def _run_coefficient_recurrences(window: Window) -> list:
     # fixed degrees, each check in the window check_closed_form derives from
     # them: every note names the degrees and the window actually used
-    families = (
-        (4, _W4, 12, closed_form_width4, width4_recurrence, "three"),
-        (6, _W6, 10, closed_form_width6, width6_recurrence, "four"),
-    )
     out = []
-    for width, profiles, n_max, form, relation, terms in families:
+    for width, (_s, _w, profiles, form, relation, terms, n_max) in _FAMILIES.items():
         for d in profiles:
             rep = check_closed_form(form(d), relation(d), n_max)
             note = "checked degrees %d..%d in q<%d, whatever the case window" % (

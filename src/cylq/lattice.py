@@ -51,7 +51,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from itertools import repeat
-from operator import mul
+from operator import add, mul
 from typing import Iterator, Optional, Sequence
 
 from .series import TruncatedSeries, Window, _doublings, _from_rows, _guard, _times_binomials, _unpack, _wider
@@ -1032,19 +1032,23 @@ def count_partitions_by_hook(max_size: int, min_part: int = 1) -> dict:
     """Counts {(hook length, size): #partitions with parts >= min_part}.
 
     The hook length of a nonempty partition is largest part + rows - 1;
-    the empty partition is recorded at (0, 0).
+    the empty partition is recorded at (0, 0).  A DP over the largest part
+    a: a partition with largest part a is a followed by j parts in
+    [min_part, a], so after the pass for a, table[j][s] counts those j
+    parts of total s, and each adds to the entry (a + j, a + s).
     """
     if min_part < 1:
         raise ValueError("min_part must be at least 1 (parts are positive)")
+    table = [[1] + [0] * max_size] + [[0] * (max_size + 1) for _ in range(max_size // min_part)]
+    by_hook = [[0] * (max_size + 1) for _ in range(max_size + 1)]  # by_hook[hook][size]
+    for a in range(min_part, max_size + 1):
+        room = max_size - a  # later passes read no total above this
+        for j in range(1, room // min_part + 1):  # one more part a; row j - 1 already allows more
+            table[j][a:room + 1] = map(add, table[j][a:room + 1], table[j - 1][:room + 1 - a])
+        for j in range(room // min_part + 1):
+            by_hook[a + j][a:] = map(add, by_hook[a + j][a:], table[j][:room + 1])
     counts: dict = {(0, 0): 1}
-
-    def rec(prev: int, size: int, first: int, rows: int) -> None:
-        counts[(first + rows - 1, size)] = counts.get((first + rows - 1, size), 0) + 1
-        for p in range(min(prev, max_size - size), min_part - 1, -1):
-            rec(p, size + p, first, rows + 1)
-
-    for first in range(min_part, max_size + 1):
-        rec(first, first, first, 1)
+    counts.update(((hook, size), c) for hook, row in enumerate(by_hook) for size, c in enumerate(row) if c)
     return counts
 
 

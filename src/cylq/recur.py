@@ -37,9 +37,9 @@ from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import floor, lcm
-from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, Union
+from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
-from .lattice import _CLOSED_KINDS, KINDS, _check_profile, _resolve
+from .lattice import _CLOSED_KINDS, _check_profile, _resolve
 from .series import (TruncatedSeries, Window, _UNIT_STEP, _add_into, _collect, _combine, _doublings, _fits, _from_pack,
                      _from_rows, _magnitude, _min_bound, _monomial, _pack_q, _poch, _rebase, _running, _shift_sum,
                      _signed_spread, _signed_sum, _slot_size, _strip, _times_binomials, _widen, make_series, one,
@@ -94,14 +94,6 @@ def reverse_profile(profile: Sequence[int]) -> tuple:
     return tuple(-x for x in reversed(_check_profile(profile)))
 
 
-def _is_closed_kind(kind: str) -> bool:
-    if kind not in KINDS:
-        raise ValueError(
-            "unknown kind %r; expected one of %s" % (kind, ", ".join(KINDS))
-        )
-    return kind in _CLOSED_KINDS
-
-
 def corner_set(kind: str, profile: Sequence[int]) -> tuple:
     """Indices at which a block of largest parts can be removed.
 
@@ -112,11 +104,10 @@ def corner_set(kind: str, profile: Sequence[int]) -> tuple:
     right end ``j = h`` iff ``delta[h-1] = +1``, and an interior ``j`` iff
     ``(delta[j-1], delta[j]) = (+1, -1)``.
     """
-    closed = _is_closed_kind(kind)
-    d = _check_profile(profile)
+    kind, d, _w = _resolve(kind, profile, None)
     h = len(d)
     peaks = [j for j in range(h) if d[j - 1] == 1 and d[j] == -1]  # j = 0 wraps around
-    if closed:
+    if kind in _CLOSED_KINDS:
         return tuple(peaks)
     return tuple([0] * (d[0] == -1) + [j for j in peaks if j] + [h] * (d[h - 1] == 1))
 
@@ -595,20 +586,23 @@ class EliminationResult:
     identified: bool = False
     reason: Optional[str] = None
 
-    def as_system(self, template: FunctionalSystem) -> FunctionalSystem:
-        """The single-profile system carrying the eliminated equation."""
+    def _equation(self) -> tuple:
+        """The eliminated equation's terms; a failed elimination raises."""
         if not self.success:
             raise ValueError("elimination failed: %s" % self.reason)
-        terms = tuple(
+        return tuple(
             FunctionalTerm(1, shift, self.keep, monos, None)
             for monos, shift in self.terms
         )
+
+    def as_system(self, template: FunctionalSystem) -> FunctionalSystem:
+        """The single-profile system carrying the eliminated equation."""
         return FunctionalSystem(
             template.kind,
             template.weights,
             True,
             self.keep,
-            {self.keep: terms},
+            {self.keep: self._equation()},
         )
 
     def pretty(self) -> str:
@@ -918,13 +912,7 @@ def to_coefficient_recurrences(obj: Union[FunctionalSystem, EliminationResult]):
     elimination result it is the single uncoupled relation.
     """
     if isinstance(obj, EliminationResult):
-        if not obj.success:
-            raise ValueError("elimination failed: %s" % obj.reason)
-        terms = [
-            FunctionalTerm(1, shift, obj.keep, monos, None)
-            for monos, shift in obj.terms
-        ]
-        return _equation_recurrence(obj.keep, terms)
+        return _equation_recurrence(obj.keep, obj._equation())
     return {
         p: _equation_recurrence(p, obj.equations[p]) for p in obj.profiles()
     }
@@ -1269,22 +1257,52 @@ def closed_form_goellnitz() -> CoefficientSequence:
 # ---------------------------------------------------------------------------
 
 
-def _relation_from_top_shifted(profile: tuple, coeff_fns, top: int) -> CoefficientRecurrence:
-    """Build a relation from coefficients written against ``h(n + top)``.
+#: Per profile, per lag, the entries ``(a, b, c)`` of ``c q^(a n + b)`` in
+#: the coefficient of ``h(n - lag)``, at the degree ``n`` of the top term:
+#: the form :func:`to_coefficient_recurrences` derives.
+_WIDTH4_RELATIONS = {
+    (1, 1): (((0, 0, 1), (4, 0, -1)), ((4, -2, 1), (4, 0, -1)), ((4, -2, 1),)),
+    (1, -1): (((0, 0, 1), (4, 0, -1)), ((4, -3, 1), (4, -1, -1)), ((4, -4, 1),)),
+    (-1, 1): (((0, 0, 1), (4, 0, -1)), ((4, -3, -1), (4, -1, 1)), ((4, -4, 1),)),
+}
 
-    ``coeff_fns`` lists, for lags ``0..top``, the coefficient of
-    ``h(n + top - lag)`` as ``((slope, intercept, coeff), ...)`` entries
-    meaning ``sum c q^(slope*n + intercept)``; the whole relation equals
-    zero.  Internally the degree variable is re-centered at the top index
-    (``m = n + top``), giving coefficients in ``q^m``.
-    """
-    terms = []
-    for lag, entries in enumerate(coeff_fns):
-        shifted = [(Fraction(a), Fraction(b) - Fraction(a) * top, c) for a, b, c in entries]
-        poly = LinQPoly.from_entries(shifted)
-        if not poly.is_zero():
-            terms.append((profile, lag, poly))
-    return CoefficientRecurrence(profile, tuple(terms), (), top)
+_WIDTH6_RELATIONS = {
+    (1, 1, 1): (
+        ((0, 0, 1), (3, -4, 1), (3, -3, -1), (3, 0, -1), (6, -4, -1), (6, -3, 1)),
+        ((3, -2, 1), (3, 1, -1), (6, 0, -1), (9, -4, -1), (9, -3, 1)),
+        ((3, 0, 1), (6, -4, 1), (6, -2, 1), (6, -1, 1), (6, 0, -1), (9, -6, 1), (9, -4, -1)),
+        ((6, -6, -1), (9, -7, -1), (9, -6, 1)),
+    ),
+    (1, 1, -1): (
+        ((0, 0, 1), (3, -4, 1), (3, -3, -1), (3, 0, -1), (6, -4, -1), (6, -3, 1)),
+        ((3, -3, 1), (3, 0, -1), (6, -1, -1), (9, -5, -1), (9, -4, 1)),
+        ((3, -2, 1), (6, -6, 1), (6, -4, 1), (6, -3, 1), (6, -2, -1), (9, -8, 1), (9, -6, -1)),
+        ((6, -9, -1), (9, -10, -1), (9, -9, 1)),
+    ),
+    (1, -1, 1): (
+        ((0, 0, 1), (3, 0, -1)),
+        ((6, -3, -1),),
+        ((3, -3, 1), (6, -8, 1), (6, -4, 1)),
+        ((6, -9, -1),),
+    ),
+    (-1, 1, 1): (
+        ((0, 0, 1), (3, 0, -1)),
+        ((6, -5, -1),),
+        ((3, -1, 1), (6, -8, 1), (6, -6, 1)),
+        ((6, -9, -1),),
+    ),
+}
+
+
+def _typed_relation(table: dict, profile: Sequence[int]) -> CoefficientRecurrence:
+    """The relation ``table`` holds for ``profile``, claimed from the degree
+    of its order (its lowest term at h(0))."""
+    p = _check_profile(profile)
+    if p not in table:
+        names = ["(%s)" % ",".join(map(str, q)) for q in table]
+        raise ValueError("recurrences cover %s and %s" % (", ".join(names[:-1]), names[-1]))
+    terms = tuple((p, lag, LinQPoly.from_entries(entries)) for lag, entries in enumerate(table[p]))
+    return CoefficientRecurrence(p, terms, (), len(terms) - 1)
 
 
 def width4_recurrence(profile: Sequence[int]) -> CoefficientRecurrence:
@@ -1301,70 +1319,19 @@ def width4_recurrence(profile: Sequence[int]) -> CoefficientRecurrence:
     the ``(+1,-1)`` case; flipping it breaks the closed form (it would
     instead annihilate ``(-1)^n h(n)``).
     """
-    p = _check_profile(profile)
-    if p == (1, 1):
-        coeffs = (
-            ((0, 0, 1), (4, 8, -1)),
-            ((4, 6, 1), (4, 8, -1)),
-            ((4, 6, 1),),
-        )
-    elif p == (1, -1):
-        coeffs = (
-            ((0, 0, 1), (4, 8, -1)),
-            ((4, 5, 1), (4, 7, -1)),
-            ((4, 4, 1),),
-        )
-    elif p == (-1, 1):
-        coeffs = (
-            ((0, 0, 1), (4, 8, -1)),
-            ((4, 5, -1), (4, 7, 1)),
-            ((4, 4, 1),),
-        )
-    else:
-        raise ValueError("recurrences cover (1,1), (1,-1) and (-1,1)")
-    return _relation_from_top_shifted(p, coeffs, top=2)
+    return _typed_relation(_WIDTH4_RELATIONS, profile)
 
 
 def width6_recurrence(profile: Sequence[int]) -> CoefficientRecurrence:
     """The uncoupled four-term recurrences of the width-6 family.
 
-    Each is written as ``c3(n) h(n+3) = c2(n) h(n+2) + c1(n) h(n+1) +
-    c0(n) h(n)`` and stored against the top index.  The relation for
-    ``(1,1,1)`` has top coefficient ``(1 - q^(3n+9))(1 + q^(3n+5) -
-    q^(3n+6))``; the ``(1,-1,1)`` and ``(-1,1,1)`` relations share the top
-    coefficient ``1 - q^(3n+9)``.
+    Each relates ``h(n)``, ``h(n-1)``, ``h(n-2)`` and ``h(n-3)``, with
+    coefficients written at the degree ``n`` of the top term.  The relation
+    for ``(1,1,1)`` has top coefficient ``(1 - q^(3n))(1 + q^(3n-4) -
+    q^(3n-3))``; the ``(1,-1,1)`` and ``(-1,1,1)`` relations share the top
+    coefficient ``1 - q^(3n)``.
     """
-    p = _check_profile(profile)
-    if p == (1, -1, 1):
-        c3 = ((0, 0, 1), (3, 9, -1))
-        c2 = ((6, 15, 1),)
-        c1 = ((3, 6, -1), (6, 10, -1), (6, 14, -1))
-        c0 = ((6, 9, 1),)
-    elif p == (-1, 1, 1):
-        c3 = ((0, 0, 1), (3, 9, -1))
-        c2 = ((6, 13, 1),)
-        c1 = ((3, 8, -1), (6, 10, -1), (6, 12, -1))
-        c0 = ((6, 9, 1),)
-    elif p == (1, 1, -1):
-        c3 = ((0, 0, 1), (3, 5, 1), (3, 6, -1), (3, 9, -1), (6, 14, -1), (6, 15, 1))
-        c2 = ((3, 6, -1), (3, 9, 1), (6, 17, 1), (9, 22, 1), (9, 23, -1))
-        c1 = ((3, 7, -1), (6, 12, -1), (6, 14, -1), (6, 15, -1), (6, 16, 1),
-              (9, 19, -1), (9, 21, 1))
-        c0 = ((6, 9, 1), (9, 17, 1), (9, 18, -1))
-    elif p == (1, 1, 1):
-        c3 = ((0, 0, 1), (3, 5, 1), (3, 6, -1), (3, 9, -1), (6, 14, -1), (6, 15, 1))
-        c2 = ((3, 7, -1), (3, 10, 1), (6, 18, 1), (9, 23, 1), (9, 24, -1))
-        c1 = ((3, 9, -1), (6, 14, -1), (6, 16, -1), (6, 17, -1), (6, 18, 1),
-              (9, 21, -1), (9, 23, 1))
-        c0 = ((6, 12, 1), (9, 20, 1), (9, 21, -1))
-    else:
-        raise ValueError(
-            "recurrences cover (1,1,1), (1,1,-1), (1,-1,1) and (-1,1,1)"
-        )
-    negate = lambda entries: tuple((a, b, -c) for a, b, c in entries)
-    return _relation_from_top_shifted(
-        p, (c3, negate(c2), negate(c1), negate(c0)), top=3
-    )
+    return _typed_relation(_WIDTH6_RELATIONS, profile)
 
 
 # ---------------------------------------------------------------------------

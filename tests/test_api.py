@@ -63,6 +63,14 @@ def test_every_listed_name_resolves():
         assert namespace[name] is getattr(cylq, name), name
 
 
+def test_layers_resolve_through_the_package_getattr_and_dir():
+    # an imported layer is also bound on the package, so ask the hook itself
+    assert cylq.__getattr__("recur") is recur
+    listed = dir(cylq)
+    assert listed == sorted(set(listed))
+    assert {"recur", "cli", *cylq.__all__} <= set(listed)
+
+
 @pytest.mark.parametrize(
     "load",
     [FitProblem.from_json, ProductSpec.from_json, system_from_json, series_from_json],

@@ -1,10 +1,18 @@
 """End-to-end tests for the command-line front end (via main(argv))."""
 
+import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from cylq.cli import main
+from cylq.series import Window, series_from_json
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(capsys, *argv):
@@ -81,6 +89,39 @@ def test_product_with_weights(capsys):
     )
     assert code == 0
     assert "q^4: 2" in out and "q^6: 4" in out
+
+
+def _json_series(capsys, *argv):
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == 0
+    return series_from_json(json.loads(out)["series"])
+
+
+def test_enumerate_collapse_z_sums_over_z(capsys):
+    from cylq.lattice import genfun_by_enumeration
+
+    got = _json_series(capsys, "enumerate", "--kind", "cylindric", "--profile=-1,1",
+                       "--N", "6", "--collapse-z")
+    want = genfun_by_enumeration("cylindric", (-1, 1), window=Window(6, 6)).collapse_z()
+    assert got.z_truncation is None and got.first_difference(want) is None
+    assert got.coefficient(0, 5) == 7
+
+
+def test_product_skew_shifted_is_the_open_chain_product(capsys):
+    from cylq.products import dspp_product
+
+    got = _json_series(capsys, "product", "--kind", "skew-shifted", "--profile=1,-1", "--N", "6")
+    assert got.first_difference(dspp_product((1, -1), None, Window(6))) is None
+    assert got.coefficient(0, 5) == 11
+
+
+def test_series_mod12_with_a_profile(capsys):
+    from cylq.identities import sum_mod12
+
+    got = _json_series(capsys, "series", "--sum", "mod12", "--profile=1,-1,1", "--N", "10")
+    assert got.first_difference(sum_mod12((1, -1, 1), Window(10))) is None
+    code, out, _ = run(capsys, "series", "--sum", "mod12", "--profile=1,-1,1", "--N", "10")
+    assert code == 0 and out.splitlines()[1:] == ["q^0: 1", "q^4: -1", "q^6: 1", "q^8: -1"]
 
 
 def test_product_spec_only_json(capsys):
@@ -399,6 +440,16 @@ def test_fit_problem_file_and_json_report(tmp_path, capsys):
     assert [s["weights"] for s in report["solutions"]] == [[0, 1, 0]]
 
 
+def test_fit_problem_read_from_stdin(monkeypatch, capsys):
+    from cylq.fitkit import FitProblem
+
+    problem = FitProblem.make("cylindric", (-1, -1, 1), ((1, 4, 5), 5))
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(problem.to_json())))
+    code, out, _ = run(capsys, "fit", "--problem", "-")
+    assert code == 0
+    assert "weights 1,3,1 (forward check: ok)" in out
+
+
 def test_fit_problem_not_an_object_is_usage_error(tmp_path, capsys):
     path = tmp_path / "problem.json"
     path.write_text("[1, 2]", encoding="utf-8")
@@ -502,3 +553,17 @@ def test_non_integer_count_is_usage_error(capsys, argv):
     err = capsys.readouterr().err
     assert "must be an integer >= 1" in err
     assert "_positive_int" not in err
+
+
+def test_a_reader_that_goes_away_ends_the_output_quietly():
+    # as `cylq verify --format json | head -n 1`: the reader takes one line
+    # and closes the pipe while about 100 kB are still to come
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.Popen([sys.executable, "-m", "cylq.cli", "verify", "--format", "json"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline() == b"{\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 1  # the report-only cases differ, as unpiped
+    assert err == b""

@@ -1,6 +1,7 @@
 """Tests for weight fitting, profile conversion, and equivalence search."""
 
 import itertools
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
@@ -30,6 +31,22 @@ def test_fit_recovers_open_chain_weights():
         "skew-shifted", (1, -1), (((1, 1, 1), 1), ((1,), 2))
     )
     assert fit_weights(problem) == [(0, 1, 0)]
+
+
+def test_fit_open_chain_whose_second_multiset_holds_a_sum():
+    # each W2 entry of these profiles is a sum of prefix-sum forms
+    problem = FitProblem.make("skew-shifted", (1, 1), w1_w2_multisets((1, 1), (1, 2, 1)))
+    assert fit_weights(problem) == [(1, 2, 1)]
+    problem = FitProblem.make("skew-shifted", (-1, 1), w1_w2_multisets((-1, 1), (1, 1, 2)))
+    assert fit_weights(problem) == [(1, 1, 2), (2, 1, 1)]
+
+
+def test_fit_rational_weights():
+    half = Fraction(1, 2)
+    targets = w3_multiset((-1, -1, 1), (half, 1, 3 * half))
+    assert fit_weights(FitProblem.make("cylindric", (-1, -1, 1), targets)) == []
+    rational = FitProblem.make("cylindric", (-1, -1, 1), targets, integral=False)
+    assert fit_weights(rational) == [(half, 1, 3 * half)]
 
 
 def test_fit_solutions_forward_check():

@@ -431,6 +431,20 @@ def test_hook_tables():
             count_partitions_by_hook(3, min_part)
 
 
+def test_hook_tables_count_what_the_listing_finds():
+    # every partition of size <= 40 once, tallied by (hook, size) for each
+    # lower bound on the parts; each max_size takes the sizes up to it
+    listed = {1: Counter({(0, 0): 1}), 2: Counter({(0, 0): 1})}
+    for parts in partitions_iter(40):
+        for min_part, tally in listed.items():
+            if parts and parts[-1] >= min_part:
+                tally[(parts[0] + len(parts) - 1, sum(parts))] += 1
+    for min_part, tally in listed.items():
+        for n in range(41):
+            want = {key: c for key, c in tally.items() if key[1] <= n}
+            assert count_partitions_by_hook(n, min_part) == want, (n, min_part)
+
+
 # ---------------------------------------------------------------------------
 # counting against listing
 # ---------------------------------------------------------------------------

@@ -338,6 +338,22 @@ def test_derived_recurrences_match_encoded_width4():
         derived = to_coefficient_recurrences(eliminate(system, keep))
         encoded = width4_recurrence(keep)
         assert derived.terms == encoded.terms, keep
+    # the typed relations are in the derived form, width 6 included
+    system = build_system("skew-shifted", (1, -1, 1), (1, 2, 2, 1))
+    derived = to_coefficient_recurrences(eliminate(system, (1, -1, 1)))
+    assert derived.terms == width6_recurrence((1, -1, 1)).terms
+
+
+def test_typed_relations_cover_their_families_only():
+    for relation, family in ((width4_recurrence, W4), (width6_recurrence, W6)):
+        for p in family:
+            rec = relation(p)
+            assert rec.profile == p and rec.inhom == ()
+            assert rec.min_degree == rec.order() == len(p)  # claimed from h(0) at the lowest lag
+    with pytest.raises(ValueError, match=r"cover \(1,1\), \(1,-1\) and \(-1,1\)$"):
+        width4_recurrence((-1, -1))
+    with pytest.raises(ValueError, match=r"cover \(1,1,1\), \(1,1,-1\), \(1,-1,1\) and \(-1,1,1\)$"):
+        width6_recurrence((1, 1))
 
 
 def test_closed_forms_satisfy_encoded_recurrences():

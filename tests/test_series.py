@@ -155,6 +155,33 @@ def test_invert_needs_window():
     assert poly.invert(z_truncation=3).coefficient(3, 3) == 1
 
 
+def test_integer_operands_act_as_constants():
+    s = make_series([(0, 0, 1), (0, 1, 2), (1, 3, -1)], WB)
+    assert s + 3 == make_series([(0, 0, 4), (0, 1, 2), (1, 3, -1)], WB)
+    assert 3 + s == s + 3
+    assert 3 - s == make_series([(0, 0, 2), (0, 1, -2), (1, 3, 1)], WB)
+
+
+def test_division_multiplies_by_the_inverse_in_the_common_window():
+    num = make_series([(0, 0, 1), (1, 2, 3)], Window(20, 6))
+    den = poch_finite(zf(1, 1, 1), 3, WB)
+    quot = num / den
+    assert quot.window == Window(16, 6)
+    assert quot == num * den.invert(q_truncation=16, z_truncation=6)
+    assert (quot * den).agrees_with(num)
+    assert num.__truediv__(2) is NotImplemented
+
+
+def test_rebase_refuses_a_nonzero_slot_below_q0():
+    # slot j of these packs stands for q^(j - 2)
+    size = 2
+    assert _unpack(_rebase(_pack([[0, 0, 1, -2]], 4, size), size, -2), size, 2) == [1, -2]
+    with pytest.raises(ValueError, match=r"q-exponent -1 is outside the ring"):
+        _rebase(_pack([[0, -5, 1, 2]], 4, size), size, -2)
+    with pytest.raises(ValueError, match=r"q-exponent -2 is outside the ring"):
+        _rebase(_pack([[7, 0, 1, 2]], 4, size), size, -2)
+
+
 def test_inv_poch_negative_index_is_zero():
     assert inv_poch_finite(qf(1, 1), -1, W).is_zero()
     assert inv_poch_finite(qf(1, 1), -5, W).is_zero()
